@@ -168,7 +168,10 @@ func ReadTraceMeta(r io.Reader) ([]Access, uint64, *TraceMeta, error) {
 	if count > maxRecords {
 		return nil, 0, nil, fmt.Errorf("%w: implausible record count %d", ErrBadTrace, count)
 	}
-	trace := make([]Access, 0, count)
+	// The header is untrusted: preallocate at most 1<<16 records (2 MB)
+	// and let append grow the slice as records actually arrive, so a
+	// short file claiming billions of records cannot demand gigabytes.
+	trace := make([]Access, 0, min(count, 1<<16))
 	var rec [traceRecordSize]byte
 	var prevCycle uint64
 	for i := uint64(0); i < count; i++ {

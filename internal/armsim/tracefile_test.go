@@ -2,7 +2,10 @@ package armsim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -104,6 +107,26 @@ func TestTraceRejectsCorruption(t *testing.T) {
 	// Empty input.
 	if _, _, err := ReadTrace(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+// TestTraceHugeCountHeaderBoundedAlloc: a bare v1 header (24 bytes)
+// claiming 2^31 records must be rejected as truncated at the first record
+// without the reader first allocating room for all the records it claims.
+func TestTraceHugeCountHeaderBoundedAlloc(t *testing.T) {
+	hdr := make([]byte, 24)
+	copy(hdr, traceMagic[:])
+	binary.LittleEndian.PutUint64(hdr[8:], 100)    // total cycles
+	binary.LittleEndian.PutUint64(hdr[16:], 1<<31) // record count
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadTrace(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "truncated at record 0") {
+		t.Fatalf("err = %v, want ErrBadTrace truncated at record 0", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Errorf("reading a 24-byte header allocated %d bytes, want < 4 MB", got)
 	}
 }
 

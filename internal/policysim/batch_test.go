@@ -271,6 +271,9 @@ func TestBatchReplayZeroAlloc(t *testing.T) {
 		{Config: clank.Config{ReadFirst: 8, WriteFirst: 4, WriteBack: 2,
 			Opts: clank.OptAll, TextStart: img.TextStart, TextEnd: img.TextEnd}},
 		{Config: clank.Config{ReadFirst: 2, WriteFirst: 1}, Opts: Options{PerfWatchdog: 3_000}},
+		// The reference monitor rides along: its table grows during the
+		// first Run and is only epoch-reset afterwards.
+		{Config: clank.Config{ReadFirst: 4, WriteFirst: 2}, Opts: Options{Verify: true}},
 	}
 	b, err := NewBatch(tr, jobs)
 	if err != nil {
