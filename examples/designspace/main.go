@@ -72,12 +72,9 @@ func main() {
 	exempt := ccc.ProgramIdempotentPCs(trace)
 	fmt.Printf("workload: %d cycles, %d accesses, %d exempt PCs\n\n", cycles, len(trace), len(exempt))
 
-	type pt struct {
-		cfg  clank.Config
-		bits int
-		ovr  float64
-	}
-	var pts []pt
+	// Capture the trace in columnar form once and replay the whole grid
+	// against it in one batch.
+	var jobs []policysim.Job
 	for _, rf := range []int{1, 2, 4, 8, 16} {
 		for _, wb := range []int{0, 1, 2, 4} {
 			for _, ap := range []int{0, 4} {
@@ -90,13 +87,24 @@ func main() {
 				if ap > 0 {
 					cfg.PrefixLowBits = 6
 				}
-				res, err := policysim.Simulate(trace, cycles, cfg, policysim.Options{Verify: true})
-				if err != nil {
-					log.Fatal(err)
-				}
-				pts = append(pts, pt{cfg, cfg.BufferBits(), res.CheckpointOverhead()})
+				jobs = append(jobs, policysim.Job{Config: cfg, Opts: policysim.Options{Verify: true}})
 			}
 		}
+	}
+	tr := policysim.NewBatchTrace(trace, cycles, img.TextStart, img.TextEnd)
+	results, err := policysim.SimulateBatch(tr, jobs)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	type pt struct {
+		cfg  clank.Config
+		bits int
+		ovr  float64
+	}
+	pts := make([]pt, len(jobs))
+	for i, j := range jobs {
+		pts[i] = pt{j.Config, j.Config.BufferBits(), results[i].CheckpointOverhead()}
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i].bits < pts[j].bits })
 

@@ -73,28 +73,21 @@ type Options struct {
 	// boundaries.
 	FailAfterAccess func(addr uint32, write bool) bool
 
-	// FailAtCommitWrite, when non-nil, is consulted before every NV word
-	// write of the commit protocol and of reboot-time journal recovery,
-	// identified by a run-global monotone write counter (Stats.CommitWrites
-	// is its final value); returning true cuts power before that write
-	// lands, discarding the rest of the boot's budget. It places outages at
-	// every individual commit-step boundary — the granularity the
-	// cycle-driven Supply cannot hit — and is how the crash-consistency
-	// sweep proves the two-phase protocol recoverable at every cut. The
-	// counter advances on consultation, so a fired single-index hook (see
-	// CutAtCommitWrite) never re-fires on the redone commit.
-	FailAtCommitWrite func(write int) bool
-
-	// NVFault, when non-nil, is consulted before every commit-protocol NV
-	// word write (same run-global counter as FailAtCommitWrite, which is
-	// consulted first). Returning (true, mask) cuts power AT that write
-	// under the bit-granular torn-write model: exactly the bits mask
-	// selects land — the cell reads old&^mask | new&mask afterwards — and
-	// the device is off. Mask 0 is the classic cut-before (nothing
-	// landed), ^0 a cut immediately after a complete write; anything else
-	// is a mid-word tear the CRC-sealed record format must detect. The
-	// (cut × mask) crash sweep and the fleet's stochastic fault streams
-	// both drive this hook.
+	// NVFault, when non-nil, is consulted before every NV word write of
+	// the commit protocol and of reboot-time journal recovery, identified
+	// by a run-global monotone write counter (Stats.CommitWrites is its
+	// final value). Returning (true, mask) cuts power AT that write under
+	// the bit-granular torn-write model: exactly the bits mask selects
+	// land — the cell reads old&^mask | new&mask afterwards — and the
+	// device is off, the rest of the boot's budget discarded. Mask 0 is the
+	// classic cut-before (nothing landed), ^0 a cut immediately after a
+	// complete write; anything else is a mid-word tear the CRC-sealed
+	// record format must detect. It places outages at every individual
+	// commit-step boundary — the granularity the cycle-driven Supply
+	// cannot hit. The (cut × mask) crash sweep and the fleet's stochastic
+	// fault streams both drive this hook. The counter advances on
+	// consultation, so a fired single-index hook (see TearAtCommitWrite)
+	// never re-fires on the redone commit.
 	NVFault func(write int) (bool, uint32)
 
 	// CommitBug deliberately breaks the commit protocol for meta-testing:
@@ -111,14 +104,9 @@ type Options struct {
 	LegacyDecode bool
 }
 
-// CutAtCommitWrite returns a FailAtCommitWrite hook that cuts power exactly
-// before the n-th (0-based) commit-protocol NV write of the run.
-func CutAtCommitWrite(n int) func(int) bool {
-	return func(w int) bool { return w == n }
-}
-
 // TearAtCommitWrite returns an NVFault hook that tears exactly the n-th
-// (0-based) commit-protocol NV write of the run with the given bit mask.
+// (0-based) commit-protocol NV write of the run with the given bit mask;
+// mask 0 cuts power cleanly before the write.
 func TearAtCommitWrite(n int, mask uint32) func(int) (bool, uint32) {
 	return func(w int) (bool, uint32) { return w == n, mask }
 }

@@ -222,7 +222,7 @@ func (m *Machine) account(delta uint64) {
 
 // commitWrite spends one commit-protocol NV word write against the power
 // budget (attributed to the given overhead counter) and consults the fault
-// injectors. The write counter advances on consultation — before the write
+// injector. The write counter advances on consultation — before the write
 // lands — so a single-index hook never re-fires on the redone commit.
 //
 // ok means the write lands completely and the routine continues. On
@@ -237,10 +237,6 @@ func (m *Machine) account(delta uint64) {
 func (m *Machine) commitWrite(cost uint64, counter *uint64) (ok, torn bool, mask uint32) {
 	w := m.stats.CommitWrites
 	m.stats.CommitWrites++
-	if m.opts.FailAtCommitWrite != nil && m.opts.FailAtCommitWrite(w) {
-		m.powerLeft = 0
-		return false, false, 0
-	}
 	if m.opts.NVFault != nil {
 		if fault, fmask := m.opts.NVFault(w); fault {
 			m.powerLeft = 0

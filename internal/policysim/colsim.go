@@ -7,14 +7,13 @@ import (
 	"repro/internal/refmon"
 )
 
-// colSim is the config-major columnar core: the scalar simulator ported
-// line for line onto BatchTrace columns and the pre-classified detector
-// entry points. It replays power-cycled jobs (and the rare continuous job
-// whose wall cycles outgrow the lockstep core's guard) with the exact
-// scalar semantics: same spend boundaries, same sequenced commit walk,
-// same reboot bookkeeping, same error strings. Any accounting change in
-// policysim.go must land here too — TestBatchMatchesScalarPowered pins
-// the equivalence.
+// colSim is the general replay core, the policy simulator's one
+// power-budget / watchdog / barren-boot state machine. It runs one job at
+// a time over BatchTrace columns through the pre-classified detector entry
+// points, and serves every Simulate call, every power-cycled batch job and
+// the rare continuous batch job that outgrows the lockstep core's guard.
+// The lockstep core (batch.go) is a continuous-power specialisation of it;
+// TestBatchMatchesScalar pins the two to byte-identical Results.
 type colSim struct {
 	b      *Batch
 	tr     *BatchTrace
@@ -115,10 +114,19 @@ func (c *colSim) run() error {
 				out = c.k.ReadPre(word, c.cur(word, tr.value[i]), exempt, inText)
 			}
 			if out.NeedCheckpoint {
-				// Rewind to the vetoed access's instruction-group start
-				// before committing — the machine re-executes the whole
-				// interrupted instruction (see simulator.insnStart and
-				// its livelock gate, both mirrored exactly here).
+				// A veto checkpoints with the CPU stalled at the access's
+				// instruction, so the full system re-executes that whole
+				// instruction afterwards — re-issuing the earlier accesses
+				// of an interrupted PUSH/POP/LDM/STM into the fresh
+				// buffers. Rewind to the instruction group's first access
+				// (members share one PC and cycle stamp, so the re-fed
+				// deltas are zero) before committing, so the checkpoint
+				// resume position is the instruction boundary. The gate
+				// stops a livelock when the group alone overflows a tiny
+				// buffer: a group that was already re-fed once degrades to
+				// retrying each vetoed access alone (one checkpoint per
+				// access, the access-log granularity the paper's simulator
+				// uses).
 				if g := c.insnStart(c.pos); g != c.refeedGate {
 					c.refeedGate = g
 					c.pos = g
@@ -127,6 +135,10 @@ func (c *colSim) run() error {
 				continue
 			}
 			if c.o.UndoLog && out.Buffered {
+				// Undo-log discipline (section 8.3): journal the old value
+				// to NV (two word writes plus bookkeeping) and let the
+				// write through instead of holding it in the volatile
+				// buffer. The journal is rolled back at every reboot.
 				if !c.spendOverhead(c.o.Costs.WBFlushPerEntry, &c.res.CkptCycles) {
 					continue
 				}
@@ -150,6 +162,9 @@ func (c *colSim) run() error {
 		}
 
 	watchdogs:
+		// Watchdogs, quantized to access boundaries. Like the full system,
+		// the per-cause counters are charged at the commit point inside
+		// checkpoint().
 		if w := c.o.PerfWatchdog; w != 0 && c.sinceCkpt >= w {
 			c.checkpoint(clank.ReasonPerfWatchdog)
 			continue
@@ -160,8 +175,11 @@ func (c *colSim) run() error {
 	}
 }
 
-// insnStart is simulator.insnStart on the columnar trace: the index of the
-// first access sharing trace position pos's PC and cycle stamp.
+// insnStart returns the index of the first access issued by the
+// instruction that produced trace position pos. Multi-access instructions
+// stamp every access with the same PC and the same (pre-instruction) cycle
+// count; two runs of the same instruction can never share a stamp because
+// every instruction costs at least one cycle.
 func (c *colSim) insnStart(pos int) int {
 	tr := c.tr
 	i := pos
@@ -171,6 +189,8 @@ func (c *colSim) insnStart(pos int) int {
 	return pos
 }
 
+// cur returns the current committed NV value of word, falling back to the
+// continuous-trace value.
 func (c *colSim) cur(word, fallback uint32) uint32 {
 	if c.shadow.gen[word] == c.shadow.run {
 		return c.shadow.val[word]
@@ -178,11 +198,14 @@ func (c *colSim) cur(word, fallback uint32) uint32 {
 	return fallback
 }
 
+// setShadow records a committed NV write.
 func (c *colSim) setShadow(word, v uint32) {
 	c.shadow.val[word] = v
 	c.shadow.gen[word] = c.shadow.run
 }
 
+// spend consumes program cycles from the power budget; returns false when
+// power dies first (the caller loops; reboot() handles the outage).
 func (c *colSim) spend(delta uint64) bool {
 	if delta >= c.powerLeft {
 		c.res.WallCycles += c.powerLeft
@@ -197,6 +220,8 @@ func (c *colSim) spend(delta uint64) bool {
 	return true
 }
 
+// spendOverhead is spend for runtime-routine cycles, attributed to the
+// given counter.
 func (c *colSim) spendOverhead(cost uint64, counter *uint64) bool {
 	if cost >= c.powerLeft {
 		c.res.WallCycles += c.powerLeft
@@ -212,15 +237,24 @@ func (c *colSim) spendOverhead(cost uint64, counter *uint64) bool {
 	return true
 }
 
-// checkpoint mirrors the scalar sequenced commit walk; the scratch
-// buffers live on the Batch so back-to-back jobs share them.
+// checkpoint models the checkpoint routine as the same sequence of NV word
+// writes the full-system machine walks (clank.AppendCommitSteps), so the
+// two die at the same cycle boundaries and agree on what a mid-routine
+// power failure committed: a death before the slot-seal CRC write
+// committed nothing, a death after it committed the checkpoint — the
+// replay resumes from the new position and the reboot pays to drain the
+// armed journal. Returns false when power died anywhere in the routine.
+// The scratch buffers live on the Batch so back-to-back jobs share them.
 func (c *colSim) checkpoint(reason clank.Reason) bool {
 	c.b.dirtyScratch = c.k.DirtyEntries(c.b.dirtyScratch[:0])
 	dirty := c.b.dirtyScratch
 	if c.o.UndoLog {
+		// Undo discipline: values are already in NV; committing just
+		// truncates the journal.
 		dirty = nil
 	}
 	if c.o.Mixed != nil && c.minStackWrite < c.o.Mixed.StackTop {
+		// The volatile-stack save precedes the slot writes: all pre-flip.
 		words := uint64(c.o.Mixed.StackTop-c.minStackWrite) / 4
 		if !c.spendOverhead(words*c.o.Costs.StackWordSave, &c.res.CkptCycles) {
 			return false
@@ -233,11 +267,14 @@ func (c *colSim) checkpoint(reason clank.Reason) bool {
 		}
 		switch st.Kind {
 		case clank.StepSeal:
-			// Linearization is the slot-seal CRC write (see the scalar
-			// engine's checkpoint for the full commentary).
 			if st.Sub != clank.RecSealWords-1 {
 				continue
 			}
+			// The slot-seal CRC write is the linearization point: the values
+			// the journal carries are committed from here on (the shadow
+			// store models the final NV state, so the not-yet-applied
+			// entries land now; a post-seal death replays them at reboot,
+			// charged there).
 			for _, e := range dirty {
 				c.setShadow(e.Word, e.Value)
 			}
@@ -276,6 +313,9 @@ func (c *colSim) checkpoint(reason clank.Reason) bool {
 	return true
 }
 
+// reboot rolls back to the last checkpoint, starts the next power-on
+// period, applies Progress Watchdog bookkeeping, and pays the start-up
+// routine (looping over boots too short to finish it).
 func (c *colSim) reboot() error {
 	for {
 		c.res.Restarts++
@@ -313,6 +353,9 @@ func (c *colSim) reboot() error {
 		} else {
 			c.progEnabled = false
 		}
+		// The start-up routine, plus (in undo mode) rolling the journal
+		// back, plus — after a post-flip commit death — replaying the armed
+		// Write-back journal; all must fit in the new boot or it is barren.
 		bootCost := c.o.Costs.Restart
 		if c.o.UndoLog {
 			bootCost += uint64(c.undoEntries) * c.o.Costs.WBFlushPerEntry
@@ -328,6 +371,8 @@ func (c *colSim) reboot() error {
 	}
 }
 
+// finish attributes the wall cycles not spent on useful work, commits or
+// restarts to re-execution.
 func (c *colSim) finish() {
 	w := c.res.WallCycles
 	sum := c.res.UsefulCycles + c.res.CkptCycles + c.res.RestartCycles

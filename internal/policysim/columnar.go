@@ -165,8 +165,8 @@ func NewBatchTraceCols(tc *armsim.TraceCols, textStart, textEnd uint32) *BatchTr
 // can observe (slot.ckptLimit's wall-limit hoisting is derived from it)
 // and the first index whose stamp regresses. Stamps are scanned rather
 // than assumed monotonic so that a malformed trace still bails out
-// safely — accesses from tr.mono on replay only on the powered core,
-// which models the scalar engine's unsigned-delta wraparound.
+// safely — accesses from tr.mono on replay only on the general core,
+// which models the unsigned-delta wraparound.
 func (tr *BatchTrace) setDerived() {
 	tr.skip = buildSkip(tr.flags)
 	m := tr.total
@@ -226,7 +226,7 @@ func (tr *BatchTrace) classFor(exempt map[uint32]bool, mixed *MixedVolatility) (
 		if exempt != nil && exempt[tr.pc[i]] {
 			f |= faExempt
 		}
-		// The scalar engine tests the volatile range only after the output
+		// The replay cores test the volatile range only after the output
 		// branch, so output records never classify volatile.
 		if mixed != nil && f&faOutput == 0 && tr.addr[i] >= vs && tr.addr[i] < ve {
 			f |= faVolatile

@@ -16,7 +16,6 @@ import (
 	"repro/internal/armsim"
 	"repro/internal/clank"
 	"repro/internal/power"
-	"repro/internal/refmon"
 )
 
 // MixedVolatility describes a mixed-volatility platform (paper section
@@ -118,43 +117,9 @@ func (r Result) ReexecOverhead() float64 {
 	return float64(r.ReexecCycles) / float64(r.UsefulCycles)
 }
 
-type simulator struct {
-	trace []armsim.Access
-	total uint64
-	k     *clank.Clank
-	mon   *refmon.Monitor
-	o     Options
-	cfg   clank.Config
-
-	shadow *shadowStore
-
-	dirtyScratch []clank.WBEntry    // reused by every checkpoint drain
-	stepScratch  []clank.CommitStep // reused by every sequenced commit walk
-
-	pos        int
-	ckptPos    int
-	refeedGate int // last access index whose instruction group was re-fed
-	prevT      uint64
-	ckptT      uint64
-
-	powerLeft      uint64
-	cyclesThisBoot uint64
-	sinceCkpt      uint64
-	ckptThisBoot   bool
-	progLoad       uint64
-	progEnabled    bool
-	consecBarren   int
-
-	minStackWrite uint32 // mixed volatility: deepest stack write this section
-	undoEntries   int    // undo-log mode: journaled writes this section
-	jarmed        int    // armed Write-back journal entries pending replay
-
-	res Result
-}
-
-// normalized fills in the option defaults Simulate documents; the batch
-// replay engine applies the identical normalization per job so the two
-// engines agree on every derived bound.
+// normalized fills in the option defaults the Options fields document.
+// NewBatch applies it to every job, so both replay cores see the same
+// derived bounds.
 func (o Options) normalized(totalCycles uint64) Options {
 	if o.Costs == (clank.CostModel{}) {
 		o.Costs = clank.DefaultCosts()
@@ -176,169 +141,33 @@ func (o Options) normalized(totalCycles uint64) Options {
 	return o
 }
 
-// Simulate replays the trace under the given configuration.
+// Simulate replays the trace under the given configuration. It is a
+// one-job batch replayed on the general columnar core (colSim) whatever
+// the supply — never on the lockstep continuous-power specialisation — so
+// it stays an independent reference for SimulateBatch's lockstep core.
+// Errors are the raw Validate and replay errors, without Batch.Run's job
+// wrapping. Each call builds the trace's columns afresh; to replay one
+// trace against many configurations, build a BatchTrace once and use
+// SimulateBatch or Sweep.
 func Simulate(trace []armsim.Access, totalCycles uint64, cfg clank.Config, o Options) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	o = o.normalized(totalCycles)
-	shadow := shadowPool.Get().(*shadowStore)
-	shadow.begin()
-	defer shadowPool.Put(shadow)
-	s := &simulator{
-		trace:      trace,
-		total:      totalCycles,
-		k:          clank.New(cfg),
-		o:          o,
-		cfg:        cfg,
-		shadow:     shadow,
-		refeedGate: -1,
+	tr := NewBatchTrace(trace, totalCycles, cfg.TextStart, cfg.TextEnd)
+	b, err := NewBatch(tr, []Job{{Config: cfg, Opts: o}})
+	if err != nil {
+		return Result{}, err
 	}
-	if o.Verify && !o.UndoLog {
-		// The reference monitor models the redo discipline (writes that
-		// reach NV must not break idempotence); the undo journal restores
-		// old values on rollback instead, which the monitor cannot
-		// express. The undo mode is an overhead model only.
-		s.mon = refmon.New()
-	}
-	if o.Mixed != nil {
-		s.minStackWrite = o.Mixed.StackTop
-	}
-	s.res.UsefulCycles = totalCycles
-	s.powerLeft = o.Supply.NextOn()
-	s.ckptThisBoot = true
-	err := s.run()
+	s := &b.sl[0]
+	err = b.runPowered(s)
 	return s.res, err
 }
 
 var errNoProgress = errors.New("policysim: no forward progress (runt power cycles)")
 
-func (s *simulator) run() error {
-	for {
-		if s.res.WallCycles > s.o.MaxWallCycles {
-			return fmt.Errorf("policysim: exceeded %d wall cycles at access %d/%d (%d restarts)",
-				s.o.MaxWallCycles, s.pos, len(s.trace), s.res.Restarts)
-		}
-		if s.powerLeft == 0 {
-			if err := s.reboot(); err != nil {
-				return err
-			}
-			continue
-		}
-		if s.pos == len(s.trace) {
-			// Tail: cycles after the last access until program end, then
-			// the final commit.
-			delta := s.total - s.prevT
-			if !s.spend(delta) {
-				continue
-			}
-			s.prevT = s.total
-			if !s.checkpoint(clank.ReasonNone) {
-				continue
-			}
-			s.res.Completed = true
-			s.finish()
-			return nil
-		}
-
-		a := s.trace[s.pos]
-		delta := a.Cycle - s.prevT
-		if !s.spend(delta) {
-			continue
-		}
-		s.prevT = a.Cycle
-
-		if a.Addr >= armsim.MemSize {
-			// Output commit: bracket with checkpoints (section 3.3).
-			if s.sinceCkpt > 0 || s.k.SectionAccesses() > 0 {
-				if !s.checkpoint(clank.ReasonOutput) {
-					continue
-				}
-			}
-			s.pos++
-			if !s.checkpoint(clank.ReasonOutput) {
-				continue
-			}
-		} else if s.o.Mixed != nil && a.Addr >= s.o.Mixed.VolatileStart && a.Addr < s.o.Mixed.VolatileEnd {
-			// Volatile SRAM: invisible to Clank; track stack depth for
-			// checkpoint sizing.
-			if a.Write && a.Addr < s.minStackWrite {
-				s.minStackWrite = a.Addr
-			}
-			s.pos++
-		} else {
-			word := a.Addr >> 2
-			var out clank.Outcome
-			if a.Write {
-				out = s.k.Write(word, a.Value, s.cur(word, a.Prev), a.PC)
-			} else {
-				out = s.k.Read(word, s.cur(word, a.Value), a.PC)
-			}
-			if out.NeedCheckpoint {
-				// A veto checkpoints with the CPU stalled at the access's
-				// instruction, so the full system re-executes that whole
-				// instruction afterwards — re-issuing the earlier accesses
-				// of an interrupted PUSH/POP/LDM/STM into the fresh
-				// buffers. Rewind to the instruction group's first access
-				// (members share one PC and cycle stamp, so the re-fed
-				// deltas are zero) before committing, so the checkpoint
-				// resume position is the instruction boundary. The gate
-				// stops a livelock when the group alone overflows a tiny
-				// buffer: a group that was already re-fed once degrades to
-				// retrying each vetoed access alone (one checkpoint per
-				// access, the access-log granularity the paper's simulator
-				// uses).
-				if g := s.insnStart(s.pos); g != s.refeedGate {
-					s.refeedGate = g
-					s.pos = g
-				}
-				s.checkpoint(out.Reason)
-				continue
-			}
-			if s.o.UndoLog && out.Buffered {
-				// Undo-log discipline (section 8.3): journal the old value
-				// to NV (two word writes plus bookkeeping) and let the
-				// write through instead of holding it in the volatile
-				// buffer. The journal is rolled back at every reboot.
-				if !s.spendOverhead(s.o.Costs.WBFlushPerEntry, &s.res.CkptCycles) {
-					continue
-				}
-				s.undoEntries++
-				s.setShadow(word, a.Value)
-				s.pos++
-				goto watchdogs
-			}
-			if a.Write && !out.Buffered {
-				if s.mon != nil {
-					if v := s.mon.WriteNV(word, a.Value, a.PC); v != nil {
-						return fmt.Errorf("policysim: dynamic verification failed at access %d: %w", s.pos, v)
-					}
-				}
-				s.setShadow(word, a.Value)
-			}
-			if !a.Write && !out.FromWB && s.mon != nil {
-				s.mon.ReadNV(word, a.Value)
-			}
-			s.pos++
-		}
-
-	watchdogs:
-		// Watchdogs, quantized to access boundaries. Like the full system,
-		// the per-cause counters are charged at the commit point inside
-		// checkpoint().
-		if w := s.o.PerfWatchdog; w != 0 && s.sinceCkpt >= w {
-			s.checkpoint(clank.ReasonPerfWatchdog)
-			continue
-		}
-		if s.progEnabled && s.cyclesThisBoot >= s.progLoad {
-			s.checkpoint(clank.ReasonProgWatchdog)
-		}
-	}
-}
-
 // shadowStore tracks the committed NV word values that differ from the
 // trace baseline. It is a flat word-indexed array rather than a map —
-// cur() runs once per replayed access and trace addresses are bounded by
+// colSim.cur runs once per replayed access and trace addresses are bounded by
 // the 256 KB modeled memory, so direct indexing removes the last hash
 // probe from the replay hot loop. Presence is a per-run generation stamp
 // and the arrays live in a sync.Pool, so back-to-back simulations (the
@@ -362,211 +191,5 @@ func (ss *shadowStore) begin() {
 	if ss.run == 0 { // wrapped: stale stamps could alias, really clear
 		clear(ss.gen)
 		ss.run = 1
-	}
-}
-
-// cur returns the current committed NV value of word, falling back to the
-// continuous-trace value.
-// insnStart returns the index of the first access issued by the
-// instruction that produced trace[pos]. Multi-access instructions stamp
-// every access with the same PC and the same (pre-instruction) cycle
-// count; two runs of the same instruction can never share a stamp because
-// every instruction costs at least one cycle.
-func (s *simulator) insnStart(pos int) int {
-	a := s.trace[pos]
-	for pos > 0 {
-		p := s.trace[pos-1]
-		if p.PC != a.PC || p.Cycle != a.Cycle {
-			break
-		}
-		pos--
-	}
-	return pos
-}
-
-func (s *simulator) cur(word, fallback uint32) uint32 {
-	if s.shadow.gen[word] == s.shadow.run {
-		return s.shadow.val[word]
-	}
-	return fallback
-}
-
-// setShadow records a committed NV write.
-func (s *simulator) setShadow(word, v uint32) {
-	s.shadow.val[word] = v
-	s.shadow.gen[word] = s.shadow.run
-}
-
-// spend consumes program cycles from the power budget; returns false when
-// power dies first (the caller loops; reboot() handles the outage).
-func (s *simulator) spend(delta uint64) bool {
-	if delta >= s.powerLeft {
-		s.res.WallCycles += s.powerLeft
-		s.cyclesThisBoot += s.powerLeft
-		s.powerLeft = 0
-		return false
-	}
-	s.powerLeft -= delta
-	s.res.WallCycles += delta
-	s.cyclesThisBoot += delta
-	s.sinceCkpt += delta
-	return true
-}
-
-// spendOverhead is spend for runtime-routine cycles, attributed to the
-// given counter.
-func (s *simulator) spendOverhead(cost uint64, counter *uint64) bool {
-	if cost >= s.powerLeft {
-		s.res.WallCycles += s.powerLeft
-		*counter += s.powerLeft
-		s.cyclesThisBoot += s.powerLeft
-		s.powerLeft = 0
-		return false
-	}
-	s.powerLeft -= cost
-	s.res.WallCycles += cost
-	*counter += cost
-	s.cyclesThisBoot += cost
-	return true
-}
-
-// checkpoint models the checkpoint routine as the same sequence of NV word
-// writes the full-system machine walks (clank.AppendCommitSteps), so the
-// two engines die at the same cycle boundaries and agree on what a
-// mid-routine power failure committed: a death before the slot-seal CRC
-// write committed nothing, a death after it committed the checkpoint — the
-// replay resumes from the new position and the reboot pays to drain the
-// armed journal. Returns false when power died anywhere in the routine.
-func (s *simulator) checkpoint(reason clank.Reason) bool {
-	s.dirtyScratch = s.k.DirtyEntries(s.dirtyScratch[:0])
-	dirty := s.dirtyScratch
-	if s.o.UndoLog {
-		// Undo discipline: values are already in NV; committing just
-		// truncates the journal.
-		dirty = nil
-	}
-	if s.o.Mixed != nil && s.minStackWrite < s.o.Mixed.StackTop {
-		// The volatile-stack save precedes the slot writes: all pre-flip.
-		words := uint64(s.o.Mixed.StackTop-s.minStackWrite) / 4
-		if !s.spendOverhead(words*s.o.Costs.StackWordSave, &s.res.CkptCycles) {
-			return false
-		}
-	}
-	s.stepScratch = clank.AppendCommitSteps(s.stepScratch[:0], s.o.Costs, len(dirty))
-	for _, st := range s.stepScratch {
-		if !s.spendOverhead(st.Cost, &s.res.CkptCycles) {
-			return false
-		}
-		switch st.Kind {
-		case clank.StepSeal:
-			if st.Sub != clank.RecSealWords-1 {
-				continue
-			}
-			// The slot-seal CRC write is the linearization point: the values
-			// the journal carries are committed from here on (the shadow
-			// store models the final NV state, so the not-yet-applied
-			// entries land now; a post-seal death replays them at reboot,
-			// charged there).
-			for _, e := range dirty {
-				s.setShadow(e.Word, e.Value)
-			}
-			s.ckptPos = s.pos
-			s.ckptT = s.prevT
-			s.undoEntries = 0
-			s.jarmed = len(dirty)
-			s.sinceCkpt = 0
-			s.ckptThisBoot = true
-			s.consecBarren = 0
-			if s.o.Mixed != nil {
-				s.minStackWrite = s.o.Mixed.StackTop
-			}
-			switch reason {
-			case clank.ReasonNone:
-			case clank.ReasonPerfWatchdog:
-				s.res.PerfWatchdogs++
-				s.res.Reasons[reason]++
-			case clank.ReasonProgWatchdog:
-				s.res.ProgWatchdogs++
-				s.res.Reasons[reason]++
-			default:
-				s.res.Reasons[reason]++
-			}
-			s.res.Checkpoints++
-			s.progEnabled = false
-			s.progLoad = 0
-		case clank.StepClear:
-			s.jarmed = 0
-		}
-	}
-	s.k.Reset()
-	if s.mon != nil {
-		s.mon.Reset()
-	}
-	return true
-}
-
-// reboot rolls back to the last checkpoint, starts the next power-on
-// period, applies Progress Watchdog bookkeeping, and pays the start-up
-// routine (looping over boots too short to finish it).
-func (s *simulator) reboot() error {
-	for {
-		s.res.Restarts++
-		s.k.Reset()
-		if s.mon != nil {
-			s.mon.Reset()
-		}
-		s.pos = s.ckptPos
-		s.prevT = s.ckptT
-		if s.o.Mixed != nil {
-			s.minStackWrite = s.o.Mixed.StackTop
-		}
-
-		madeProgress := s.ckptThisBoot
-		s.powerLeft = s.o.Supply.NextOn()
-		s.cyclesThisBoot = 0
-		s.sinceCkpt = 0
-		s.ckptThisBoot = false
-		if !madeProgress {
-			s.consecBarren++
-			s.res.BarrenBoots++
-			if s.consecBarren > 100000 {
-				return errNoProgress
-			}
-		} else {
-			s.consecBarren = 0
-		}
-		if s.o.ProgressDefault != 0 && !madeProgress {
-			if s.progLoad == 0 {
-				s.progLoad = s.o.ProgressDefault
-			} else if s.progLoad > 2 {
-				s.progLoad /= 2
-			}
-			s.progEnabled = true
-		} else {
-			s.progEnabled = false
-		}
-		// The start-up routine, plus (in undo mode) rolling the journal
-		// back, plus — after a post-flip commit death — replaying the armed
-		// Write-back journal; all must fit in the new boot or it is barren.
-		bootCost := s.o.Costs.Restart
-		if s.o.UndoLog {
-			bootCost += uint64(s.undoEntries) * s.o.Costs.WBFlushPerEntry
-		}
-		if s.jarmed > 0 {
-			bootCost += clank.RecoveryCost(s.o.Costs, s.jarmed)
-		}
-		if s.spendOverhead(bootCost, &s.res.RestartCycles) {
-			s.undoEntries = 0
-			s.jarmed = 0
-			return nil
-		}
-	}
-}
-
-func (s *simulator) finish() {
-	w := s.res.WallCycles
-	sum := s.res.UsefulCycles + s.res.CkptCycles + s.res.RestartCycles
-	if w > sum {
-		s.res.ReexecCycles = w - sum
 	}
 }
