@@ -66,7 +66,21 @@ type CPU struct {
 	// bus's TextLitLoader implementation, nil when the bus has none.
 	textLoW, textHiW uint32
 	textLit          TextLitLoader
+
+	// yield is set by Yield during a bus access and read by execRun after
+	// each access micro-op (see Yield).
+	yield bool
 }
+
+// Yield asks the fused engine to return to its caller at the instruction
+// boundary after the instruction whose memory access is in progress. A
+// monitored bus calls it from inside Load/Store/LoadTextLit when its driver
+// must act at that boundary — an output that needs a trailing checkpoint,
+// an injected power cut — so fused runs can otherwise span monitored
+// accesses without hiding the boundary. Outside a fused run (Step, the
+// legacy and unfused paths) every call already returns after one
+// instruction and the request is moot.
+func (c *CPU) Yield() { c.yield = true }
 
 // NewCPU returns a CPU attached to bus with all state zeroed.
 func NewCPU(bus Bus) *CPU {

@@ -6,11 +6,10 @@ package armsim
 // 60-way switch, and flag materialization on every data-processing
 // instruction whether or not anything ever reads the flags. This file
 // removes those too: at first execution the CPU discovers the basic block
-// starting at pc (straight-line code up to a branch, an excluded opcode, or
-// — on a monitored bus — the first memory access that is not the block's
-// final instruction), translates it once into a run of compact micro-ops
-// (fusedOp), and thereafter executes the whole run inside one specialized
-// handler loop without re-entering the dispatch switch.
+// starting at pc (straight-line code up to a branch or an excluded opcode),
+// translates it once into a run of compact micro-ops (fusedOp), and
+// thereafter executes the whole run inside one specialized handler loop
+// without re-entering the dispatch switch.
 //
 // Three mechanisms make runs faster than the insn-at-a-time loop:
 //
@@ -37,15 +36,20 @@ package armsim
 //
 //   - Monitored buses see every load/store exactly once, in order, with
 //     c.Cycle flushed to the precise pre-instruction value first (the
-//     trace recorder stamps accesses with it). In strict mode (any
-//     monitored bus) a memory access may only be a run's FINAL micro-op,
-//     so a bus veto (errCheckpoint), an injected power cut, or an output
-//     bracketing checkpoint fires at the same instruction boundary as
-//     insn-at-a-time execution.
-//   - An error at micro-op k commits ops 0..k-1 (registers, flags,
+//     trace recorder stamps accesses with it). Runs span accesses in
+//     either mode; what keeps a monitored driver's decisions at the same
+//     instruction boundaries as insn-at-a-time execution is the next two
+//     rules.
+//   - An error at micro-op k — a bus veto (the intermittent machine's
+//     errCheckpoint), a bus fault — commits ops 0..k-1 (registers, flags,
 //     cycles, Insns), leaves PC at op k's address, and returns the error
-//     unchanged — indistinguishable from k successful Steps followed by
+//     unchanged: indistinguishable from k successful Steps followed by
 //     one failing Step.
+//   - Yield: a bus that must act at the boundary after the current
+//     instruction (an injected power cut, an output needing its trailing
+//     checkpoint) calls CPU.Yield during the access, and the run stops
+//     right after that instruction with everything up to it committed:
+//     indistinguishable from Steps up to and including it.
 //   - Budgeted execution: a run executes only when the remaining budget
 //     covers its worst-case cycle cost (fusedRun.maxCyc) — StepFused and
 //     RunTo fall back to single-stepping otherwise, and chaining re-checks
@@ -55,9 +59,9 @@ package armsim
 //     interpreter has exact flags at every instruction boundary, and a
 //     stop at a boundary whose flag setter was skipped would expose stale
 //     NZCV (to the intermittent layer's checkpoints, among others). The
-//     remaining early-stop points — memory faults and self-invalidating
-//     stores — sit adjacent to memory accesses, which the liveness pass
-//     treats as full flag barriers.
+//     remaining early-stop points — faults and vetoes, yields, and
+//     self-invalidating stores — sit adjacent to memory accesses, which
+//     the liveness pass treats as full flag barriers.
 //   - Self-modifying text: DecodeCache.Invalidate drops every run whose
 //     span intersects the written window (see Invalidate), and a store
 //     executed from inside a run re-validates its own run before
@@ -153,12 +157,13 @@ const (
 
 	// Generic fallback: execute the cached DecodedInsn at slot imm through
 	// execDecoded (PUSH/POP/LDM/STM — worth including for block length, not
-	// worth specializing). Contains memory accesses, so strict mode places
-	// it only at run end; POP with PC in the list is a branch and ends the
-	// run in either mode.
+	// worth specializing). Its accesses follow the memory ops' rules below;
+	// POP with PC in the list is a branch and ends the run.
 	fopExec
 
-	// Memory (routed through pdLoad/pdStore; strict mode: final op only).
+	// Memory (routed through pdLoad/pdStore). Each flushes the accumulated
+	// cycles first and may stop the run: before itself on an error, after
+	// itself on a yield.
 	fopLdrLitC // literal pool load, absolute address precomputed into imm
 	fopLdrLitT // literal pool load inside the TEXT window (TextLitLoader)
 	fopLdrRR   // addr = R[rn] + R[rm]
@@ -211,19 +216,17 @@ type fusedRun struct {
 	maxCyc uint16
 	head   int32  // head slot (= entry pc >> 1)
 	endPC  uint32 // fallthrough pc after the last instruction
-	// memEnd marks a strict-mode run whose final instruction accesses
-	// memory: execution must return to the driver there (its post-access
-	// hooks — failure injection, output bracketing — fire at that
-	// boundary) instead of chaining into the next run.
-	memEnd bool
 }
 
 // EnableFusion attaches the superinstruction layer to an already-predecoded
 // CPU. Strict mode (any bus that is not the bare Memory — the trace
-// recorder, the intermittent Clank adapter) keeps every internal
-// instruction boundary observable: memory accesses terminate runs and
-// constant chains stay unfolded, so vetoes, failure injection, and cycle
-// budgets land exactly where insn-at-a-time execution lands them.
+// recorder, the intermittent Clank adapter) routes every access through the
+// bus and keeps constant chains unfolded. Runs span monitored accesses; a
+// veto or fault stops the run at the access with the preceding
+// instructions committed, and a bus that calls Yield during an access stops
+// it at the boundary right after that instruction, so vetoes, failure
+// injection, output bracketing, and cycle budgets land exactly where
+// insn-at-a-time execution lands them.
 func (c *CPU) EnableFusion() {
 	if c.pd == nil || c.pd.runTab != nil {
 		return
@@ -333,9 +336,7 @@ func (c *CPU) buildRun(pc uint32) int32 {
 	n := 0
 	cur := pc
 	textEnd := c.textHiW * 4 // 0 when no TEXT window is set
-	strict := pd.strict
-	memEnd := false
-	wc := uint32(0) // worst-case cycle cost of the accepted instructions
+	wc := uint32(0)          // worst-case cycle cost of the accepted instructions
 	for n < maxFuseInsns {
 		if cur >= MemSize || (textEnd != 0 && cur >= textEnd) {
 			break
@@ -350,17 +351,11 @@ func (c *CPU) buildRun(pc uint32) int32 {
 		k := d.Kind
 		stop := false
 		final := false
-		accesses := false
 		switch {
 		case k == kindBKPT || k == kindSYS32 || k == kindUndef || k == kindNone:
 			stop = true // excluded: run ends before these
-		case k == kindPUSH || k == kindLDM || k == kindSTM:
-			accesses = true
-			final = strict
 		case k == kindPOP:
-			// POP with PC in the list is a return — a branch in any mode.
-			accesses = true
-			final = strict || d.Raw&0x100 != 0
+			final = d.Raw&0x100 != 0 // POP with PC in the list is a return
 		case k == kindBCond || k == kindB || k == kindBL:
 			final = true
 		case k == kindBXBLX:
@@ -375,9 +370,6 @@ func (c *CPU) buildRun(pc uint32) int32 {
 			if d.Rd == PC {
 				stop = true // CMP with pc destination operand: single-step
 			}
-		case isMemKind(k):
-			accesses = true
-			final = strict // monitored bus: access only as the final op
 		}
 		if stop {
 			break
@@ -391,7 +383,6 @@ func (c *CPU) buildRun(pc uint32) int32 {
 		} else {
 			cur += 2
 		}
-		memEnd = strict && accesses
 		if final {
 			break
 		}
@@ -404,10 +395,11 @@ func (c *CPU) buildRun(pc uint32) int32 {
 
 	// Lazy flags: backward liveness with all flags live at run exit.
 	// Memory accesses (and the exec fallback covering PUSH/POP/LDM/STM) are
-	// early-stop points even mid-run: a fault leaves PC at the access with
-	// the preceding boundary's flags observable, and a store can invalidate
-	// its own run, stopping right after itself. Treat them as full flag
-	// barriers so NZCV is architecturally exact at those boundaries.
+	// early-stop points even mid-run: a fault or veto leaves PC at the
+	// access with the preceding boundary's flags observable, and a yield or
+	// a store that invalidates its own run stops right after the access.
+	// Treat them as full flag barriers so NZCV is architecturally exact at
+	// those boundaries.
 	var needF [maxFuseInsns]bool
 	live := uint8(flNZCV)
 	for i := n - 1; i >= 0; i-- {
@@ -426,7 +418,7 @@ func (c *CPU) buildRun(pc uint32) int32 {
 		c.emitOp(&ds[i], pcs[i], needF[i], endPC)
 	}
 	ops := pd.ops[off:]
-	if !strict {
+	if !pd.strict {
 		ops = foldConstChains(ops)
 	}
 	ops = mergePairs(ops)
@@ -439,7 +431,6 @@ func (c *CPU) buildRun(pc uint32) int32 {
 		maxCyc: uint16(wc),
 		head:   head,
 		endPC:  endPC,
-		memEnd: memEnd,
 	})
 	rid := int32(len(pd.runs))
 	pd.runTab[head] = rid
@@ -794,9 +785,10 @@ func mergePairs(ops []fusedOp) []fusedOp {
 
 // execRun executes fused runs starting at rid, chaining block to block
 // until the cycle budget can no longer cover a whole run, an unfusable pc
-// is hit, or — strict mode — a run ends in a memory access (the driver's
-// post-access hooks fire at that instruction boundary, so control must
-// return there). Callers must pass a rid whose run fits the budget
+// is hit, or the bus calls Yield during an access (the driver's
+// post-access hooks fire at that instruction boundary, so control returns
+// right after the yielding instruction, even mid-run). Callers must pass
+// a rid whose run fits the budget
 // (budget >= maxCyc) — StepFused and RunTo single-step otherwise — and the
 // chain point re-checks that gate per block, so budget stops always land
 // on block boundaries where every lazily-tracked flag is materialized; the
@@ -813,6 +805,7 @@ func (c *CPU) execRun(rid int32, budget uint64) error {
 		ret uint64 // instructions retired
 		pc  uint32 // resumption address once a stop reason is found
 	)
+	c.yield = false
 next:
 	r = &pd.runs[rid-1]
 	ops = pd.ops[r.off : r.off+uint32(r.n)]
@@ -1116,16 +1109,13 @@ next:
 			}
 			cum += uint64(cycles)
 			ret++
-			if pd.runTab[r.head] != rid || cum >= budget {
+			if pd.runTab[r.head] != rid || cum >= budget || c.yield {
 				pc = nxt
 				goto stop
 			}
 			if nxt != op.pc+2 {
 				// POP with PC in the list: a return.
 				pc = nxt
-				if r.memEnd {
-					goto stop
-				}
 				goto chain
 			}
 			continue
@@ -1213,8 +1203,9 @@ next:
 			ret++
 			// A store may have invalidated this very run (self-modifying
 			// text): Invalidate cleared runTab before the store returned,
-			// so one compare re-validates the remainder.
-			if pd.runTab[r.head] != rid || cum >= budget {
+			// so one compare re-validates the remainder. The bus may also
+			// have asked to regain control after this instruction.
+			if pd.runTab[r.head] != rid || cum >= budget || c.yield {
 				pc = nextPC(r, ops, i)
 				goto stop
 			}
@@ -1265,18 +1256,16 @@ next:
 		}
 
 		// Common boundary for the simple (non-branch, non-store) micro-ops:
-		// charge the op, then stop if the budget is exhausted.
+		// charge the op, then stop if the budget is exhausted or a load's
+		// bus asked to regain control after it.
 		cum += uint64(op.cyc)
 		ret += uint64(op.cnt)
-		if cum >= budget {
+		if cum >= budget || c.yield {
 			pc = nextPC(r, ops, i)
 			goto stop
 		}
 	}
 	pc = r.endPC
-	if r.memEnd {
-		goto stop
-	}
 
 chain:
 	// Block boundary with budget to spare: thread straight into the run at

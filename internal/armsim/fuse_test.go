@@ -2,6 +2,7 @@ package armsim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -23,6 +24,14 @@ import (
 type fusedPair struct {
 	ref *Machine // legacy fetch+decode switch: the ground-truth reference
 	fus *Machine // predecode + fusion, the default NewMachine configuration
+
+	// Monitored (strict-mode) pairs only: each machine's bus, plus counts
+	// proving the monitored run exercised what it claims to — accesses
+	// retired before the end of a StepFused call, yields that stopped a
+	// call after more than one instruction, and vetoes that landed after
+	// earlier instructions of the same call had retired.
+	refBus, fusBus                  *monitorBus
+	spanned, yieldStops, lateVetoes int
 }
 
 func newFusedPair(t testing.TB) *fusedPair {
@@ -35,6 +44,109 @@ func newFusedPair(t testing.TB) *fusedPair {
 	}
 	return p
 }
+
+// newMonitoredPair is newFusedPair with both machines behind a monitorBus,
+// which puts the fused engine in strict mode.
+func newMonitoredPair(t testing.TB) *fusedPair {
+	t.Helper()
+	p := &fusedPair{}
+	p.ref, p.refBus = newMonitoredMachine(false)
+	p.fus, p.fusBus = newMonitoredMachine(true)
+	if !p.fus.CPU.FusionEnabled() || !p.fus.CPU.pd.strict {
+		t.Fatal("monitored machine is not fusing in strict mode")
+	}
+	return p
+}
+
+func newMonitoredMachine(predecode bool) (*Machine, *monitorBus) {
+	mem := NewMemory()
+	bus := &monitorBus{mem: mem, record: true, yieldAt: -1}
+	cpu := NewCPU(bus)
+	bus.cpu = cpu
+	if predecode {
+		cpu.EnablePredecode(mem)
+	}
+	return &Machine{CPU: cpu, Mem: mem}, bus
+}
+
+// errTestVeto is monitorBus's veto. Like the intermittent machine's
+// checkpoint request it aborts the access with no effect, and the driver
+// retries the instruction.
+var errTestVeto = errors.New("armsim test: access vetoed")
+
+// accessRec is one data access as a monitorBus saw it, stamped with the
+// CPU's cycle counter at that moment.
+type accessRec struct {
+	addr, val, pc uint32
+	cycle         uint64
+	size          uint8
+	store, vetoed bool
+}
+
+// monitorBus is a monitored bus over a Memory. It decides per access
+// ordinal whether to veto the access or to call Yield after it — through
+// rule when set, a fixed hash otherwise — so two machines seeing the same
+// access stream make the same decisions. With record set it logs every
+// access; yieldAt is the log index of the first access that yielded since
+// the caller last reset it to -1.
+type monitorBus struct {
+	mem     *Memory
+	cpu     *CPU
+	rule    func(ordinal uint32) (veto, yield bool)
+	ordinal uint32
+	record  bool
+	log     []accessRec
+	yieldAt int
+}
+
+func (b *monitorBus) decide() (veto, yield bool) {
+	n := b.ordinal
+	b.ordinal++
+	if b.rule != nil {
+		return b.rule(n)
+	}
+	h := (n * 0x9E3779B1) >> 24
+	return h%13 == 0, h%3 == 1
+}
+
+func (b *monitorBus) access(rec accessRec, yield bool) {
+	if yield {
+		if b.yieldAt < 0 {
+			b.yieldAt = len(b.log)
+		}
+		b.cpu.Yield()
+	}
+	if b.record {
+		b.log = append(b.log, rec)
+	}
+}
+
+func (b *monitorBus) Load(addr uint32, size uint8, pc uint32) (uint32, error) {
+	veto, yield := b.decide()
+	rec := accessRec{addr: addr, pc: pc, cycle: b.cpu.Cycle, size: size, vetoed: veto}
+	if veto {
+		b.access(rec, false)
+		return 0, errTestVeto
+	}
+	v, err := b.mem.Load(addr, size, pc)
+	rec.val = v
+	b.access(rec, yield && err == nil)
+	return v, err
+}
+
+func (b *monitorBus) Store(addr uint32, size uint8, v uint32, pc uint32) error {
+	veto, yield := b.decide()
+	rec := accessRec{addr: addr, val: v, pc: pc, cycle: b.cpu.Cycle, size: size, store: true, vetoed: veto}
+	if veto {
+		b.access(rec, false)
+		return errTestVeto
+	}
+	err := b.mem.Store(addr, size, v, pc)
+	b.access(rec, yield && err == nil)
+	return err
+}
+
+func (b *monitorBus) Fetch16(addr uint32) (uint16, error) { return b.mem.Fetch16(addr) }
 
 // seed sets both CPUs to the same pseudo-random-but-valid state (the
 // predecode_test.go recipe: some in-RAM pointers so loads and stores
@@ -81,22 +193,50 @@ func (p *fusedPair) writeProgram(addr uint32, ops []uint16) {
 // architectural state. Errors never retire the faulting instruction on
 // either path (its PC and state stay untouched), so a fused error means the
 // reference's next step must fail with the identical error.
+//
+// On a monitored pair it also checks the bus-visible contract: both buses
+// saw the identical access stream (so the fused engine skipped and repeated
+// no access, and flushed Cycle before each), and a yield stopped the fused
+// call right after the yielding instruction.
 func (p *fusedPair) sync(t *testing.T, budget uint64, label string) error {
 	t.Helper()
 	q, r := p.fus.CPU, p.ref.CPU
+	if p.fusBus != nil {
+		p.fusBus.yieldAt = -1
+	}
+	start := q.Insns
 	errF := q.StepFused(budget)
+	// last is the ref log index where the last stepped instruction's
+	// accesses begin; accInsns counts stepped instructions with accesses.
+	last, accInsns, lastAccessed := 0, 0, false
+	step := func() error {
+		if p.refBus == nil {
+			return r.Step()
+		}
+		last = len(p.refBus.log)
+		err := r.Step()
+		lastAccessed = len(p.refBus.log) > last
+		if lastAccessed {
+			accInsns++
+		}
+		return err
+	}
 	for r.Insns < q.Insns {
-		if err := r.Step(); err != nil {
+		if err := step(); err != nil {
 			t.Fatalf("%s: legacy error %v at insn %d while catching up to %d (fused err: %v)",
 				label, err, r.Insns, q.Insns, errF)
 		}
 	}
+	retired := accInsns
 	var errR error
 	if errF != nil {
-		errR = r.Step()
+		errR = step()
 	}
 	if (errR == nil) != (errF == nil) || (errR != nil && errR.Error() != errF.Error()) {
 		t.Fatalf("%s: error mismatch:\n  legacy: %v\n  fused:  %v", label, errR, errF)
+	}
+	if p.fusBus != nil {
+		p.checkMonitored(t, label, errF, q.Insns-start, last, retired, lastAccessed)
 	}
 	if r.Insns != q.Insns {
 		t.Fatalf("%s: retired-instruction mismatch: legacy %d, fused %d", label, r.Insns, q.Insns)
@@ -112,6 +252,43 @@ func (p *fusedPair) sync(t *testing.T, budget uint64, label string) error {
 		t.Fatalf("%s: cycle mismatch at insn %d: legacy %d, fused %d", label, r.Insns, r.Cycle, q.Cycle)
 	}
 	return errF
+}
+
+// checkMonitored compares the two access logs of one sync and then clears
+// them. insns is the number of instructions the call retired; last is the
+// ref log index where the accesses of the call's final instruction (the
+// failing one on error) begin; retired counts the call's retired
+// instructions that accessed memory, lastAccessed whether the final one
+// did.
+func (p *fusedPair) checkMonitored(t *testing.T, label string, errF error, insns uint64, last, retired int, lastAccessed bool) {
+	t.Helper()
+	fl, rl := p.fusBus.log, p.refBus.log
+	if len(fl) != len(rl) {
+		t.Fatalf("%s: fused bus saw %d accesses, legacy %d:\n  legacy: %+v\n  fused:  %+v",
+			label, len(fl), len(rl), rl, fl)
+	}
+	for i := range fl {
+		if fl[i] != rl[i] {
+			t.Fatalf("%s: access %d differs:\n  legacy: %+v\n  fused:  %+v", label, i, rl[i], fl[i])
+		}
+	}
+	if y := p.fusBus.yieldAt; y >= 0 && y < last {
+		t.Fatalf("%s: StepFused ran past a yield: access %+v yielded, but the call went on to pc %#x",
+			label, fl[y], p.ref.CPU.R[PC])
+	}
+	switch {
+	case errF == nil:
+		if lastAccessed {
+			retired--
+		}
+		if p.fusBus.yieldAt >= 0 && insns > 1 {
+			p.yieldStops++
+		}
+	case errors.Is(errF, errTestVeto) && insns > 0:
+		p.lateVetoes++
+	}
+	p.spanned += retired
+	p.fusBus.log, p.refBus.log = fl[:0], rl[:0]
 }
 
 // deepCompare additionally checks full memory contents and the output log.
@@ -177,9 +354,22 @@ func TestFusedDifferentialAllEncodings(t *testing.T) {
 // TestFusedDifferentialRandomStreams runs randomized instruction streams
 // through the fused engine with cycling budgets (mid-run boundary stops,
 // chained whole-block execution, and everything between), resynchronizing
-// with the legacy decoder after every StepFused call.
+// with the legacy decoder after every StepFused call. The monitored mode
+// repeats the streams on a strict-mode bus whose vetoes and yields land
+// mid-run.
 func TestFusedDifferentialRandomStreams(t *testing.T) {
-	p := newFusedPair(t)
+	t.Run("loose", func(t *testing.T) { randomStreams(t, newFusedPair(t)) })
+	t.Run("monitored", func(t *testing.T) {
+		p := newMonitoredPair(t)
+		randomStreams(t, p)
+		if p.spanned == 0 || p.yieldStops == 0 || p.lateVetoes == 0 {
+			t.Errorf("monitored streams exercised too little: %d accesses retired mid-call, %d yield stops, %d late vetoes",
+				p.spanned, p.yieldStops, p.lateVetoes)
+		}
+	})
+}
+
+func randomStreams(t *testing.T, p *fusedPair) {
 	streams := 150
 	if testing.Short() {
 		streams = 25
@@ -204,10 +394,59 @@ func TestFusedDifferentialRandomStreams(t *testing.T) {
 			if step%16 == 15 || err != nil {
 				p.deepCompare(t, label)
 			}
-			if err != nil {
+			if err != nil && !errors.Is(err, errTestVeto) {
 				break
 			}
 		}
+	}
+}
+
+// TestFusedMonitoredYieldAndVeto walks one strict-mode run access by
+// access: a run headed by a load fuses, a yield on the second load returns
+// right after it, and a veto on a later store leaves PC on the store with
+// the ALU work before it committed; the retried store then runs on to the
+// end of the block.
+func TestFusedMonitoredYieldAndVeto(t *testing.T) {
+	m, bus := newMonitoredMachine(true)
+	bus.rule = func(n uint32) (veto, yield bool) { return n == 2, n == 1 }
+	if err := m.Boot(asmImage(
+		uint16(0b01101<<11|0<<6|4<<3|0), //  8: LDR r0, [r4]
+		uint16(0b01101<<11|1<<6|4<<3|1), // 10: LDR r1, [r4, #4]  (yields)
+		addImm8(2, 1),                   // 12: ADDS r2, #1
+		uint16(0b01100<<11|2<<6|4<<3|0), // 14: STR r0, [r4, #8]  (vetoed once)
+		addImm8(2, 1),                   // 16: ADDS r2, #1
+		opBKPT,                          // 18
+	)); err != nil {
+		t.Fatal(err)
+	}
+	c := m.CPU
+	c.R[4] = 0x100
+	m.Mem.WriteWord(0x100, 7)
+	m.Mem.WriteWord(0x104, 9)
+	type want struct {
+		err         error
+		pc, r2      uint32
+		insns       uint64
+		cycle       uint64
+		description string
+	}
+	for i, w := range []want{
+		{nil, 12, 0, 2, 4, "yield after the second load"},
+		{errTestVeto, 14, 1, 3, 5, "veto leaves PC on the store"},
+		{nil, 18, 2, 5, 8, "retried store runs on to the block end"},
+	} {
+		err := c.StepFused(1000)
+		if !errors.Is(err, w.err) || c.R[PC] != w.pc || c.Insns != w.insns ||
+			c.R[2] != w.r2 || c.Cycle != w.cycle {
+			t.Fatalf("call %d (%s): err %v pc %d insns %d r2 %d cycle %d; want err %v pc %d insns %d r2 %d cycle %d",
+				i, w.description, err, c.R[PC], c.Insns, c.R[2], c.Cycle, w.err, w.pc, w.insns, w.r2, w.cycle)
+		}
+		if i == 0 && c.pd.runTab[8>>1] <= 0 {
+			t.Fatal("run headed by a load was not fused")
+		}
+	}
+	if got := m.Mem.ReadWord(0x108); got != 7 {
+		t.Errorf("stored word = %d, want 7", got)
 	}
 }
 
@@ -262,6 +501,18 @@ func FuzzFusedBlocks(f *testing.F) {
 		opBKPT,
 	))
 	f.Add(uint8(1), uint32(0xBEEF), hw(benchLoopOps()...))
+	// 4. Back-to-back loads at a run head: the loads fuse with what
+	//    follows on a monitored bus too, and the monitored pair's vetoes
+	//    and yields land between them.
+	f.Add(uint8(5), uint32(0x54), hw(
+		uint16(0b01101<<11|0<<6|2<<3|0), // LDR r0, [r2]
+		uint16(0b01101<<11|1<<6|2<<3|1), // LDR r1, [r2, #4]
+		uint16(0b01101<<11|2<<6|2<<3|3), // LDR r3, [r2, #8]
+		dp(0b1100, 1, 0),                // ORRS r0, r1
+		uint16(0b01100<<11|3<<6|2<<3|0), // STR r0, [r2, #12]
+		uint16(0b01101<<11|3<<6|2<<3|4), // LDR r4, [r2, #12]
+		0xE7F8,                          // B .-12 -> 8
+	))
 	f.Fuzz(func(t *testing.T, budgetSel uint8, seed uint32, prog []byte) {
 		if len(prog) > 96 {
 			prog = prog[:96]
@@ -271,19 +522,22 @@ func FuzzFusedBlocks(f *testing.F) {
 			ops = append(ops, uint16(prog[i])|uint16(prog[i+1])<<8)
 		}
 		ops = append(ops, opBKPT)
-		p := newFusedPair(t)
 		budgets := []uint64{1, 2, 3, 5, 8, 1000}
-		p.writeProgram(8, ops)
-		p.seed(seed, 8)
-		for step := 0; step < 250; step++ {
-			label := fmt.Sprintf("step %d (pc %#x)", step, p.ref.CPU.R[PC])
-			err := p.sync(t, budgets[(int(budgetSel)+step)%len(budgets)], label)
-			if err != nil {
-				p.deepCompare(t, label)
-				break
+		for _, p := range []*fusedPair{newFusedPair(t), newMonitoredPair(t)} {
+			p.writeProgram(8, ops)
+			p.seed(seed, 8)
+			for step := 0; step < 250; step++ {
+				label := fmt.Sprintf("step %d (pc %#x)", step, p.ref.CPU.R[PC])
+				err := p.sync(t, budgets[(int(budgetSel)+step)%len(budgets)], label)
+				if err != nil {
+					p.deepCompare(t, label)
+					if !errors.Is(err, errTestVeto) {
+						break
+					}
+				}
 			}
+			p.deepCompare(t, "final")
 		}
-		p.deepCompare(t, "final")
 	})
 }
 
@@ -362,8 +616,9 @@ func TestFusedRunInvalidationTwoSided(t *testing.T) {
 
 // TestStepFusedNoAllocs pins the steady-state fused execution paths — both
 // the single-instruction budget and whole-block chaining, plus the RunTo
-// driver loop — to zero heap allocations, matching TestStepNoAllocs for the
-// unfused path.
+// driver loop and a monitored (strict-mode) bus whose runs span accesses
+// and stop on yields and vetoes — to zero heap allocations, matching
+// TestStepNoAllocs for the unfused path.
 func TestStepFusedNoAllocs(t *testing.T) {
 	m := NewMachine()
 	if err := m.Boot(asmImage(benchLoopOps()...)); err != nil {
@@ -402,6 +657,32 @@ func TestStepFusedNoAllocs(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("steady-state fused RunTo allocates: %v per 20000 cycles, want 0", avg)
+		}
+	})
+	t.Run("monitored", func(t *testing.T) {
+		mm, bus := newMonitoredMachine(true)
+		bus.record = false
+		if err := mm.Boot(asmImage(benchLoopOps()...)); err != nil {
+			t.Fatal(err)
+		}
+		step := func() {
+			if err := mm.CPU.StepFused(1000); err != nil && !errors.Is(err, errTestVeto) {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			step()
+		}
+		if rid := mm.CPU.pd.runTab[10>>1]; rid <= 0 || mm.CPU.pd.runs[rid-1].endPC != 22 {
+			t.Fatalf("monitored loop body is not one fused run across its STR/LDR (runTab[5] = %d)", rid)
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 500; i++ {
+				step()
+			}
+		})
+		if avg != 0 {
+			t.Errorf("steady-state monitored StepFused allocates: %v per 500 calls, want 0", avg)
 		}
 	})
 }

@@ -163,9 +163,11 @@ type DecodeCache struct {
 	ops      []fusedOp
 	runCover []uint64
 	fuse     bool
-	// strict marks a monitored bus: memory accesses only as a run's final
-	// micro-op, no constant folding — every per-instruction decision point
-	// the driver could observe stays observable.
+	// strict marks a monitored bus: no constant folding, and every access
+	// goes through the Bus, which stops a run with an error (before the
+	// access) or a Yield (after its instruction) wherever its driver must
+	// act, so every decision point the driver could observe stays
+	// observable.
 	strict bool
 
 	// Shared-image freeze state (shared.go). A frozen cache is immutable —

@@ -32,10 +32,11 @@ package armsim
 //     instruction on, at the cost of one ~1.6 MB copy.
 //
 // The build executes through a monitored-style bus (freezeBus is not the
-// bare *Memory), so the cache is built in strict mode: memory accesses
-// only as a run's final micro-op, no constant folding. That matches the
-// intermittent machine's busAdapter exactly — the frozen runs stop at the
-// same boundaries a per-device build would.
+// bare *Memory), so the cache is built in strict mode: runs span accesses,
+// no constant folding. That matches the intermittent machine's busAdapter
+// exactly — the frozen runs cover the same blocks a per-device build
+// would, and each device's bus ends a run early through a veto or a
+// Yield where its own driver must act.
 
 import "unsafe"
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/armsim"
+	"repro/internal/ccc"
 	"repro/internal/clank"
 	"repro/internal/power"
 )
@@ -28,7 +29,12 @@ var fuseModeNames = []string{"fused", "predecode", "legacy"}
 // rather than three handles on one stream.
 func runModes(t *testing.T, src string, mkOpts func() Options) (stats []Stats, mems [][]byte) {
 	t.Helper()
-	img := compileTest(t, src)
+	return runImageModes(t, compileTest(t, src), mkOpts)
+}
+
+// runImageModes is runModes for an already-built image.
+func runImageModes(t *testing.T, img *ccc.Image, mkOpts func() Options) (stats []Stats, mems [][]byte) {
+	t.Helper()
 	for _, name := range fuseModeNames {
 		mode := name
 		opts := mkOpts()
@@ -148,4 +154,103 @@ func TestFusedPowerFailMidRunResumes(t *testing.T) {
 			t.Errorf("on=%d: outputs diverge from continuous run", onCycles)
 		}
 	}
+}
+
+// outputLoopImage hand-assembles a loop whose output store shares a fused
+// run with ALU work and whose output address never comes from a literal
+// load (ccc always loads it from the pool, a section access that hides
+// the case). Layout (entry = 8):
+//
+//	 8: MOVS r6, #1
+//	10: LSLS r6, r6, #30   ; r6 = output port (0x40000000)
+//	12: MOVS r0, #5
+//	14: MOVS r2, #0
+//	16: loop: ADDS r2, #1
+//	18: STR r2, [r6]       ; output r2
+//	20: SUBS r0, #1
+//	22: BNE loop           ; chains straight into ADDS; STR
+//	24: BKPT
+func outputLoopImage() *ccc.Image {
+	return thumbImage(
+		movImm8(6, 1),
+		lslImm(6, 6, 30),
+		movImm8(0, 5),
+		movImm8(2, 0),
+		addImm8(2, 1),
+		strImm(2, 6, 0),
+		subImm8(0, 1),
+		thumbBNE(22, 16),
+		thumbBKPT,
+	)
+}
+
+// TestFusedOutputBracketing pins output bracketing when the cycles since
+// the last checkpoint were all retired earlier in the same fused call: the
+// SUBS/BNE/ADDS leading up to each output store are not yet charged to
+// sinceCkpt when the store runs, yet they are work the output must not be
+// emitted on top of. Every output therefore costs a leading and a trailing
+// checkpoint in every engine — 2 per iteration plus the final commit.
+func TestFusedOutputBracketing(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		supply func() power.Source
+	}{
+		{"always-on", func() power.Source { return power.Always{} }},
+		{"exponential", func() power.Source {
+			return power.NewSupply(power.Exponential{Mean: 150, Min: 90}, 5)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stats, mems := runImageModes(t, outputLoopImage(), func() Options {
+				return Options{
+					Config:          clank.Config{ReadFirst: 8, WriteFirst: 4, WriteBack: 2, Opts: clank.OptAll},
+					Supply:          tc.supply(),
+					ProgressDefault: 30_000,
+					Verify:          true,
+				}
+			})
+			requireIdenticalModes(t, tc.name, stats, mems)
+			want := []uint32{1, 2, 3, 4, 5}
+			if !reflect.DeepEqual(stats[0].Outputs, want) {
+				t.Errorf("fused outputs = %v, want %v", stats[0].Outputs, want)
+			}
+			if tc.name == "always-on" && stats[0].Checkpoints != 2*len(want)+1 {
+				t.Errorf("fused checkpoints = %d, want %d (a leading and a trailing one per output, plus the final commit)",
+					stats[0].Checkpoints, 2*len(want)+1)
+			}
+			if tc.name == "exponential" && stats[0].Restarts == 0 {
+				t.Error("supply never failed; the variant exercises nothing")
+			}
+		})
+	}
+}
+
+// TestFusedFailAfterAccessDifferential pins where FailAfterAccess cuts
+// land: each mode counts its own tracked accesses and cuts power after
+// every 61st, so identical Stats (wall, re-execution and restart cycles
+// included) mean every cut took effect right after the cutting
+// instruction, even when that instruction sits mid-run in the fused
+// engine.
+func TestFusedFailAfterAccessDifferential(t *testing.T) {
+	stats, mems := runModes(t, testProgram, func() Options {
+		accesses, cuts := 0, 0
+		return Options{
+			Config:          clank.Config{ReadFirst: 8, WriteFirst: 4, WriteBack: 2, Opts: clank.OptAll},
+			Supply:          power.Always{},
+			ProgressDefault: 30_000,
+			Verify:          true,
+			FailAfterAccess: func(addr uint32, write bool) bool {
+				accesses++
+				if accesses%61 != 0 || cuts == 200 {
+					return false
+				}
+				cuts++
+				return true
+			},
+		}
+	})
+	if stats[0].Restarts == 0 {
+		t.Fatal("no cut ever fired; test exercises nothing")
+	}
+	requireIdenticalModes(t, "fail-after-access", stats, mems)
 }

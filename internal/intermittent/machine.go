@@ -240,6 +240,7 @@ type Machine struct {
 	pendingReason     clank.Reason // reason behind the current bus veto
 	forceCkptAfter    bool         // output emitted: checkpoint after this instruction
 	cutPower          bool         // FailAfterAccess fired: outage after this instruction
+	stepCycle         uint64       // cpu.Cycle when the current StepFused call began
 	consecutiveBarren int
 
 	// TEXT-read fast path (OptIgnoreText): word-address window copied
@@ -568,7 +569,7 @@ func (b busAdapter) LoadTextLit(addr, pc uint32) (uint32, error) {
 		m.mon.ReadNV(addr>>2, memWord)
 	}
 	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-		m.cutPower = true
+		m.cutAfterAccess()
 	}
 	return memWord, nil
 }
@@ -592,7 +593,7 @@ func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 			m.mon.ReadNV(word, memWord)
 		}
 		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-			m.cutPower = true
+			m.cutAfterAccess()
 		}
 		return extract(memWord, addr, size), nil
 	}
@@ -609,7 +610,7 @@ func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 		m.mon.ReadNV(word, memWord)
 	}
 	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-		m.cutPower = true
+		m.cutAfterAccess()
 	}
 	return extract(wordVal, addr, size), nil
 }
@@ -624,8 +625,11 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 		// re-executes, emits the output, and forces a trailing
 		// checkpoint. The condition mirrors the policy simulator's
 		// bracketing exactly so the two engines count the same
-		// checkpoints on the same access stream.
-		if m.sinceCkpt > 0 || m.sectionAccesses() > 0 {
+		// checkpoints on the same access stream. Elapsed cycles include
+		// those this StepFused call already retired: account charges
+		// them to sinceCkpt only after the call returns, but the fused
+		// engine flushes them into cpu.Cycle before every access.
+		if m.sinceCkpt+(m.cpu.Cycle-m.stepCycle) > 0 || m.sectionAccesses() > 0 {
 			m.pendingReason = clank.ReasonOutput
 			return errCheckpoint
 		}
@@ -643,6 +647,7 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 			m.outSuppress--
 		}
 		m.forceCkptAfter = true
+		m.cpu.Yield()
 		return nil
 	}
 	if m.k == nil {
@@ -663,7 +668,7 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 	}
 	if out.Buffered {
 		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, true) {
-			m.cutPower = true
+			m.cutAfterAccess()
 		}
 		return nil // absorbed by the Write-back Buffer
 	}
@@ -676,9 +681,17 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 		return err
 	}
 	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, true) {
-		m.cutPower = true
+		m.cutAfterAccess()
 	}
 	return nil
+}
+
+// cutAfterAccess records a FailAfterAccess cut: the outage takes effect at
+// the boundary after the current instruction, so the fused engine is asked
+// to return there.
+func (m *Machine) cutAfterAccess() {
+	m.cutPower = true
+	m.cpu.Yield()
 }
 
 // sectionAccesses reads the access-since-commit count through the fast
@@ -706,7 +719,7 @@ func (m *Machine) loadGeneric(addr uint32, size uint8, pc uint32) (uint32, error
 			m.mon.ReadNV(word, memWord)
 		}
 		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-			m.cutPower = true
+			m.cutAfterAccess()
 		}
 		return extract(memWord, addr, size), nil
 	}
@@ -723,7 +736,7 @@ func (m *Machine) loadGeneric(addr uint32, size uint8, pc uint32) (uint32, error
 		m.mon.ReadNV(word, memWord)
 	}
 	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-		m.cutPower = true
+		m.cutAfterAccess()
 	}
 	return extract(wordVal, addr, size), nil
 }
@@ -746,7 +759,7 @@ func (m *Machine) storeGeneric(addr uint32, size uint8, value uint32, pc uint32)
 	}
 	if out.Buffered {
 		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, true) {
-			m.cutPower = true
+			m.cutAfterAccess()
 		}
 		return nil // absorbed by the scheme's buffer
 	}
@@ -759,7 +772,7 @@ func (m *Machine) storeGeneric(addr uint32, size uint8, value uint32, pc uint32)
 		return err
 	}
 	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, true) {
-		m.cutPower = true
+		m.cutAfterAccess()
 	}
 	return nil
 }

@@ -71,10 +71,13 @@ func (m *Machine) Run() (Stats, error) {
 		// no longer fits, StepFused single-steps, so the instruction that
 		// crosses an event boundary is exactly the one insn-at-a-time
 		// stepping would execute (and carries exact lazy-evaluated flags
-		// into the checkpoint); monitored memory accesses always end a
-		// run, so bus vetoes, output bracketing, and FailAfterAccess cuts
-		// land at the same boundaries as single-step. Each guard is > its
-		// loop-top check, so the budget is always at least one cycle.
+		// into the checkpoint). Runs continue past monitored accesses
+		// unless the bus needs this loop at that boundary: a veto returns
+		// errCheckpoint with PC on the access, and an output store or a
+		// FailAfterAccess cut calls cpu.Yield, returning right after the
+		// instruction — so all three land at the same boundaries as
+		// single-step. Each guard is > its loop-top check, so the budget
+		// is always at least one cycle.
 		budget := m.powerLeft
 		if w := m.opts.PerfWatchdog; w != 0 && w-m.sinceCkpt < budget {
 			budget = w - m.sinceCkpt
@@ -88,9 +91,9 @@ func (m *Machine) Run() (Stats, error) {
 		if left := m.opts.MaxWallCycles + 1 - m.stats.WallCycles; left < budget {
 			budget = left
 		}
-		before := m.cpu.Cycle
+		m.stepCycle = m.cpu.Cycle
 		err := m.cpu.StepFused(budget)
-		m.account(m.cpu.Cycle - before)
+		m.account(m.cpu.Cycle - m.stepCycle)
 		if m.cutPower {
 			// A FailAfterAccess schedule cut power mid-instruction; the
 			// outage takes effect at the instruction boundary, like any

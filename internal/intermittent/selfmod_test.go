@@ -46,37 +46,17 @@ import (
 //	54: STR r2, [r6]            ; output 0x63
 //	56: BKPT
 func selfModImage() *ccc.Image {
-	movImm8 := func(rd, imm int) uint16 { return uint16(0b00100<<11 | rd<<8 | imm) }
-	addImm8 := func(rd, imm int) uint16 { return uint16(0b00110<<11 | rd<<8 | imm) }
-	subImm8 := func(rd, imm int) uint16 { return uint16(0b00111<<11 | rd<<8 | imm) }
-	lslImm := func(rd, rm, imm int) uint16 { return uint16(0b00000<<11 | imm<<6 | rm<<3 | rd) }
-	strImm := func(rt, rn, off int) uint16 { return uint16(0b01100<<11 | (off/4)<<6 | rn<<3 | rt) }
-	ldrImm := func(rt, rn, off int) uint16 { return uint16(0b01101<<11 | (off/4)<<6 | rn<<3 | rt) }
-	strhImm := func(rt, rn, off int) uint16 { return uint16(0b10000<<11 | (off/2)<<6 | rn<<3 | rt) }
-	bxlr := uint16(0b010001<<10 | 0b11<<8 | 14<<3)
-	b := func(from, to int) uint16 { return 0xE000 | uint16(((to-(from+4))/2)&0x7FF) }
-	bne := func(from, to int) uint16 { return 0xD100 | uint16(((to-(from+4))/2)&0xFF) }
-	bl := func(from, to int) (uint16, uint16) {
-		imm := uint32(int32(to - (from + 4)))
-		s := (imm >> 24) & 1
-		i1 := (imm >> 23) & 1
-		i2 := (imm >> 22) & 1
-		j1 := (^(i1 ^ s)) & 1
-		j2 := (^(i2 ^ s)) & 1
-		return uint16(0b11110<<11 | s<<10 | (imm>>12)&0x3FF),
-			uint16(0b11<<14 | j1<<13 | 1<<12 | j2<<11 | (imm>>1)&0x7FF)
-	}
-	bl1a, bl2a := bl(24, 10)
-	bl1b, bl2b := bl(50, 10)
-	ops := []uint16{
-		b(8, 14),         //  8
+	bl1a, bl2a := thumbBL(24, 10)
+	bl1b, bl2b := thumbBL(50, 10)
+	return thumbImage(
+		thumbB(8, 14),    //  8
 		movImm8(2, 7),    // 10: target
-		bxlr,             // 12
+		bxLR,             // 12
 		movImm8(6, 1),    // 14: start
 		lslImm(6, 6, 30), // 16
 		movImm8(0, 250),  // 18
 		subImm8(0, 1),    // 20: loop1
-		bne(22, 20),      // 22
+		thumbBNE(22, 20), // 22
 		bl1a, bl2a,       // 24: BL target
 		strImm(2, 6, 0),  // 28: output 7
 		movImm8(1, 0x22), // 30
@@ -88,11 +68,53 @@ func selfModImage() *ccc.Image {
 		strhImm(1, 3, 0), // 42: patch
 		movImm8(0, 250),  // 44
 		subImm8(0, 1),    // 46: loop2
-		bne(48, 46),      // 48
+		thumbBNE(48, 46), // 48
 		bl1b, bl2b,       // 50: BL target
 		strImm(2, 6, 0), // 54: output 0x63
-		0xBE00,          // 56: BKPT
-	}
+		thumbBKPT,       // 56: BKPT
+	)
+}
+
+// Thumb encoders for the hand-assembled test images.
+func movImm8(rd, imm int) uint16 { return uint16(0b00100<<11 | rd<<8 | imm) }
+func addImm8(rd, imm int) uint16 { return uint16(0b00110<<11 | rd<<8 | imm) }
+func subImm8(rd, imm int) uint16 { return uint16(0b00111<<11 | rd<<8 | imm) }
+func lslImm(rd, rm, imm int) uint16 {
+	return uint16(0b00000<<11 | imm<<6 | rm<<3 | rd)
+}
+func strImm(rt, rn, off int) uint16 {
+	return uint16(0b01100<<11 | (off/4)<<6 | rn<<3 | rt)
+}
+func ldrImm(rt, rn, off int) uint16 {
+	return uint16(0b01101<<11 | (off/4)<<6 | rn<<3 | rt)
+}
+func strhImm(rt, rn, off int) uint16 {
+	return uint16(0b10000<<11 | (off/2)<<6 | rn<<3 | rt)
+}
+func thumbB(from, to int) uint16 { return 0xE000 | uint16(((to-(from+4))/2)&0x7FF) }
+func thumbBNE(from, to int) uint16 {
+	return 0xD100 | uint16(((to-(from+4))/2)&0xFF)
+}
+func thumbBL(from, to int) (uint16, uint16) {
+	imm := uint32(int32(to - (from + 4)))
+	s := (imm >> 24) & 1
+	i1 := (imm >> 23) & 1
+	i2 := (imm >> 22) & 1
+	j1 := (^(i1 ^ s)) & 1
+	j2 := (^(i2 ^ s)) & 1
+	return uint16(0b11110<<11 | s<<10 | (imm>>12)&0x3FF),
+		uint16(0b11<<14 | j1<<13 | 1<<12 | j2<<11 | (imm>>1)&0x7FF)
+}
+
+const (
+	bxLR      = uint16(0b010001<<10 | 0b11<<8 | 14<<3)
+	thumbBKPT = uint16(0xBE00)
+)
+
+// thumbImage wraps hand-assembled code into a bootable image: the vector
+// table (initial SP, thumb entry 8) followed by ops at address 8, all of
+// it TEXT, with an empty data section.
+func thumbImage(ops ...uint16) *ccc.Image {
 	img := make([]byte, 8+2*len(ops))
 	binary.LittleEndian.PutUint32(img[0:], armsim.MemSize-16) // initial SP
 	binary.LittleEndian.PutUint32(img[4:], 8|1)               // entry (thumb)
