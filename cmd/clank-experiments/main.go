@@ -2,13 +2,14 @@
 //
 // Usage:
 //
-//	clank-experiments [-quick] [-mean-on N] table1|table2|table3|table4|fig5|fig6|fig7|fig8|ablation|powersweep|crossscheme|all
+//	clank-experiments [-quick] [-mean-on N] [-no-verify] [-cpuprofile cpu.prof] table1|table2|table3|table4|fig5|fig6|fig7|fig8|ablation|powersweep|crossscheme|all
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"repro/internal/experiments"
 	"repro/internal/power"
@@ -20,10 +21,28 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced configuration sweeps")
 	meanOn := flag.Uint64("mean-on", power.DefaultMeanOn, "average power-on time in cycles")
 	noVerify := flag.Bool("no-verify", false, "skip the reference monitor (faster sweeps)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: clank-experiments [-quick] table1|table2|table3|table4|fig5|fig6|fig7|fig8|ablation|powersweep|crossscheme|all")
+		fmt.Fprintln(os.Stderr, "usage: clank-experiments [-quick] [-mean-on N] [-no-verify] [-cpuprofile cpu.prof] table1|table2|table3|table4|fig5|fig6|fig7|fig8|ablation|powersweep|crossscheme|all")
 		os.Exit(2)
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+			os.Exit(1)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+				os.Exit(1)
+			}
+		}()
 	}
 	o := experiments.Options{Quick: *quick, MeanOn: *meanOn, Verify: !*noVerify}
 

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	clank-explore [-bench fft | prog.c] [-max-rf 32] [-workers 4]
+//	clank-explore [-bench fft | prog.c] [-max-rf 32] [-workers 4] [-cpuprofile cpu.prof]
 package main
 
 import (
@@ -15,11 +15,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"sort"
 
 	"repro/internal/armsim"
 	"repro/internal/ccc"
 	"repro/internal/clank"
+	"repro/internal/experiments"
 	"repro/internal/intermittent"
 	"repro/internal/mibench"
 	"repro/internal/policysim"
@@ -34,7 +36,23 @@ func main() {
 	loadTrace := flag.String("load-trace", "", "replay a previously saved access log instead of re-simulating")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS; results are identical at any count)")
 	schemeSpec := flag.String("scheme", "clank", "runtime scheme to explore: clank sweeps buffer sizes, alpaca[:tasklen] and dica[:interval] sweep the commit-granularity parameter")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fatal(err)
+			}
+		}()
+	}
 
 	fac, err := scheme.Parse(*schemeSpec)
 	if err != nil {
@@ -118,22 +136,7 @@ func main() {
 		return
 	}
 
-	var cfgs []clank.Config
-	for rf := 1; rf <= *maxRF; rf *= 2 {
-		for _, wf := range []int{0, rf / 2} {
-			for _, wb := range []int{0, 1, 2, 4} {
-				for _, ap := range []int{0, 4} {
-					cfg := clank.Config{ReadFirst: rf, WriteFirst: wf, WriteBack: wb,
-						AddrPrefix: ap, Opts: clank.OptAll,
-						TextStart: img.TextStart, TextEnd: img.TextEnd, ExemptPCs: exempt}
-					if ap > 0 {
-						cfg.PrefixLowBits = 6
-					}
-					cfgs = append(cfgs, cfg)
-				}
-			}
-		}
-	}
+	cfgs := experiments.ExploreGrid(*maxRF, img.TextStart, img.TextEnd, exempt)
 	jobs := make([]policysim.Job, len(cfgs))
 	for i, cfg := range cfgs {
 		jobs[i] = policysim.Job{Config: cfg, Opts: policysim.Options{Verify: true}}

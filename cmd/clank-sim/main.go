@@ -133,18 +133,26 @@ func main() {
 			st.TornWrites, st.DetectedCorrupt, st.RecoveredCommits, st.DegradedBoots)
 	}
 
-	ok := len(st.Outputs) >= len(cont.Mem.Outputs)
-	for i, v := range cont.Mem.Outputs {
-		if i >= len(st.Outputs) || st.Outputs[i] != v {
-			ok = false
-			break
+	if err := compareOutputs(cont.Mem.Outputs, st.Outputs); err != nil {
+		fatal(fmt.Errorf("outputs differ from the continuous run: %w", err))
+	}
+	fmt.Println("outputs match the continuous run; dynamic verification passed")
+}
+
+// compareOutputs reports how got, the intermittent run's outputs, differs
+// from want, the continuous run's, or returns nil when they are identical.
+// The output-commit watermark means a power failure never replays an
+// emission, so a duplicated, missing or changed output is a wrong result.
+func compareOutputs(want, got []uint32) error {
+	for i := range min(len(want), len(got)) {
+		if got[i] != want[i] {
+			return fmt.Errorf("output[%d] is %d (%#x), want %d (%#x)", i, got[i], got[i], want[i], want[i])
 		}
 	}
-	if ok {
-		fmt.Println("outputs match the continuous run; dynamic verification passed")
-	} else {
-		fmt.Println("NOTE: outputs include replayed emissions (power failed inside an output bracket)")
+	if len(got) != len(want) {
+		return fmt.Errorf("%d outputs, want %d", len(got), len(want))
 	}
+	return nil
 }
 
 func pct(num, den uint64) float64 {

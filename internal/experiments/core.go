@@ -101,6 +101,31 @@ func BuildSuite() ([]*mibench.Compiled, error) {
 	return out, nil
 }
 
+// ExploreGrid is clank-explore's buffer grid: Read-first sizes 1..maxRF in
+// powers of two, each without and with a half-size Write-first Buffer,
+// crossed with 0/1/2/4 Write-back entries and no or a 4-entry Address
+// Prefix Buffer, all with every optimization, the given TEXT bounds and
+// the given Program Idempotent exemptions (96 configurations at maxRF 32).
+func ExploreGrid(maxRF int, textStart, textEnd uint32, exempt map[uint32]bool) []clank.Config {
+	var cfgs []clank.Config
+	for rf := 1; rf <= maxRF; rf *= 2 {
+		for _, wf := range []int{0, rf / 2} {
+			for _, wb := range []int{0, 1, 2, 4} {
+				for _, ap := range []int{0, 4} {
+					cfg := clank.Config{ReadFirst: rf, WriteFirst: wf, WriteBack: wb,
+						AddrPrefix: ap, Opts: clank.OptAll,
+						TextStart: textStart, TextEnd: textEnd, ExemptPCs: exempt}
+					if ap > 0 {
+						cfg.PrefixLowBits = 6
+					}
+					cfgs = append(cfgs, cfg)
+				}
+			}
+		}
+	}
+	return cfgs
+}
+
 // batchCache maps each compiled benchmark to its columnar trace, so every
 // experiment shares one BatchTrace (and its cached classification
 // columns) per benchmark.

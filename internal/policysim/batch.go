@@ -3,6 +3,7 @@ package policysim
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -72,7 +73,6 @@ type slot struct {
 	// which its textMask correctly narrows to exempt-only)
 	textOn   bool   // OptIgnoreText active: faText bits apply
 	textMask uint8  // faText when textOn, else 0 (hoists the && per access)
-	fast     bool   // no monitor, no undo log: eligible for the inline path
 	wdt      uint64 // o.PerfWatchdog, hoisted
 
 	// ckptLimit hoists the general core's loop-top wall checks out of the
@@ -160,7 +160,6 @@ func NewBatch(tr *BatchTrace, jobs []Job) (*Batch, error) {
 			// cannot express. The undo mode is an overhead model only.
 			s.mon = refmon.New()
 		}
-		s.fast = s.mon == nil && !o.UndoLog
 		// Checkpoint-cycle budget within which the lockstep core is exact
 		// (see the ckptLimit field comment); min() keeps the sums
 		// overflow-free.
@@ -314,52 +313,118 @@ func (b *Batch) runLockstep() {
 	}
 }
 
-// runSpan replays accesses [lo, hi) for one slot. The common case — no
-// monitor, no undo log, no Performance Watchdog — runs in a tight loop
-// that touches only the addr/value/prev/class columns and the inlined
-// detector verdict; the cycle column is read only when a checkpoint
-// actually commits. Everything rarer (output commits, volatile skips,
-// monitor hooks, undo journaling, armed watchdogs) drops into stepRare
-// or the general loop below, and the general core's loop-top wall checks
-// are hoisted into slot.ckptLimit so they cost nothing per access.
-// Returns false once the slot is done.
+// runSpan replays accesses [lo, hi) for one slot. Returns false once the
+// slot is done.
+//
+// An armed Performance Watchdog is checked after every access, quantized
+// to access boundaries (the Progress Watchdog never arms under continuous
+// power: it requires a barren boot). The cycle stamps are monotonic here,
+// so the first access at which the watchdog can fire is found by binary
+// search, and the span is replayed in segments that end there. A commit
+// inside a segment only moves the deadline later, so the check at a
+// segment's last access is exact: it fires there or nowhere before.
 func (s *slot) runSpan(b *Batch, lo, hi int) bool {
 	tr := b.tr
-	class := s.class
-	k := s.k
-	textMask := s.textMask
-	rdBypass := textMask | faExempt // read flags that certify Outcome{} with no state change
-	wfZero := k.Config().WriteFirst == 0
-	if s.fast && s.wdt == 0 {
-		// Probe the access filter from the driver side: a hit certifies
-		// the verdict is Outcome{}, so the value/prev operands and the
-		// exempt/TEXT bools are never computed for it, and the access
-		// count is settled in a local (flushed before anything that can
-		// observe SectionAccesses — slow calls, rare steps, span end).
-		// Iterating a sliced window (not class[i]/tr.addr[i] on the full
-		// columns) lets the compiler drop the per-access bounds checks.
-		acc := 0
-		addrs := tr.addr[lo:hi]
-		vals := tr.value[lo:hi]
-		cls := class[lo:hi]
-		var sk []uint8
-		if s.skip != nil {
-			sk = s.skip[lo:hi]
+	for lo < hi {
+		end := hi
+		if s.wdt != 0 {
+			end = s.watchdogEnd(tr, lo, hi)
 		}
-		for j := 0; j < len(addrs); j++ {
-			f := cls[j]
-			if f&(faOutput|faVolatile) != 0 {
-				i := lo + j
-				k.AddAccesses(acc)
-				acc = 0
-				if !s.stepRare(b, i, f, tr.cycle[i]) {
+		if s.o.UndoLog {
+			for i := lo; i < end; i++ {
+				if !s.stepRare(b, i, s.class[i], tr.cycle[i]) {
 					return false
 				}
-				continue
 			}
-			word := addrs[j] >> 2
-			if f&faWrite != 0 {
-				if k.FilterHitWrite(word) || k.BufferedWrite(word, vals[j]) {
+		} else if !s.probeSpan(b, lo, end) {
+			return false
+		}
+		if s.wdt != 0 {
+			if cyc := tr.cycle[end-1]; cyc-s.ckptT >= s.wdt {
+				s.commit(clank.ReasonPerfWatchdog, cyc)
+				if s.done {
+					return false
+				}
+			}
+		}
+		lo = end
+	}
+	return true
+}
+
+// watchdogEnd returns one past the first access in [lo, hi) at which the
+// Performance Watchdog is due (cycle - ckptT >= wdt), or hi if there is
+// none.
+func (s *slot) watchdogEnd(tr *BatchTrace, lo, hi int) int {
+	due := sort.Search(hi-lo, func(k int) bool { return tr.cycle[lo+k]-s.ckptT >= s.wdt })
+	return min(lo+due+1, hi)
+}
+
+// probeSpan is the lockstep core's one filter-probe loop: it replays
+// accesses [lo, hi) for every slot without an undo journal, monitored or
+// not, watchdogged or not (runSpan ends a segment where a watchdog is
+// due). It touches only the addr/value/class columns (pc when a monitor
+// is attached) and the inlined detector verdict, and reads the cycle
+// column only when a checkpoint actually commits. Everything rarer
+// (output commits, volatile skips, misses) drops into stepRare,
+// settleAccess or refeedInsn, and the general core's loop-top wall checks
+// are hoisted into slot.ckptLimit so they cost nothing per access.
+//
+// The monitor is the oracle, so it sees every access whose verdict
+// reaches NV memory on its own terms, filter hits included: exactly what
+// settleAccess would report for the same verdict. Writes certified
+// Outcome{} go to WriteNV, reads certified Outcome{} to ReadNV, and
+// Write-back hits (Buffered / FromWB) report nothing. The probes that
+// cannot tell Outcome{} from FromWB — exempt reads and untracked-mode
+// reads — certify only without a monitor; with one, those reads take the
+// full ReadPre. The skip run-length column likewise applies only without
+// a monitor, which must see each TEXT read. Returns false once the slot
+// is done.
+func (s *slot) probeSpan(b *Batch, lo, hi int) bool {
+	tr := b.tr
+	k := s.k
+	mon := s.mon
+	textMask := s.textMask
+	// Read flags that certify the verdict Outcome{} with no state change:
+	// TEXT reads under OptIgnoreText (TEXT words are never buffer-resident:
+	// the TEXT check precedes every insert) and, without a monitor, exempt
+	// reads (the read tree resolves them before any insert, and the
+	// Write-back branches above them are read-only — but they may be
+	// FromWB, which only a monitor cares about).
+	rdBypass := textMask
+	if mon == nil {
+		rdBypass |= faExempt
+	}
+	wfZero := k.Config().WriteFirst == 0
+	// The access count of probe-resolved accesses is settled in a local
+	// (flushed before anything that can observe SectionAccesses — slow
+	// calls, rare steps, span end). Iterating sliced windows (not
+	// class[i]/tr.addr[i] on the full columns) lets the compiler drop the
+	// per-access bounds checks.
+	acc := 0
+	addrs := tr.addr[lo:hi]
+	vals := tr.value[lo:hi]
+	cls := s.class[lo:hi]
+	var sk []uint8
+	if s.skip != nil && mon == nil {
+		sk = s.skip[lo:hi]
+	}
+	for j := 0; j < len(addrs); j++ {
+		f := cls[j]
+		if f&(faOutput|faVolatile) != 0 {
+			i := lo + j
+			k.AddAccesses(acc)
+			acc = 0
+			if !s.stepRare(b, i, f, tr.cycle[i]) {
+				return false
+			}
+			continue
+		}
+		word := addrs[j] >> 2
+		if f&faWrite != 0 {
+			nv := k.FilterHitWrite(word)
+			if !nv {
+				if k.BufferedWrite(word, vals[j]) {
 					acc++
 					continue
 				}
@@ -370,107 +435,71 @@ func (s *slot) runSpan(b *Batch, lo, hi int) bool {
 				// plain write of an untracked word in tracked mode is the
 				// passthrough Outcome{} (the slow path would only refresh
 				// the perf-only filter cache).
-				if f&faExempt != 0 {
-					if k.IdxMiss(word) {
-						acc++
-						continue
-					}
-				} else if wfZero && f&textMask == 0 && !k.Untracked() && k.IdxMiss(word) {
-					acc++
-					continue
-				}
-			} else if f&rdBypass != 0 {
-				// TEXT reads under OptIgnoreText are always Outcome{} (TEXT
-				// words are never buffer-resident: the TEXT check precedes
-				// every insert), and exempt reads never checkpoint or mutate
-				// state (the read tree resolves them before any insert, and
-				// the Write-back branches above them are read-only) — no
-				// probe is needed for either, and when the run-length
-				// column applies the whole run is consumed in O(1).
-				if sk != nil {
-					n := min(int(sk[j]), len(addrs)-j)
-					acc += n
-					j += n - 1
-				} else {
-					acc++
-				}
-				continue
-			} else if k.FilterHitRead(word) || k.BufferedRead(word) || k.Untracked() {
-				// In untracked mode every read is verdict-{} or FromWB
-				// (the untracked branch precedes every insert, and the
-				// dirty case was just probed) — no mutation either way.
+				nv = (f&faExempt != 0 || wfZero && f&textMask == 0 && !k.Untracked()) && k.IdxMiss(word)
+			}
+			if nv {
 				acc++
+				if mon != nil {
+					if v := mon.WriteNV(word, vals[j], tr.pc[lo+j]); v != nil {
+						s.fail(lo+j, tr.cycle[lo+j], v)
+						return false
+					}
+				}
 				continue
 			}
-			i := lo + j
-			k.AddAccesses(acc)
-			acc = 0
-			var out clank.Outcome
-			if f&faWrite != 0 {
-				out = k.WritePre(word, tr.value[i], tr.prev[i], f&faExempt != 0, f&textMask != 0)
-			} else {
-				out = k.ReadPre(word, tr.value[i], f&faExempt != 0, f&textMask != 0)
+		} else if f&rdBypass != 0 {
+			acc++
+			if mon != nil {
+				mon.ReadNV(word, vals[j])
+			} else if sk != nil {
+				// The whole bypass-read run is consumed in O(1).
+				n := min(int(sk[j]), len(addrs)-j)
+				acc += n - 1
+				j += n - 1
 			}
+			continue
+		} else if k.FilterHitRead(word) {
+			acc++
+			if mon != nil {
+				mon.ReadNV(word, vals[j])
+			}
+			continue
+		} else if k.BufferedRead(word) || mon == nil && k.Untracked() {
+			// In untracked mode every read is verdict-{} or FromWB (the
+			// untracked branch precedes every insert, and the dirty case
+			// was just probed) — no mutation either way.
+			acc++
+			continue
+		}
+		i := lo + j
+		k.AddAccesses(acc)
+		acc = 0
+		var out clank.Outcome
+		if f&faWrite != 0 {
+			out = k.WritePre(word, vals[j], tr.prev[i], f&faExempt != 0, f&textMask != 0)
+		} else {
+			out = k.ReadPre(word, vals[j], f&faExempt != 0, f&textMask != 0)
+		}
+		if out.NeedCheckpoint {
 			// Checkpoint-and-refeed: commit with the machine stalled at
 			// this access's instruction, then re-feed the whole
 			// instruction group, exactly like the general core.
-			if out.NeedCheckpoint && !s.refeedInsn(b, i, out.Reason) {
+			if !s.refeedInsn(b, i, out.Reason) {
 				return false
 			}
-		}
-		k.AddAccesses(acc)
-		return true
-	}
-	for i := lo; i < hi; i++ {
-		cyc := tr.cycle[i]
-		f := class[i]
-		if s.fast && f&(faOutput|faVolatile) == 0 {
-			word := tr.addr[i] >> 2
-			var hit bool
-			if f&faWrite != 0 {
-				hit = k.FilterHitWrite(word) || k.BufferedWrite(word, tr.value[i])
-				if !hit && k.IdxMiss(word) {
-					// Same bypasses as the fast loop: exempt writes and
-					// WriteFirst==0 passthrough writes of untracked words.
-					hit = f&faExempt != 0 ||
-						(wfZero && f&textMask == 0 && !k.Untracked())
-				}
-			} else {
-				hit = f&rdBypass != 0 || k.FilterHitRead(word) || k.BufferedRead(word) || k.Untracked()
-			}
-			if hit {
-				k.AddAccesses(1)
-			} else {
-				var out clank.Outcome
-				if f&faWrite != 0 {
-					out = k.WritePre(word, tr.value[i], tr.prev[i], f&faExempt != 0, f&textMask != 0)
-				} else {
-					out = k.ReadPre(word, tr.value[i], f&faExempt != 0, f&textMask != 0)
-				}
-				if out.NeedCheckpoint && !s.refeedInsn(b, i, out.Reason) {
-					return false
-				}
-			}
-		} else if !s.stepRare(b, i, f, cyc) {
+		} else if mon != nil && !s.settleAccess(b, i, f, out) {
 			return false
 		}
-		// Watchdogs, quantized to access boundaries. The Progress Watchdog
-		// never arms under continuous power (it requires a barren boot).
-		if s.wdt != 0 && cyc-s.ckptT >= s.wdt {
-			s.commit(clank.ReasonPerfWatchdog, cyc)
-			if s.done {
-				return false
-			}
-		}
 	}
+	k.AddAccesses(acc)
 	return true
 }
 
 // stepRare replays access i for one slot under continuous power when the
-// inline fast path does not apply: output commits, volatile skips, and —
-// for slots with a monitor or an undo log — plain accesses too. It
-// mirrors colSim's loop body exactly (minus the wall checks, which
-// ckptLimit subsumes). Returns false once the slot is done.
+// filter-probe loop does not apply: output commits, volatile skips, and
+// every access of a slot with an undo journal. It mirrors colSim's loop
+// body exactly (minus the wall checks, which ckptLimit subsumes). Returns
+// false once the slot is done.
 func (s *slot) stepRare(b *Batch, i int, f uint8, cyc uint64) bool {
 	tr := b.tr
 	if f&faOutput != 0 {
@@ -505,13 +534,13 @@ func (s *slot) stepRare(b *Batch, i int, f uint8, cyc uint64) bool {
 		// last member of the re-fed instruction group.
 		return s.refeedInsn(b, i, out.Reason)
 	}
-	return s.settleAccess(b, i, f, cyc, out)
+	return s.settleAccess(b, i, f, out)
 }
 
 // settleAccess performs the post-verdict bookkeeping for access i — undo
-// journaling and monitor hooks — shared by stepRare and refeedInsn.
-// Returns false once the slot is done.
-func (s *slot) settleAccess(b *Batch, i int, f uint8, cyc uint64, out clank.Outcome) bool {
+// journaling and monitor hooks — shared by probeSpan, stepRare and
+// refeedInsn. Returns false once the slot is done.
+func (s *slot) settleAccess(b *Batch, i int, f uint8, out clank.Outcome) bool {
 	tr := b.tr
 	word := tr.addr[i] >> 2
 	if s.o.UndoLog && out.Buffered {
@@ -527,11 +556,7 @@ func (s *slot) settleAccess(b *Batch, i int, f uint8, cyc uint64, out clank.Outc
 	if f&faWrite != 0 {
 		if !out.Buffered && s.mon != nil {
 			if v := s.mon.WriteNV(word, tr.value[i], tr.pc[i]); v != nil {
-				// i doubles as the general core's access counter: every
-				// prior access advanced it by exactly one.
-				s.err = fmt.Errorf("policysim: dynamic verification failed at access %d: %w", i, v)
-				s.res.WallCycles = cyc + s.res.CkptCycles
-				s.done = true
+				s.fail(i, tr.cycle[i], v)
 				return false
 			}
 		}
@@ -539,6 +564,16 @@ func (s *slot) settleAccess(b *Batch, i int, f uint8, cyc uint64, out clank.Outc
 		s.mon.ReadNV(word, tr.value[i])
 	}
 	return true
+}
+
+// fail ends the slot at the monitor violation v raised by access i (stamped
+// cyc), with the general core's error text and wall-cycle count.
+func (s *slot) fail(i int, cyc uint64, v error) {
+	// i doubles as the general core's access counter: every prior access
+	// advanced it by exactly one.
+	s.err = fmt.Errorf("policysim: dynamic verification failed at access %d: %w", i, v)
+	s.res.WallCycles = cyc + s.res.CkptCycles
+	s.done = true
 }
 
 // refeedInsn commits the checkpoint a vetoed access demanded and then
@@ -599,7 +634,7 @@ func (s *slot) refeedInsn(b *Batch, i int, reason clank.Reason) bool {
 			j-- // gate already set for this group: retry the member alone
 			continue
 		}
-		if !s.settleAccess(b, j, f, cyc, out) {
+		if !s.settleAccess(b, j, f, out) {
 			return false
 		}
 	}

@@ -56,9 +56,23 @@ func benchBuild(b *testing.B) *mibench.Compiled {
 // one MiBench trace in a single batched pass — the engine the
 // design-space sweeps run on. ns/access is per configuration replayed.
 func BenchmarkBatchSweepTable2(b *testing.B) {
+	benchSweepTable2(b, false)
+}
+
+// BenchmarkBatchSweepTable2Verified is BenchmarkBatchSweepTable2 with the
+// reference monitor attached to every job, as every production sweep
+// runs.
+func BenchmarkBatchSweepTable2Verified(b *testing.B) {
+	benchSweepTable2(b, true)
+}
+
+func benchSweepTable2(b *testing.B, verify bool) {
 	c := benchBuild(b)
 	tr := policysim.NewBatchTrace(c.Trace, c.Cycles, c.Image.TextStart, c.Image.TextEnd)
 	jobs := table2Jobs(c)
+	for i := range jobs {
+		jobs[i].Opts.Verify = verify
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

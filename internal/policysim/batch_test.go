@@ -2,6 +2,7 @@ package policysim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/armsim"
@@ -265,6 +266,7 @@ func TestSimulateMaxWallCyclesSaturates(t *testing.T) {
 // is the CI alloc guard for the sweep hot path.
 func TestBatchReplayZeroAlloc(t *testing.T) {
 	img, trace, total := buildTrace(t, testProgram)
+	exempt := ccc.ProgramIdempotentPCs(trace)
 	tr := NewBatchTrace(trace, total, img.TextStart, img.TextEnd)
 	jobs := []Job{
 		{Config: clank.Config{ReadFirst: 4}},
@@ -274,6 +276,12 @@ func TestBatchReplayZeroAlloc(t *testing.T) {
 		// The reference monitor rides along: its table grows during the
 		// first Run and is only epoch-reset afterwards.
 		{Config: clank.Config{ReadFirst: 4, WriteFirst: 2}, Opts: Options{Verify: true}},
+		// Monitored TEXT and exempt accesses, and a monitored watchdog.
+		{Config: clank.Config{ReadFirst: 4, WriteFirst: 2, WriteBack: 1, Opts: clank.OptIgnoreText,
+			TextStart: img.TextStart, TextEnd: img.TextEnd, ExemptPCs: exempt}, Opts: Options{Verify: true}},
+		{Config: clank.Config{ReadFirst: 8, WriteFirst: 4, WriteBack: 2, Opts: clank.OptAll,
+			TextStart: img.TextStart, TextEnd: img.TextEnd, ExemptPCs: exempt},
+			Opts: Options{Verify: true, PerfWatchdog: 3_000}},
 	}
 	b, err := NewBatch(tr, jobs)
 	if err != nil {
@@ -290,5 +298,149 @@ func TestBatchReplayZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state batched replay allocates %.1f times per Run, want 0", allocs)
+	}
+}
+
+// TestBatchMatchesScalarOnViolation pins the lockstep core's monitor
+// feed to the general core's: on hand-built traces in which a write from
+// a wrongly exempted PC overwrites a word the section has read, the
+// reference monitor must flag the same access in both engines, with the
+// same error text and the same Result. Each case reaches a different
+// monitor call site of the lockstep filter-probe loop.
+func TestBatchMatchesScalarOnViolation(t *testing.T) {
+	const (
+		textEnd = 0x100 // TEXT is [0, 0x100)
+		lit     = 0x40  // a TEXT word (literal pool)
+		a, b, c = 0x1000, 0x1004, 0x1008
+		pcRead  = 0x10
+		pcBad   = 0x20 // wrongly exempted: it overwrites read words
+	)
+	rd := func(addr, v uint32, cyc uint64) armsim.Access {
+		return armsim.Access{Addr: addr, Size: 4, Value: v, PC: pcRead, Cycle: cyc}
+	}
+	wr := func(addr, v, prev uint32, cyc uint64) armsim.Access {
+		return armsim.Access{Write: true, Addr: addr, Size: 4, Value: v, Prev: prev, PC: pcBad, Cycle: cyc}
+	}
+	exempt := map[uint32]bool{pcBad: true}
+	cases := []struct {
+		name  string
+		cfg   clank.Config
+		trace []armsim.Access
+	}{
+		{
+			// The TEXT read bypasses the detector; the exempt write of
+			// the never-inserted word is resolved by IdxMiss.
+			name: "text-read",
+			cfg: clank.Config{ReadFirst: 4, Opts: clank.OptIgnoreText,
+				TextEnd: textEnd, ExemptPCs: exempt},
+			trace: []armsim.Access{rd(a, 1, 10), rd(lit, 7, 20), rd(lit, 7, 30), wr(lit, 8, 7, 40), rd(b, 2, 50)},
+		},
+		{
+			// Reading a fills the one-entry Read-first Buffer; reading b
+			// overflows it into untracked mode, and c is read there. The
+			// exempt write of c is resolved by IdxMiss.
+			name:  "untracked-read",
+			cfg:   clank.Config{ReadFirst: 1, Opts: clank.OptLatestCheckpoint, ExemptPCs: exempt},
+			trace: []armsim.Access{rd(a, 1, 10), rd(b, 2, 20), rd(c, 3, 30), rd(c, 3, 40), wr(c, 4, 3, 50), rd(a, 1, 60)},
+		},
+		{
+			// a is Read-first resident, so the index cannot certify the
+			// exempt write: it takes the WritePre miss path.
+			name:  "rf-resident",
+			cfg:   clank.Config{ReadFirst: 4, ExemptPCs: exempt},
+			trace: []armsim.Access{rd(a, 1, 10), rd(b, 2, 20), rd(a, 1, 30), wr(a, 5, 1, 40), rd(c, 3, 50)},
+		},
+		{
+			// The exempt read of b takes the full ReadPre under a
+			// monitor; a plain write then passes through (WriteFirst 0)
+			// by IdxMiss.
+			name: "exempt-read-passthrough",
+			cfg:  clank.Config{ReadFirst: 4, ExemptPCs: map[uint32]bool{pcRead: true}},
+			trace: []armsim.Access{rd(a, 1, 10), rd(b, 2, 20), {Write: true, Addr: b, Size: 4, Value: 9, Prev: 2, PC: 0x30, Cycle: 30},
+				rd(c, 3, 40)},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			total := tc.trace[len(tc.trace)-1].Cycle + 10
+			o := Options{Verify: true}
+			want, werr := Simulate(tc.trace, total, tc.cfg, o)
+			if werr == nil {
+				t.Fatal("scalar replay missed the violation")
+			}
+			tr := NewBatchTrace(tc.trace, total, tc.cfg.TextStart, tc.cfg.TextEnd)
+			bt, err := NewBatch(tr, []Job{{Config: tc.cfg, Opts: o}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := make([]Result, 1)
+			errs := make([]error, 1)
+			bt.Run(res, errs)
+			if bt.sl[0].needsPowered {
+				t.Fatal("job left the lockstep core")
+			}
+			if errs[0] == nil || errs[0].Error() != werr.Error() {
+				t.Errorf("batch error %v\n  scalar error %v", errs[0], werr)
+			}
+			if res[0] != want {
+				t.Errorf("batch %+v\n  scalar %+v", res[0], want)
+			}
+		})
+	}
+}
+
+// TestBatchMatchesScalarWatchdogSpans covers the lockstep core's
+// Performance Watchdog across span boundaries: watchdog periods shorter
+// than, comparable to and longer than a span (and one that never fires)
+// must give Results byte-identical to Simulate's, monitored and not. The
+// compiled program spans several spans; the hand-built trace puts output
+// commits on span boundaries, where a segment that overran its span
+// would replay an access twice.
+func TestBatchMatchesScalarWatchdogSpans(t *testing.T) {
+	img, compiled, compiledTotal := buildTrace(t, strings.Replace(testProgram, "i < 200", "i < 2000", 1))
+	if len(compiled) < 4*spanChunk {
+		t.Fatalf("trace has %d accesses, want several spans", len(compiled))
+	}
+	var boundary []armsim.Access
+	for i := 0; i < 3*spanChunk+5; i++ {
+		a := armsim.Access{Addr: 0x1000 + uint32(i%8)*4, Size: 4, Value: uint32(i % 8), PC: 0x10, Cycle: uint64(10 * i)}
+		if i%spanChunk == 0 && i > 0 {
+			a = armsim.Access{Write: true, Addr: armsim.MemSize, Size: 4, Value: uint32(i), PC: 0x20, Cycle: uint64(10 * i)}
+		}
+		boundary = append(boundary, a)
+	}
+	boundaryTotal := uint64(10*len(boundary) + 10)
+
+	for _, tc := range []struct {
+		name  string
+		trace []armsim.Access
+		total uint64
+		cfg   clank.Config
+	}{
+		{"compiled", compiled, compiledTotal, clank.Config{ReadFirst: 8, WriteFirst: 4, WriteBack: 2,
+			Opts: clank.OptAll, TextStart: img.TextStart, TextEnd: img.TextEnd}},
+		{"boundary-outputs", boundary, boundaryTotal, clank.Config{ReadFirst: 8}},
+	} {
+		var jobs []Job
+		for _, wdt := range []uint64{700, 5_000, 60_000, 100_000, tc.total + 1} {
+			for _, verify := range []bool{false, true} {
+				jobs = append(jobs, Job{Config: tc.cfg, Opts: Options{PerfWatchdog: wdt, Verify: verify}})
+			}
+		}
+		tr := NewBatchTrace(tc.trace, tc.total, tc.cfg.TextStart, tc.cfg.TextEnd)
+		got, err := SimulateBatch(tr, jobs)
+		if err != nil {
+			t.Fatalf("%s: batch: %v", tc.name, err)
+		}
+		for i, j := range jobs {
+			want, err := Simulate(tc.trace, tc.total, j.Config, j.Opts)
+			if err != nil {
+				t.Fatalf("%s: scalar: %v", tc.name, err)
+			}
+			if got[i] != want {
+				t.Errorf("%s watchdog %d verify %v: batch %+v\n  scalar %+v",
+					tc.name, j.Opts.PerfWatchdog, j.Opts.Verify, got[i], want)
+			}
+		}
 	}
 }
