@@ -11,6 +11,7 @@
 //
 //	clank-fleet -bench crc -devices 10000
 //	clank-fleet [flags] prog.c
+//	clank-fleet -bench crc -devices 200 -cpuprofile cpu.prof
 package main
 
 import (
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 
 	"repro/internal/ccc"
 	"repro/internal/clank"
@@ -50,7 +52,24 @@ func main() {
 	outJSONL := flag.String("out", "", "write per-device results as JSON lines to this file")
 	outCSV := flag.String("csv", "", "write per-device results as CSV to this file")
 	jsonOut := flag.Bool("json", false, "print the aggregate+host report as JSON instead of text")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "clank-fleet:", err)
+			}
+		}
+		defer stopProfile()
+	}
 
 	cfg := clank.Config{ReadFirst: *rf, WriteFirst: *wf, WriteBack: *wb, AddrPrefix: *ap, PrefixLowBits: 6}
 	if *opts == "all" {
@@ -187,7 +206,12 @@ func writeSink(path string, rep *fleet.Report, write func(w io.Writer, results [
 	return f.Close()
 }
 
+// stopProfile ends the -cpuprofile recording. fatal calls it too, so a run
+// that fails still leaves a complete profile.
+var stopProfile = func() {}
+
 func fatal(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "clank-fleet:", err)
 	os.Exit(1)
 }

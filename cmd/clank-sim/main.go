@@ -8,12 +8,14 @@
 //
 //	clank-sim [flags] prog.c
 //	clank-sim [flags] -bench fft
+//	clank-sim -bench crc -cpuprofile cpu.prof
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"repro/internal/armsim"
 	"repro/internal/ccc"
@@ -38,7 +40,24 @@ func main() {
 	nvFaultSeed := flag.Uint64("nv-fault-seed", 1, "torn-write stream seed")
 	opts := flag.String("opts", "all", "policy optimizations: all or none")
 	schemeSpec := flag.String("scheme", "clank", "runtime scheme: clank, alpaca[:tasklen], dica[:interval]")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.Parse()
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "clank-sim:", err)
+			}
+		}
+		defer stopProfile()
+	}
 
 	fac, err := scheme.Parse(*schemeSpec)
 	if err != nil {
@@ -162,7 +181,12 @@ func pct(num, den uint64) float64 {
 	return float64(num) / float64(den) * 100
 }
 
+// stopProfile ends the -cpuprofile recording. fatal calls it too, so a run
+// that fails still leaves a complete profile.
+var stopProfile = func() {}
+
 func fatal(err error) {
+	stopProfile()
 	fmt.Fprintln(os.Stderr, "clank-sim:", err)
 	os.Exit(1)
 }

@@ -29,7 +29,11 @@ package armsim
 //     fold into one constant load (ccc's loadConst emits exactly these).
 //   - No per-instruction loop bookkeeping: PC writeback, the Cycle/Insns
 //     counters, and the budget check happen per micro-op inside one tight
-//     loop over a contiguous []fusedOp slice.
+//     loop over a contiguous []fusedOp slice. Every instruction the run
+//     covers has its own micro-op, PUSH/POP/LDM/STM included, so the loop
+//     never re-enters execDecoded, and register operands are masked at
+//     use (op.rd&15) so the register file is indexed without bounds
+//     checks.
 //
 // Correctness contract (the legacy interpreter stays the differential
 // reference, exactly as the predecode PR did):
@@ -50,6 +54,15 @@ package armsim
 //     checkpoint) calls CPU.Yield during the access, and the run stops
 //     right after that instruction with everything up to it committed:
 //     indistinguishable from Steps up to and including it.
+//   - Multi-register transfers (PUSH/POP/LDM/STM) are native micro-ops
+//     sharing storeMulti/loadMulti with execDecoded, so both rules above
+//     hold per instruction, not per access: every access of the transfer
+//     sees the Cycle flushed before its first; a veto or fault at
+//     register k leaves PC on the instruction with no register loaded and
+//     no base or SP writeback (stores 0..k-1 stay in memory, and
+//     re-execution rewrites them); a yield at any access completes the
+//     instruction and stops the run after it. POP with PC in the list
+//     ends its run and chains to the popped address.
 //   - Budgeted execution: a run executes only when the remaining budget
 //     covers its worst-case cycle cost (fusedRun.maxCyc) — StepFused and
 //     RunTo fall back to single-stepping otherwise, and chaining re-checks
@@ -71,6 +84,8 @@ package armsim
 //   - Re-entry at an arbitrary pc (a checkpoint resumed mid-block, a
 //     branch into the middle of a block) builds a fresh suffix run headed
 //     at that pc; blocks need no canonical head.
+
+import "math/bits"
 
 // Fusion limits. maxFuseInsns bounds translation and scan buffers;
 // maxRunSlots bounds a run's halfword span (each instruction is at most 2
@@ -155,12 +170,6 @@ const (
 	fopShlAdd   // R[rn] = R[rm] << imm ; R[rd] += R[rn] (unflagged)
 	fopShlAddF  // same, add flagged
 
-	// Generic fallback: execute the cached DecodedInsn at slot imm through
-	// execDecoded (PUSH/POP/LDM/STM — worth including for block length, not
-	// worth specializing). Its accesses follow the memory ops' rules below;
-	// POP with PC in the list is a branch and ends the run.
-	fopExec
-
 	// Memory (routed through pdLoad/pdStore). Each flushes the accumulated
 	// cycles first and may stop the run: before itself on an error, after
 	// itself on a yield.
@@ -181,7 +190,20 @@ const (
 	fopStrhRI
 	fopStrbRI
 
-	// Terminators (always the final micro-op).
+	// Multi-register transfers: imm is the register mask (bit i = R[i]),
+	// rn the base register (SP for PUSH/POP), cyc the cost 1+n (plus
+	// cycPopPC for fopPopPC). One word access per listed register, lowest
+	// first, through storeMulti/loadMulti, all seeing the one Cycle flushed
+	// before the first. A veto or fault at any access stops the run on the
+	// instruction with no writeback and no register loaded (earlier stores
+	// of a store-multiple stay in memory); a yield at any access stops it
+	// after the whole instruction.
+	fopStm   // store upward from R[rn]; R[rn] = end address
+	fopPush  // store upward from R[rn]-4n; R[rn] = that start address
+	fopLdm   // load upward from R[rn]; R[rn] = end unless rn is listed (also POP)
+	fopPopPC // POP with PC listed: fopLdm, then return to the popped address
+
+	// Terminators (always the final micro-op; fopPopPC above is one too).
 	fopB     // unconditional: next = imm (absolute, precomputed)
 	fopBc    // conditional: cond in rd, target in imm, fallthrough endPC
 	fopBL    // R[LR] = (pc+4)|1, next = imm
@@ -355,7 +377,7 @@ func (c *CPU) buildRun(pc uint32) int32 {
 		case k == kindBKPT || k == kindSYS32 || k == kindUndef || k == kindNone:
 			stop = true // excluded: run ends before these
 		case k == kindPOP:
-			final = d.Raw&0x100 != 0 // POP with PC in the list is a return
+			final = d.Raw&(1<<PC) != 0 // POP with PC in the list is a return
 		case k == kindBCond || k == kindB || k == kindBL:
 			final = true
 		case k == kindBXBLX:
@@ -394,12 +416,12 @@ func (c *CPU) buildRun(pc uint32) int32 {
 	endPC := cur
 
 	// Lazy flags: backward liveness with all flags live at run exit.
-	// Memory accesses (and the exec fallback covering PUSH/POP/LDM/STM) are
-	// early-stop points even mid-run: a fault or veto leaves PC at the
-	// access with the preceding boundary's flags observable, and a yield or
-	// a store that invalidates its own run stops right after the access.
-	// Treat them as full flag barriers so NZCV is architecturally exact at
-	// those boundaries.
+	// Memory accesses (PUSH/POP/LDM/STM included) are early-stop points
+	// even mid-run: a fault or veto leaves PC at the access with the
+	// preceding boundary's flags observable, and a yield or a store that
+	// invalidates its own run stops right after the access. Treat them as
+	// full flag barriers so NZCV is architecturally exact at those
+	// boundaries.
 	var needF [maxFuseInsns]bool
 	live := uint8(flNZCV)
 	for i := n - 1; i >= 0; i-- {
@@ -630,8 +652,17 @@ func (c *CPU) emitOp(d *DecodedInsn, pc uint32, flagged bool, endPC uint32) {
 	case kindLDRSP:
 		op.code, op.rn, op.cyc = fopLdrRI, SP, cycLoad
 
-	case kindPUSH, kindPOP, kindLDM, kindSTM:
-		op.code, op.imm = fopExec, pc>>1
+	case kindPUSH:
+		op.code, op.rn, op.imm, op.cyc = fopPush, SP, uint32(d.Raw), 1+d.Rn
+	case kindSTM:
+		op.code, op.rn, op.imm, op.cyc = fopStm, d.Rd, uint32(d.Raw), 1+d.Rn
+	case kindLDM:
+		op.code, op.rn, op.imm, op.cyc = fopLdm, d.Rd, uint32(d.Raw), 1+d.Rn
+	case kindPOP:
+		op.code, op.rn, op.imm, op.cyc = fopLdm, SP, uint32(d.Raw), 1+d.Rn
+		if d.Raw&(1<<PC) != 0 {
+			op.code, op.cyc = fopPopPC, 1+d.Rn+cycPopPC
+		}
 
 	case kindADR:
 		op.code, op.imm = fopMovImm, ((pc+4)&^3)+d.Imm
@@ -818,139 +849,139 @@ next:
 			}
 
 		case fopMovImm:
-			c.R[op.rd] = op.imm
+			c.R[op.rd&15] = op.imm
 		case fopMovReg:
-			c.R[op.rd] = c.R[op.rm]
+			c.R[op.rd&15] = c.R[op.rm&15]
 		case fopAddImm:
-			c.R[op.rd] = c.R[op.rn] + op.imm
+			c.R[op.rd&15] = c.R[op.rn&15] + op.imm
 		case fopSubImm:
-			c.R[op.rd] = c.R[op.rn] - op.imm
+			c.R[op.rd&15] = c.R[op.rn&15] - op.imm
 		case fopAddReg:
-			c.R[op.rd] = c.R[op.rn] + c.R[op.rm]
+			c.R[op.rd&15] = c.R[op.rn&15] + c.R[op.rm&15]
 		case fopSubReg:
-			c.R[op.rd] = c.R[op.rn] - c.R[op.rm]
+			c.R[op.rd&15] = c.R[op.rn&15] - c.R[op.rm&15]
 		case fopAnd:
-			c.R[op.rd] &= c.R[op.rm]
+			c.R[op.rd&15] &= c.R[op.rm&15]
 		case fopEor:
-			c.R[op.rd] ^= c.R[op.rm]
+			c.R[op.rd&15] ^= c.R[op.rm&15]
 		case fopOrr:
-			c.R[op.rd] |= c.R[op.rm]
+			c.R[op.rd&15] |= c.R[op.rm&15]
 		case fopBic:
-			c.R[op.rd] &^= c.R[op.rm]
+			c.R[op.rd&15] &^= c.R[op.rm&15]
 		case fopMvn:
-			c.R[op.rd] = ^c.R[op.rm]
+			c.R[op.rd&15] = ^c.R[op.rm&15]
 		case fopMul:
-			c.R[op.rd] *= c.R[op.rm]
+			c.R[op.rd&15] *= c.R[op.rm&15]
 		case fopNeg:
-			c.R[op.rd] = -c.R[op.rm]
+			c.R[op.rd&15] = -c.R[op.rm&15]
 		case fopLslImm:
-			c.R[op.rd] = c.R[op.rm] << op.imm
+			c.R[op.rd&15] = c.R[op.rm&15] << op.imm
 		case fopLsrImm:
-			c.R[op.rd] = c.R[op.rm] >> op.imm
+			c.R[op.rd&15] = c.R[op.rm&15] >> op.imm
 		case fopAsrImm:
-			c.R[op.rd] = uint32(int32(c.R[op.rm]) >> op.imm)
+			c.R[op.rd&15] = uint32(int32(c.R[op.rm&15]) >> op.imm)
 		case fopLslReg:
-			sh := c.R[op.rm] & 0xFF
-			v := c.R[op.rd]
+			sh := c.R[op.rm&15] & 0xFF
+			v := c.R[op.rd&15]
 			if sh >= 32 {
 				v = 0
 			} else {
 				v <<= sh
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 		case fopLsrReg:
-			sh := c.R[op.rm] & 0xFF
-			v := c.R[op.rd]
+			sh := c.R[op.rm&15] & 0xFF
+			v := c.R[op.rd&15]
 			if sh >= 32 {
 				v = 0
 			} else {
 				v >>= sh
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 		case fopAsrReg:
-			sh := c.R[op.rm] & 0xFF
+			sh := c.R[op.rm&15] & 0xFF
 			if sh >= 32 {
 				sh = 31
 			}
-			c.R[op.rd] = uint32(int32(c.R[op.rd]) >> sh)
+			c.R[op.rd&15] = uint32(int32(c.R[op.rd&15]) >> sh)
 		case fopRorReg:
-			if sh := c.R[op.rm] & 31; sh != 0 {
-				v := c.R[op.rd]
-				c.R[op.rd] = v>>sh | v<<(32-sh)
+			if sh := c.R[op.rm&15] & 31; sh != 0 {
+				v := c.R[op.rd&15]
+				c.R[op.rd&15] = v>>sh | v<<(32-sh)
 			}
 		case fopSxth:
-			c.R[op.rd] = signExt16(c.R[op.rm])
+			c.R[op.rd&15] = signExt16(c.R[op.rm&15])
 		case fopSxtb:
-			c.R[op.rd] = signExt8(c.R[op.rm])
+			c.R[op.rd&15] = signExt8(c.R[op.rm&15])
 		case fopUxth:
-			c.R[op.rd] = c.R[op.rm] & 0xFFFF
+			c.R[op.rd&15] = c.R[op.rm&15] & 0xFFFF
 		case fopUxtb:
-			c.R[op.rd] = c.R[op.rm] & 0xFF
+			c.R[op.rd&15] = c.R[op.rm&15] & 0xFF
 		case fopRev:
-			v := c.R[op.rm]
-			c.R[op.rd] = v<<24 | v>>24 | (v&0xFF00)<<8 | (v>>8)&0xFF00
+			v := c.R[op.rm&15]
+			c.R[op.rd&15] = v<<24 | v>>24 | (v&0xFF00)<<8 | (v>>8)&0xFF00
 		case fopRev16:
-			v := c.R[op.rm]
-			c.R[op.rd] = (v&0x00FF00FF)<<8 | (v>>8)&0x00FF00FF
+			v := c.R[op.rm&15]
+			c.R[op.rd&15] = (v&0x00FF00FF)<<8 | (v>>8)&0x00FF00FF
 		case fopRevsh:
-			v := c.R[op.rm]
-			c.R[op.rd] = uint32(int32(int16(v<<8 | (v>>8)&0xFF)))
+			v := c.R[op.rm&15]
+			c.R[op.rd&15] = uint32(int32(int16(v<<8 | (v>>8)&0xFF)))
 
 		case fopMovImmF:
-			c.R[op.rd] = op.imm
+			c.R[op.rd&15] = op.imm
 			c.setNZ(op.imm)
 		case fopMovRegF:
-			v := c.R[op.rm]
-			c.R[op.rd] = v
+			v := c.R[op.rm&15]
+			c.R[op.rd&15] = v
 			c.setNZ(v)
 		case fopAddImmF:
-			c.R[op.rd] = c.addFlags(c.R[op.rn], op.imm, false)
+			c.R[op.rd&15] = c.addFlags(c.R[op.rn&15], op.imm, false)
 		case fopSubImmF:
-			c.R[op.rd] = c.addFlags(c.R[op.rn], ^op.imm, true)
+			c.R[op.rd&15] = c.addFlags(c.R[op.rn&15], ^op.imm, true)
 		case fopAddRegF:
-			c.R[op.rd] = c.addFlags(c.R[op.rn], c.R[op.rm], false)
+			c.R[op.rd&15] = c.addFlags(c.R[op.rn&15], c.R[op.rm&15], false)
 		case fopSubRegF:
-			c.R[op.rd] = c.addFlags(c.R[op.rn], ^c.R[op.rm], true)
+			c.R[op.rd&15] = c.addFlags(c.R[op.rn&15], ^c.R[op.rm&15], true)
 		case fopAndF:
-			c.R[op.rd] &= c.R[op.rm]
-			c.setNZ(c.R[op.rd])
+			c.R[op.rd&15] &= c.R[op.rm&15]
+			c.setNZ(c.R[op.rd&15])
 		case fopEorF:
-			c.R[op.rd] ^= c.R[op.rm]
-			c.setNZ(c.R[op.rd])
+			c.R[op.rd&15] ^= c.R[op.rm&15]
+			c.setNZ(c.R[op.rd&15])
 		case fopOrrF:
-			c.R[op.rd] |= c.R[op.rm]
-			c.setNZ(c.R[op.rd])
+			c.R[op.rd&15] |= c.R[op.rm&15]
+			c.setNZ(c.R[op.rd&15])
 		case fopBicF:
-			c.R[op.rd] &^= c.R[op.rm]
-			c.setNZ(c.R[op.rd])
+			c.R[op.rd&15] &^= c.R[op.rm&15]
+			c.setNZ(c.R[op.rd&15])
 		case fopMvnF:
-			c.R[op.rd] = ^c.R[op.rm]
-			c.setNZ(c.R[op.rd])
+			c.R[op.rd&15] = ^c.R[op.rm&15]
+			c.setNZ(c.R[op.rd&15])
 		case fopMulF:
-			c.R[op.rd] *= c.R[op.rm]
-			c.setNZ(c.R[op.rd])
+			c.R[op.rd&15] *= c.R[op.rm&15]
+			c.setNZ(c.R[op.rd&15])
 		case fopNegF:
-			c.R[op.rd] = c.addFlags(^c.R[op.rm], 0, true)
+			c.R[op.rd&15] = c.addFlags(^c.R[op.rm&15], 0, true)
 		case fopAdc:
-			c.R[op.rd] = c.addFlags(c.R[op.rd], c.R[op.rm], c.C)
+			c.R[op.rd&15] = c.addFlags(c.R[op.rd&15], c.R[op.rm&15], c.C)
 		case fopSbc:
-			c.R[op.rd] = c.addFlags(c.R[op.rd], ^c.R[op.rm], c.C)
+			c.R[op.rd&15] = c.addFlags(c.R[op.rd&15], ^c.R[op.rm&15], c.C)
 		case fopTstF:
-			c.setNZ(c.R[op.rd] & c.R[op.rm])
+			c.setNZ(c.R[op.rd&15] & c.R[op.rm&15])
 		case fopCmpImmF:
-			c.addFlags(c.R[op.rd], ^op.imm, true)
+			c.addFlags(c.R[op.rd&15], ^op.imm, true)
 		case fopCmpRegF:
-			c.addFlags(c.R[op.rd], ^c.R[op.rm], true)
+			c.addFlags(c.R[op.rd&15], ^c.R[op.rm&15], true)
 		case fopCmnF:
-			c.addFlags(c.R[op.rd], c.R[op.rm], false)
+			c.addFlags(c.R[op.rd&15], c.R[op.rm&15], false)
 		case fopLslImmF:
-			v := c.R[op.rm]
+			v := c.R[op.rm&15]
 			c.C = v&(1<<(32-op.imm)) != 0
 			v <<= op.imm
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 			c.setNZ(v)
 		case fopLsrImmF:
-			v := c.R[op.rm]
+			v := c.R[op.rm&15]
 			if op.imm == 32 {
 				c.C = v&0x80000000 != 0
 				v = 0
@@ -958,10 +989,10 @@ next:
 				c.C = v&(1<<(op.imm-1)) != 0
 				v >>= op.imm
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 			c.setNZ(v)
 		case fopAsrImmF:
-			v := int32(c.R[op.rm])
+			v := int32(c.R[op.rm&15])
 			if op.imm == 32 {
 				c.C = v < 0
 				v >>= 31
@@ -969,11 +1000,11 @@ next:
 				c.C = v&(1<<(op.imm-1)) != 0
 				v >>= op.imm
 			}
-			c.R[op.rd] = uint32(v)
+			c.R[op.rd&15] = uint32(v)
 			c.setNZ(uint32(v))
 		case fopLslRegF:
-			sh := c.R[op.rm] & 0xFF
-			v := c.R[op.rd]
+			sh := c.R[op.rm&15] & 0xFF
+			v := c.R[op.rd&15]
 			switch {
 			case sh == 0:
 			case sh < 32:
@@ -986,11 +1017,11 @@ next:
 				c.C = false
 				v = 0
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 			c.setNZ(v)
 		case fopLsrRegF:
-			sh := c.R[op.rm] & 0xFF
-			v := c.R[op.rd]
+			sh := c.R[op.rm&15] & 0xFF
+			v := c.R[op.rd&15]
 			switch {
 			case sh == 0:
 			case sh < 32:
@@ -1003,11 +1034,11 @@ next:
 				c.C = false
 				v = 0
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 			c.setNZ(v)
 		case fopAsrRegF:
-			sh := c.R[op.rm] & 0xFF
-			v := int32(c.R[op.rd])
+			sh := c.R[op.rm&15] & 0xFF
+			v := int32(c.R[op.rd&15])
 			switch {
 			case sh == 0:
 			case sh < 32:
@@ -1017,11 +1048,11 @@ next:
 				c.C = v < 0
 				v >>= 31
 			}
-			c.R[op.rd] = uint32(v)
+			c.R[op.rd&15] = uint32(v)
 			c.setNZ(uint32(v))
 		case fopRorRegF:
-			sh := c.R[op.rm] & 0xFF
-			v := c.R[op.rd]
+			sh := c.R[op.rm&15] & 0xFF
+			v := c.R[op.rd&15]
 			if sh != 0 {
 				rr := sh & 31
 				if rr == 0 {
@@ -1031,7 +1062,7 @@ next:
 					c.C = v&0x80000000 != 0
 				}
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 			c.setNZ(v)
 
 		case fopCmpImmB, fopCmpRegB, fopSubsImmB:
@@ -1041,12 +1072,12 @@ next:
 			cond := int(op.rm)
 			switch op.code {
 			case fopCmpImmB:
-				c.addFlags(c.R[op.rd], ^uint32(op.rn), true)
+				c.addFlags(c.R[op.rd&15], ^uint32(op.rn), true)
 			case fopSubsImmB:
-				c.R[op.rd] = c.addFlags(c.R[op.rd], ^uint32(op.rn), true)
+				c.R[op.rd&15] = c.addFlags(c.R[op.rd&15], ^uint32(op.rn), true)
 			default:
 				cond = int(op.rn)
-				c.addFlags(c.R[op.rd], ^c.R[op.rm], true)
+				c.addFlags(c.R[op.rd&15], ^c.R[op.rm&15], true)
 			}
 			cum += cycALU
 			ret++
@@ -1065,8 +1096,8 @@ next:
 			goto chain
 		case fopShlAdd, fopShlAddF:
 			// LSLS t, s, #n ; ADD a, a, t — budget-checked between halves.
-			s := c.R[op.rm] << op.imm
-			c.R[op.rn] = s
+			s := c.R[op.rm&15] << op.imm
+			c.R[op.rn&15] = s
 			cum += cycALU
 			ret++
 			if cum >= budget {
@@ -1074,9 +1105,9 @@ next:
 				goto stop
 			}
 			if op.code == fopShlAdd {
-				c.R[op.rd] += s
+				c.R[op.rd&15] += s
 			} else {
-				c.R[op.rd] = c.addFlags(c.R[op.rd], s, false)
+				c.R[op.rd&15] = c.addFlags(c.R[op.rd&15], s, false)
 			}
 			cum += cycALU
 			ret++
@@ -1086,39 +1117,52 @@ next:
 			}
 			continue
 
-		case fopExec:
-			// PUSH/POP/LDM/STM through execDecoded, with the accumulated
-			// cycles flushed first so their accesses see the exact Cycle.
-			// Every flush rebases budget by the flushed amount so already-
-			// spent cycles keep counting against it — otherwise a looping
-			// block containing a memory access resets cum each iteration
-			// and never exhausts the budget.
+		case fopStm, fopPush:
 			c.Cycle += cum
 			budget -= cum
 			cum = 0
-			d := &pd.tab[op.imm]
-			if d.Kind == kindNone {
-				// Invalidated under us; an earlier store in this run
-				// already stopped it, so this is purely defensive.
-				pc = op.pc
-				goto stop
+			rn := op.rn & 15
+			start := c.R[rn]
+			if op.code == fopPush {
+				start -= 4 * uint32(bits.OnesCount32(op.imm))
 			}
-			cycles, nxt, err := c.execDecoded(d, op.pc)
+			end, err := c.storeMulti(start, op.imm, op.pc)
 			if err != nil {
 				return c.runFault(op.pc, ret, err)
 			}
-			cum += uint64(cycles)
+			if op.code == fopPush {
+				end = start
+			}
+			c.R[rn] = end
+			cum += uint64(op.cyc)
 			ret++
+			// The single stores' self-modifying-text and yield check.
 			if pd.runTab[r.head] != rid || cum >= budget || c.yield {
-				pc = nxt
+				pc = nextPC(r, ops, i)
 				goto stop
 			}
-			if nxt != op.pc+2 {
-				// POP with PC in the list: a return.
-				pc = nxt
+			continue
+		case fopLdm, fopPopPC:
+			c.Cycle += cum
+			budget -= cum
+			cum = 0
+			rn := op.rn & 15
+			end, err := c.loadMulti(c.R[rn], op.imm, op.pc)
+			if err != nil {
+				return c.runFault(op.pc, ret, err)
+			}
+			if op.imm&(1<<rn) == 0 {
+				c.R[rn] = end
+			}
+			if op.code == fopPopPC {
+				cum += uint64(op.cyc)
+				ret++
+				pc = c.R[PC] &^ 1
+				if c.yield {
+					goto stop
+				}
 				goto chain
 			}
-			continue
 
 		case fopLdrLitC:
 			c.Cycle += cum
@@ -1128,7 +1172,7 @@ next:
 			if err != nil {
 				return c.runFault(op.pc, ret, err)
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 		case fopLdrLitT:
 			c.Cycle += cum
 			budget -= cum
@@ -1137,12 +1181,12 @@ next:
 			if err != nil {
 				return c.runFault(op.pc, ret, err)
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 		case fopLdrRR, fopLdrhRR, fopLdrbRR, fopLdrshRR, fopLdrsbRR:
 			c.Cycle += cum
 			budget -= cum
 			cum = 0
-			addr := c.R[op.rn] + c.R[op.rm]
+			addr := c.R[op.rn&15] + c.R[op.rm&15]
 			var size uint8 = 4
 			switch op.code {
 			case fopLdrhRR, fopLdrshRR:
@@ -1160,7 +1204,7 @@ next:
 			case fopLdrsbRR:
 				v = signExt8(v)
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 		case fopLdrRI, fopLdrhRI, fopLdrbRI:
 			c.Cycle += cum
 			budget -= cum
@@ -1171,11 +1215,11 @@ next:
 			} else if op.code == fopLdrbRI {
 				size = 1
 			}
-			v, err := c.pdLoad(c.R[op.rn]+op.imm, size, op.pc)
+			v, err := c.pdLoad(c.R[op.rn&15]+op.imm, size, op.pc)
 			if err != nil {
 				return c.runFault(op.pc, ret, err)
 			}
-			c.R[op.rd] = v
+			c.R[op.rd&15] = v
 		case fopStrRR, fopStrhRR, fopStrbRR, fopStrRI, fopStrhRI, fopStrbRI:
 			c.Cycle += cum
 			budget -= cum
@@ -1184,19 +1228,19 @@ next:
 			var size uint8
 			switch op.code {
 			case fopStrRR:
-				addr, size = c.R[op.rn]+c.R[op.rm], 4
+				addr, size = c.R[op.rn&15]+c.R[op.rm&15], 4
 			case fopStrhRR:
-				addr, size = c.R[op.rn]+c.R[op.rm], 2
+				addr, size = c.R[op.rn&15]+c.R[op.rm&15], 2
 			case fopStrbRR:
-				addr, size = c.R[op.rn]+c.R[op.rm], 1
+				addr, size = c.R[op.rn&15]+c.R[op.rm&15], 1
 			case fopStrRI:
-				addr, size = c.R[op.rn]+op.imm, 4
+				addr, size = c.R[op.rn&15]+op.imm, 4
 			case fopStrhRI:
-				addr, size = c.R[op.rn]+op.imm, 2
+				addr, size = c.R[op.rn&15]+op.imm, 2
 			default:
-				addr, size = c.R[op.rn]+op.imm, 1
+				addr, size = c.R[op.rn&15]+op.imm, 1
 			}
-			if err := c.pdStore(addr, size, c.R[op.rd], op.pc); err != nil {
+			if err := c.pdStore(addr, size, c.R[op.rd&15], op.pc); err != nil {
 				return c.runFault(op.pc, ret, err)
 			}
 			cum += uint64(op.cyc)
@@ -1235,21 +1279,21 @@ next:
 		case fopBX:
 			cum += cycBX
 			ret++
-			pc = c.R[op.rm] &^ 1
+			pc = c.R[op.rm&15] &^ 1
 			goto chain
 		case fopBLX:
-			pc = c.R[op.rm] &^ 1
+			pc = c.R[op.rm&15] &^ 1
 			c.R[LR] = (op.pc + 2) | 1
 			cum += cycBX
 			ret++
 			goto chain
 		case fopAddPC:
-			pc = (op.pc + 4 + c.R[op.rm]) &^ 1
+			pc = (op.pc + 4 + c.R[op.rm&15]) &^ 1
 			cum += cycBX
 			ret++
 			goto chain
 		case fopMovPC:
-			pc = c.R[op.rm] &^ 1
+			pc = c.R[op.rm&15] &^ 1
 			cum += cycBX
 			ret++
 			goto chain

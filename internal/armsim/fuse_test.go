@@ -450,6 +450,86 @@ func TestFusedMonitoredYieldAndVeto(t *testing.T) {
 	}
 }
 
+// TestFusedMonitoredYieldAndVetoMultiTransfer runs each multi-register
+// transfer mid-run on a strict-mode bus and vetoes, then yields, at every
+// access ordinal k of the transfer. After every StepFused the full state —
+// registers (SP and PC included), flags, Cycle, Insns, the bus log with its
+// cycle stamps, and all of memory — must equal the legacy decoder's at the
+// same instruction count. The first call must also stop where the contract
+// puts it: on a veto, at the transfer with only the ALU op before it
+// retired; on a yield, right after the whole transfer (at the popped
+// address for POP with PC, without chaining into the run there).
+func TestFusedMonitoredYieldAndVetoMultiTransfer(t *testing.T) {
+	const stackData, popTarget = 0x200, 24
+	cases := []struct {
+		name     string
+		op       uint16
+		accesses uint32
+		after    uint32 // pc once the transfer has completed
+	}{
+		{"push_r0-r2_lr", 0xB507, 4, 12},
+		{"pop_r0-r2_pc", 0xBD07, 4, popTarget},
+		{"stm_r4!_r0-r2", 0xC407, 3, 12},
+		{"ldm_r4!_r0-r2", 0xCC07, 3, 12},   // base outside the list: writeback
+		{"ldm_r4_r2_r4_r5", 0xCC34, 3, 12}, // base in the list: no writeback
+	}
+	for _, tc := range cases {
+		for _, yield := range []bool{false, true} {
+			for k := uint32(0); k < tc.accesses; k++ {
+				label := fmt.Sprintf("%s veto at access %d", tc.name, k)
+				if yield {
+					label = fmt.Sprintf("%s yield at access %d", tc.name, k)
+				}
+				p := newMonitoredPair(t)
+				p.writeProgram(8, []uint16{
+					addImm8(6, 1), //  8
+					tc.op,         // 10: the transfer under test
+					addImm8(6, 1), // 12
+					addImm8(6, 1), // 14
+					opBKPT, opBKPT, opBKPT, opBKPT,
+					addImm8(6, 1), // 24: POP's return address
+					addImm8(7, 1), // 26
+					opBKPT,        // 28
+				})
+				p.seed(0xC0FFEE+k, 8)
+				for _, m := range []*Machine{p.ref, p.fus} {
+					m.CPU.R[4] = stackData
+					sp := m.CPU.R[SP]
+					for i := uint32(0); i < 3; i++ {
+						m.Mem.WriteWord(sp+4*i, 0x1111*(i+1))
+						m.Mem.WriteWord(stackData+4*i, 0x2222*(i+1))
+					}
+					m.Mem.WriteWord(sp+12, popTarget|1)
+				}
+				rule := func(n uint32) (bool, bool) { return !yield && n == k, yield && n == k }
+				p.refBus.rule, p.fusBus.rule = rule, rule
+				err := p.sync(t, 1000, label)
+				p.deepCompare(t, label)
+				q := p.fus.CPU
+				if q.pd.runTab[8>>1] <= 0 {
+					t.Fatalf("%s: the run holding the transfer was not fused", label)
+				}
+				switch {
+				case !yield && (!errors.Is(err, errTestVeto) || q.R[PC] != 10 || q.Insns != 1):
+					t.Fatalf("%s: err %v pc %d insns %d; want the veto with pc 10 after 1 insn", label, err, q.R[PC], q.Insns)
+				case yield && (err != nil || q.R[PC] != tc.after || q.Insns != 2):
+					t.Fatalf("%s: err %v pc %d insns %d; want a stop at pc %d after 2 insns", label, err, q.R[PC], q.Insns, tc.after)
+				}
+				for step := 0; err == nil || errors.Is(err, errTestVeto); step++ {
+					if step == 8 {
+						t.Fatalf("%s: no halt after %d more calls", label, step)
+					}
+					err = p.sync(t, 1000, label)
+					p.deepCompare(t, label)
+				}
+				if !errors.Is(err, ErrHalted) {
+					t.Fatalf("%s: stopped with %v, want a halt", label, err)
+				}
+			}
+		}
+	}
+}
+
 // hw renders opcodes as little-endian bytes for fuzz corpus entries.
 func hw(ops ...uint16) []byte {
 	b := make([]byte, 2*len(ops))
@@ -461,10 +541,11 @@ func hw(ops ...uint16) []byte {
 }
 
 // FuzzFusedBlocks feeds arbitrary instruction blocks through the fused/legacy
-// differential. The committed seeds pin the three scenarios the fusion layer
-// must survive: a branch into the middle of an already-fused run, a store
-// into the run currently executing, and a flag consumer heading a run (lazy
-// flag evaluation must materialize flags across run boundaries).
+// differential. The committed seeds pin the scenarios the fusion layer must
+// survive: a branch into the middle of an already-fused run, a store into
+// the run currently executing, a flag consumer heading a run (lazy flag
+// evaluation must materialize flags across run boundaries), monitored
+// accesses mid-run, and a multi-register transfer vetoed mid-transfer.
 func FuzzFusedBlocks(f *testing.F) {
 	// 1. Backward conditional branch into the middle of a fused run: the
 	//    mid-run entry at 10 must build (and match) its own suffix run.
@@ -512,6 +593,27 @@ func FuzzFusedBlocks(f *testing.F) {
 		uint16(0b01100<<11|3<<6|2<<3|0), // STR r0, [r2, #12]
 		uint16(0b01101<<11|3<<6|2<<3|4), // LDR r4, [r2, #12]
 		0xE7F8,                          // B .-12 -> 8
+	))
+	// 5. A call loop whose callee spills with PUSH {r0,lr}, stores with
+	//    STM and returns with POP {r0,pc}. On the monitored pair the
+	//    access-ordinal hash vetoes the STM on its second store inside a
+	//    fused call (the first store stays in memory, r5 is not written
+	//    back, PC stays on the STM), and a later fused call returns
+	//    through the POP straight into the fused run at the return site.
+	bl1, bl2 := encodeBL(22 - (12 + 4))
+	f.Add(uint8(5), uint32(0x55), hw(
+		movImm8(7, 40), //  8: MOVS r7, #40
+		addImm8(6, 1),  // 10: loop: ADDS r6, #1
+		bl1, bl2,       // 12: BL fn
+		subImm8(7, 1),                     // 16: SUBS r7, #1
+		0xD100|uint16((10-(18+4))/2&0xFF), // 18: BNE loop
+		opBKPT,                            // 20
+		0xB501,                            // 22: fn: PUSH {r0, lr}
+		uint16(0b01101<<11|0<<6|5<<3|0),   // 24: LDR r0, [r5]
+		uint16(0b01101<<11|1<<6|5<<3|0),   // 26: LDR r0, [r5, #4]
+		0xC507,                            // 28: STM r5!, {r0-r2}
+		subImm8(5, 12),                    // 30: SUBS r5, #12
+		0xBD01,                            // 32: POP {r0, pc}
 	))
 	f.Fuzz(func(t *testing.T, budgetSel uint8, seed uint32, prog []byte) {
 		if len(prog) > 96 {

@@ -20,6 +20,8 @@ package armsim
 // failures never flush the cache: non-volatile memory survives them, so
 // every cached entry is still exact after a rollback.
 
+import "math/bits"
+
 // Instruction kinds. The executor switches on this dense enumeration, which
 // the compiler lowers to a jump table. kindNone (the zero value) marks an
 // undecoded cache slot.
@@ -132,7 +134,7 @@ type DecodedInsn struct {
 	Rd   uint8  // destination / first operand register (or condition code)
 	Rn   uint8  // base register (or pre-counted register-list population)
 	Rm   uint8  // second operand register
-	Raw  uint16 // original halfword: register lists, undefined encodings
+	Raw  uint16 // PUSH/POP/LDM/STM register mask (bit i = R[i]); else the halfword
 	Imm  uint32 // pre-scaled immediate or sign-extended branch offset
 }
 
@@ -454,25 +456,19 @@ func predecodeMisc(op uint16) DecodedInsn {
 	case op>>6 == 0b1011001011:
 		return DecodedInsn{Kind: kindUXTB, Rd: uint8(op) & 7, Rm: uint8(op>>3) & 7}
 	case op>>9 == 0b1011010:
-		list := op & 0x1FF
-		n := popCount(int(list & 0xFF))
-		if list&0x100 != 0 {
-			n++
-		}
-		if n == 0 {
+		// The list's M bit names LR: Raw holds the full register mask.
+		list := op&0xFF | (op&0x100)<<(LR-8)
+		if list == 0 {
 			return DecodedInsn{Kind: kindUndef, Raw: op}
 		}
-		return DecodedInsn{Kind: kindPUSH, Rn: uint8(n), Raw: list}
+		return DecodedInsn{Kind: kindPUSH, Rn: uint8(popCount(int(list))), Raw: list}
 	case op>>9 == 0b1011110:
-		list := op & 0x1FF
-		n := popCount(int(list & 0xFF))
-		if list&0x100 != 0 {
-			n++
-		}
-		if n == 0 {
+		// The list's P bit names PC.
+		list := op&0xFF | (op&0x100)<<(PC-8)
+		if list == 0 {
 			return DecodedInsn{Kind: kindUndef, Raw: op}
 		}
-		return DecodedInsn{Kind: kindPOP, Rn: uint8(n), Raw: list}
+		return DecodedInsn{Kind: kindPOP, Rn: uint8(popCount(int(list))), Raw: list}
 	case op>>6 == 0b1011101000:
 		return DecodedInsn{Kind: kindREV, Rd: uint8(op) & 7, Rm: uint8(op>>3) & 7}
 	case op>>6 == 0b1011101001:
@@ -589,6 +585,45 @@ func (c *CPU) storeD(addr uint32, size uint8, v uint32, pc, next uint32) (int, u
 		return 0, 0, err
 	}
 	return cycStore, next, nil
+}
+
+// storeMulti stores the registers in list (bit i = R[i]) to consecutive
+// words from addr, lowest register first, and returns the address after the
+// last word. It stops at the first failing store: the stores before it stay
+// in memory (re-execution rewrites the same values, see DESIGN.md) and the
+// caller skips its base-register writeback. Shared by execDecoded and the
+// fused engine's PUSH/STM micro-ops.
+func (c *CPU) storeMulti(addr, list, pc uint32) (uint32, error) {
+	for l := list; l != 0; l &= l - 1 {
+		if err := c.pdStore(addr, 4, c.R[bits.TrailingZeros32(l)&15], pc); err != nil {
+			return 0, err
+		}
+		addr += 4
+	}
+	return addr, nil
+}
+
+// loadMulti loads consecutive words from addr into the registers in list
+// (bit i = R[i]; a PC bit leaves the raw popped value in R[PC] for the
+// caller to turn into the next pc) and returns the address after the last
+// word. Every load happens before any register is written, so a failing
+// load leaves the register file unchanged. Shared by execDecoded and the
+// fused engine's POP/LDM micro-ops.
+func (c *CPU) loadMulti(addr, list, pc uint32) (uint32, error) {
+	var vals [16]uint32
+	for l := list; l != 0; l &= l - 1 {
+		v, err := c.pdLoad(addr, 4, pc)
+		if err != nil {
+			return 0, err
+		}
+		vals[bits.TrailingZeros32(l)&15] = v
+		addr += 4
+	}
+	for l := list; l != 0; l &= l - 1 {
+		r := bits.TrailingZeros32(l) & 15
+		c.R[r] = vals[r]
+	}
+	return addr, nil
 }
 
 // execDecoded executes one predecoded instruction at pc, returning its
@@ -868,65 +903,23 @@ func (c *CPU) execDecoded(d *DecodedInsn, pc uint32) (cycles int, next uint32, e
 		return cycALU, next, nil
 
 	case kindPUSH:
-		list := int(d.Raw)
-		n := int(d.Rn)
-		base := c.R[SP] - uint32(4*n)
-		addr := base
-		for i := 0; i < 8; i++ {
-			if list&(1<<i) != 0 {
-				if err := c.pdStore(addr, 4, c.R[i], pc); err != nil {
-					return 0, 0, err
-				}
-				addr += 4
-			}
-		}
-		if list&0x100 != 0 {
-			if err := c.pdStore(addr, 4, c.R[LR], pc); err != nil {
-				return 0, 0, err
-			}
+		base := c.R[SP] - 4*uint32(d.Rn)
+		if _, err := c.storeMulti(base, uint32(d.Raw), pc); err != nil {
+			return 0, 0, err
 		}
 		c.R[SP] = base
-		return 1 + n, next, nil
+		return 1 + int(d.Rn), next, nil
 	case kindPOP:
-		list := int(d.Raw)
-		n := int(d.Rn)
-		// Perform all loads first so a veto on any of them aborts the
-		// whole instruction with no register changes.
-		var vals [8]uint32
-		k := 0
-		addr := c.R[SP]
-		for i := 0; i < 8; i++ {
-			if list&(1<<i) != 0 {
-				v, err := c.pdLoad(addr, 4, pc)
-				if err != nil {
-					return 0, 0, err
-				}
-				vals[k] = v
-				k++
-				addr += 4
-			}
+		list := uint32(d.Raw)
+		end, err := c.loadMulti(c.R[SP], list, pc)
+		if err != nil {
+			return 0, 0, err
 		}
-		var newPC uint32
-		if list&0x100 != 0 {
-			v, err := c.pdLoad(addr, 4, pc)
-			if err != nil {
-				return 0, 0, err
-			}
-			newPC = v
-			addr += 4
+		c.R[SP] = end
+		if list&(1<<PC) != 0 {
+			return 1 + int(d.Rn) + cycPopPC, c.R[PC] &^ 1, nil
 		}
-		k = 0
-		for i := 0; i < 8; i++ {
-			if list&(1<<i) != 0 {
-				c.R[i] = vals[k]
-				k++
-			}
-		}
-		c.R[SP] = addr
-		if list&0x100 != 0 {
-			return 1 + n + cycPopPC, newPC &^ 1, nil
-		}
-		return 1 + n, next, nil
+		return 1 + int(d.Rn), next, nil
 
 	case kindREV:
 		v := c.R[d.Rm]
@@ -950,49 +943,23 @@ func (c *CPU) execDecoded(d *DecodedInsn, pc uint32) (cycles int, next uint32, e
 		return cycALU, next, nil
 
 	case kindLDM:
-		list := int(d.Raw)
-		rn := int(d.Rd)
-		var vals [8]uint32
-		k := 0
-		a := c.R[rn]
-		for i := 0; i < 8; i++ {
-			if list&(1<<i) != 0 {
-				v, err := c.pdLoad(a, 4, pc)
-				if err != nil {
-					return 0, 0, err
-				}
-				vals[k] = v
-				k++
-				a += 4
-			}
-		}
-		k = 0
-		for i := 0; i < 8; i++ {
-			if list&(1<<i) != 0 {
-				c.R[i] = vals[k]
-				k++
-			}
+		list, rn := uint32(d.Raw), d.Rd&7
+		end, err := c.loadMulti(c.R[rn], list, pc)
+		if err != nil {
+			return 0, 0, err
 		}
 		// Writeback unless Rn is in the list (ARMv6-M behavior).
 		if list&(1<<rn) == 0 {
-			c.R[rn] = a
+			c.R[rn] = end
 		}
 		return 1 + int(d.Rn), next, nil
 	case kindSTM:
-		list := int(d.Raw)
-		rn := int(d.Rd)
-		// Stores commit in order; a veto mid-way is safe because
-		// re-execution rewrites the same values (see DESIGN.md).
-		a := c.R[rn]
-		for i := 0; i < 8; i++ {
-			if list&(1<<i) != 0 {
-				if err := c.pdStore(a, 4, c.R[i], pc); err != nil {
-					return 0, 0, err
-				}
-				a += 4
-			}
+		rn := d.Rd & 7
+		end, err := c.storeMulti(c.R[rn], uint32(d.Raw), pc)
+		if err != nil {
+			return 0, 0, err
 		}
-		c.R[rn] = a
+		c.R[rn] = end
 		return 1 + int(d.Rn), next, nil
 
 	case kindBCond:

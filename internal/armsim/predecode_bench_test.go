@@ -142,3 +142,67 @@ func TestPushPopNoAllocs(t *testing.T) {
 		t.Errorf("PUSH/POP loop allocates: %v allocs per 300 instructions, want 0", avg)
 	}
 }
+
+// callReturnOps is an infinite call/return loop in the shape ccc emits for
+// every function: BL into a callee whose prologue is PUSH {r4-r7,lr}, a
+// short body with a stack spill and reload, and a POP {r4-r7,pc} epilogue
+// (12 instructions and 12 data accesses per trip, 10 of them in the two
+// multi-register transfers). Every block is at least two instructions, so
+// the whole loop runs fused.
+func callReturnOps() []uint16 {
+	bl1, bl2 := encodeBL(18 - (10 + 4))
+	return []uint16{
+		// loop:
+		uint16(0b00000<<11 | 0<<6 | 0<<3 | 1), //  8: MOVS r1, r0
+		bl1, bl2,                              // 10: BL fn
+		addImm8(0, 1),                       // 14: ADDS r0, #1
+		0xE000 | uint16((8-(16+4))/2&0x7FF), // 16: B loop
+		// fn:
+		uint16(0b1011010<<9 | 1<<8 | 0xF0),     // 18: PUSH {r4-r7, lr}
+		uint16(0b00000<<11 | 0<<6 | 1<<3 | 4),  // 20: MOVS r4, r1
+		addImm8(4, 3),                          // 22: ADDS r4, #3
+		uint16(0b00000<<11 | 2<<6 | 4<<3 | 5),  // 24: LSLS r5, r4, #2
+		uint16(0b0001100<<9 | 4<<6 | 5<<3 | 6), // 26: ADDS r6, r5, r4
+		uint16(0b10010<<11 | 6<<8 | 0),         // 28: STR r6, [sp, #0]
+		uint16(0b10011<<11 | 7<<8 | 0),         // 30: LDR r7, [sp, #0]
+		uint16(0b1011110<<9 | 1<<8 | 0xF0),     // 32: POP {r4-r7, pc}
+	}
+}
+
+// BenchmarkStepLoopCallReturn measures the fused engine's ns per executed
+// instruction on callReturnOps, on the bare Memory bus (loose mode, direct
+// memory access) and on a monitored bus that neither vetoes nor yields
+// (strict mode, every access through the Bus interface).
+func BenchmarkStepLoopCallReturn(b *testing.B) {
+	for _, sub := range []struct {
+		name      string
+		monitored bool
+	}{{"bare", false}, {"monitored", true}} {
+		b.Run(sub.name, func(b *testing.B) {
+			m := NewMachine()
+			if sub.monitored {
+				var bus *monitorBus
+				m, bus = newMonitoredMachine(true)
+				bus.record = false
+				bus.rule = func(uint32) (veto, yield bool) { return false, false }
+			}
+			if err := m.Boot(asmImage(callReturnOps()...)); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 32; i++ {
+				if err := m.CPU.StepFused(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			start := m.CPU.Insns
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.CPU.StepFused(1024); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.CPU.Insns-start), "ns/insn")
+		})
+	}
+}

@@ -655,12 +655,17 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 	}
 	word := addr >> 2
 	memWord := m.mem.ReadWord(addr)
-	// The effective current word folds in a shadowing Write-back entry.
-	cur := memWord
-	if v, ok := m.k.Lookup(word); ok {
-		cur = v
+	// The effective current word folds in a shadowing Write-back entry. A
+	// word store replaces all of it, so only sub-word stores look it up
+	// (Lookup is a pure CAM scan).
+	newWord := value
+	if size != 4 {
+		cur := memWord
+		if v, ok := m.k.Lookup(word); ok {
+			cur = v
+		}
+		newWord = merge(cur, addr, size, value)
 	}
-	newWord := merge(cur, addr, size, value)
 	out := m.k.Write(word, newWord, memWord, pc)
 	if out.NeedCheckpoint {
 		m.pendingReason = out.Reason
@@ -746,12 +751,16 @@ func (m *Machine) loadGeneric(addr uint32, size uint8, pc uint32) (uint32, error
 func (m *Machine) storeGeneric(addr uint32, size uint8, value uint32, pc uint32) error {
 	word := addr >> 2
 	memWord := m.mem.ReadWord(addr)
-	// The effective current word folds in a shadowing buffered entry.
-	cur := memWord
-	if v, ok := m.sch.Lookup(word); ok {
-		cur = v
+	// The effective current word folds in a shadowing buffered entry; a
+	// word store needs no lookup (see store).
+	newWord := value
+	if size != 4 {
+		cur := memWord
+		if v, ok := m.sch.Lookup(word); ok {
+			cur = v
+		}
+		newWord = merge(cur, addr, size, value)
 	}
-	newWord := merge(cur, addr, size, value)
 	out := m.sch.Write(word, newWord, memWord, pc)
 	if out.NeedCheckpoint {
 		m.pendingReason = out.Reason
