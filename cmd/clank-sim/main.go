@@ -142,7 +142,7 @@ func main() {
 	fmt.Printf("scheme %s, config %s (%d buffer bits), %s\n", fac.Name(), cfg, cfg.BufferBits(), supplyDesc)
 	fmt.Printf("continuous run:    %d cycles, %d outputs\n", baseCycles, len(cont.Mem.Outputs))
 	fmt.Printf("intermittent run:  %d wall cycles across %d power cycles\n", st.WallCycles, st.Restarts+1)
-	fmt.Printf("  checkpoints:     %d (%v)\n", st.Checkpoints, st.Reasons)
+	fmt.Printf("  checkpoints:     %d %v\n", st.Checkpoints, st.Reasons)
 	fmt.Printf("  checkpoint cost: %d cycles (%.2f%%)\n", st.CkptCycles, pct(st.CkptCycles, st.UsefulCycles))
 	fmt.Printf("  re-execution:    %d cycles (%.2f%%)\n", st.ReexecCycles, pct(st.ReexecCycles, st.UsefulCycles))
 	fmt.Printf("  restart cost:    %d cycles (%.2f%%)\n", st.RestartCycles, pct(st.RestartCycles, st.UsefulCycles))

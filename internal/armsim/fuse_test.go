@@ -370,10 +370,7 @@ func TestFusedDifferentialRandomStreams(t *testing.T) {
 }
 
 func randomStreams(t *testing.T, p *fusedPair) {
-	streams := 150
-	if testing.Short() {
-		streams = 25
-	}
+	const streams = 150
 	s := uint32(0xFADED)
 	rnd := func() uint32 {
 		s = s*1664525 + 1013904223

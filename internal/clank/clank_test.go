@@ -302,7 +302,7 @@ func TestReasonStrings(t *testing.T) {
 		t.Error("out-of-range reason should be unknown")
 	}
 	// Appending a Reason without growing NumReasons silently truncates
-	// policysim's ReasonCounts array, and growing it without a name makes
+	// the ReasonCounts array, and growing it without a name makes
 	// counters render as "unknown"; pin the correspondence.
 	if NumReasons != len(reasonNames) {
 		t.Errorf("NumReasons = %d but %d reasons are named", NumReasons, len(reasonNames))

@@ -180,7 +180,7 @@ const (
 	ReasonCommitInterval // DiCA-style differential-checkpoint interval expiry
 
 	// NumReasons is the number of Reason values; fixed-size per-reason
-	// counters (policysim.ReasonCounts) are indexed by Reason.
+	// counters (ReasonCounts) are indexed by Reason.
 	NumReasons = int(ReasonCommitInterval) + 1
 )
 

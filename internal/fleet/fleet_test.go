@@ -301,6 +301,34 @@ func TestFleetSmoke(t *testing.T) {
 	}
 }
 
+// TestFleetGoldenHash pins the aggregate hash of the TestFleetSmoke
+// options, with and without torn NV writes, to the digests recorded before
+// the run-time accounting moved into clank.Ledger: every device's cycle
+// breakdown, checkpoint count and boot count feeds the hash.
+func TestFleetGoldenHash(t *testing.T) {
+	img := fleetImage(t)
+	for _, c := range []struct {
+		faultRate float64
+		want      string
+	}{
+		{0, "de05affcfbdcb983"},
+		{0.003, "d7c99fed37babc2b"},
+	} {
+		o := baseOptions(1000, 2)
+		o.NVFaultRate, o.NVFaultSeed = c.faultRate, 9
+		rep, err := Run(img, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.faultRate > 0 && rep.Agg.TornWrites == 0 {
+			t.Errorf("fault rate %v tore no writes", c.faultRate)
+		}
+		if rep.Agg.Hash != c.want {
+			t.Errorf("fault rate %v: aggregate hash %s, want %s", c.faultRate, rep.Agg.Hash, c.want)
+		}
+	}
+}
+
 // TestPercentileConvention pins the (n-1)*p/100 index rule.
 func TestPercentileConvention(t *testing.T) {
 	cases := []struct {

@@ -170,35 +170,11 @@ func TestEarlyFlipBugEscapesAtomicModelButNotCuts(t *testing.T) {
 	}
 }
 
-// TestAccountChargesSinceCkptOnClampedPath pins the power-clamped branch of
-// account(): the cycles consumed up to the outage count toward the
-// Performance Watchdog's since-checkpoint clock, exactly like the uncl
-// amped branch. (White-box: the field is reset by the subsequent rollback,
-// so only a direct call observes it.)
-func TestAccountChargesSinceCkptOnClampedPath(t *testing.T) {
-	img := compileTest(t, `int main(void) { return 0; }`)
-	m, err := NewMachine(img, Options{Config: clank.Config{ReadFirst: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.powerLeft = 5
-	m.sinceCkpt = 3
-	m.account(10)
-	if m.powerLeft != 0 {
-		t.Fatalf("powerLeft = %d, want 0", m.powerLeft)
-	}
-	if m.sinceCkpt != 8 {
-		t.Fatalf("sinceCkpt = %d, want 8 (clamped delta charged)", m.sinceCkpt)
-	}
-	if m.stats.WallCycles != 5 {
-		t.Fatalf("WallCycles = %d, want 5", m.stats.WallCycles)
-	}
-}
-
 // TestChargeRestartExactBudgetIsBarren pins the boundary: a boot whose
 // budget exactly equals the restart cost completes the start-up routine
 // with nothing left to run — it is consumed whole as a barren boot (the
-// `<=` in chargeRestart).
+// death rule of clank.Ledger.SpendOverhead). With no watchdog configured
+// the ledger's horizon is the power left.
 func TestChargeRestartExactBudgetIsBarren(t *testing.T) {
 	img := compileTest(t, `int main(void) { return 0; }`)
 	m, err := NewMachine(img, Options{Config: clank.Config{ReadFirst: 4}})
@@ -207,20 +183,20 @@ func TestChargeRestartExactBudgetIsBarren(t *testing.T) {
 	}
 	cost := m.opts.Costs.Restart
 
-	m.powerLeft = cost
+	m.led.PowerOn(power.NewSupply(power.Fixed{Cycles: cost}, 1))
 	if m.chargeRestart() {
 		t.Fatal("boot exactly equal to the restart cost must be barren")
 	}
-	if m.powerLeft != 0 || m.stats.RestartCycles != cost {
-		t.Fatalf("barren boundary: powerLeft=%d restartCycles=%d", m.powerLeft, m.stats.RestartCycles)
+	if !m.led.Off() || m.led.RestartCycles != cost {
+		t.Fatalf("barren boundary: off=%v restartCycles=%d", m.led.Off(), m.led.RestartCycles)
 	}
 
-	m.powerLeft = cost + 1
+	m.led.PowerOn(power.NewSupply(power.Fixed{Cycles: cost + 1}, 1))
 	if !m.chargeRestart() {
 		t.Fatal("one cycle beyond the restart cost must boot")
 	}
-	if m.powerLeft != 1 {
-		t.Fatalf("powerLeft after boot = %d, want 1", m.powerLeft)
+	if left := m.led.Horizon(); left != 1 {
+		t.Fatalf("power left after boot = %d, want 1", left)
 	}
 }
 

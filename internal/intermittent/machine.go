@@ -139,19 +139,9 @@ const (
 // Stats is the outcome of an intermittent run.
 type Stats struct {
 	Completed bool
+	clank.Counters
 
-	UsefulCycles  uint64 // cycles a continuous run needs (CPU work retained)
-	WallCycles    uint64 // total powered cycles consumed
-	CkptCycles    uint64 // cycles spent in checkpoint routines
-	RestartCycles uint64 // cycles spent in start-up/restore routines
-	ReexecCycles  uint64 // re-executed program cycles (wall - useful - ckpt - restart)
-
-	Checkpoints   int
-	Restarts      int
-	BarrenBoots   int // power cycles that made no forward progress
-	ProgWatchdogs int // checkpoints forced by the Progress Watchdog
-	PerfWatchdogs int // checkpoints forced by the Performance Watchdog
-	Outputs       []uint32
+	Outputs []uint32
 
 	CommitWrites     int // NV word writes attempted by commit + recovery routines
 	TornCommits      int // commit routines interrupted by a power failure
@@ -160,17 +150,6 @@ type Stats struct {
 	TornWrites      int // NV writes cut mid-word by an injected fault (mask applied)
 	DetectedCorrupt int // boot-time decodes that found a corrupt slot or journal record
 	DegradedBoots   int // boots with no valid checkpoint slot: fresh-boot fallback
-
-	Reasons map[clank.Reason]int
-}
-
-// Overhead returns the total run-time overhead versus continuous execution
-// (paper's "x baseline" minus one).
-func (s Stats) Overhead() float64 {
-	if s.UsefulCycles == 0 {
-		return 0
-	}
-	return float64(s.WallCycles)/float64(s.UsefulCycles) - 1
 }
 
 // Machine executes one image intermittently.
@@ -230,18 +209,14 @@ type Machine struct {
 
 	slotEnc [clank.SlotRecWords]uint32 // staged record of the in-flight commit
 
-	cyclesThisBoot uint64
-	sinceCkpt      uint64 // wall cycles since last committed checkpoint
-	powerLeft      uint64
-	ckptThisBoot   bool
-	progLoad       uint64 // current Progress Watchdog load value (0 = off)
-	progEnabled    bool
+	// led is the power budget, the watchdogs and the Counters half of
+	// stats; result() merges it into the Stats a run returns.
+	led clank.Ledger
 
-	pendingReason     clank.Reason // reason behind the current bus veto
-	forceCkptAfter    bool         // output emitted: checkpoint after this instruction
-	cutPower          bool         // FailAfterAccess fired: outage after this instruction
-	stepCycle         uint64       // cpu.Cycle when the current StepFused call began
-	consecutiveBarren int
+	pendingReason  clank.Reason // reason behind the current bus veto
+	forceCkptAfter bool         // output emitted: checkpoint after this instruction
+	cutPower       bool         // FailAfterAccess fired: outage after this instruction
+	stepCycle      uint64       // cpu.Cycle when the current StepFused call began
 
 	// TEXT-read fast path (OptIgnoreText): word-address window copied
 	// from the detector's own classification (clank.TextWords). Reads of
@@ -337,6 +312,7 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 		mem:    armsim.NewMemory(),
 		sch:    fac.New(cfg),
 		jnlNV:  armsim.NewNVRegion(clank.JournalHeaderWords),
+		led:    clank.NewLedger(opts.PerfWatchdog, opts.ProgressDefault),
 		opts:   opts,
 		img:    img,
 		shared: prog,
@@ -351,7 +327,6 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 	if opts.Verify {
 		m.mon = refmon.New()
 	}
-	m.stats.Reasons = make(map[clank.Reason]int)
 	if err := m.mem.LoadImage(0, img.Bytes); err != nil {
 		return nil, err
 	}
@@ -435,9 +410,6 @@ func (m *Machine) Reboot(img *ccc.Image) error {
 		return err
 	}
 	m.img = img
-	// A fresh map every run: callers of the previous run may retain its
-	// Stats.Reasons.
-	m.stats = Stats{Reasons: make(map[clank.Reason]int)}
 	m.resetRuntime()
 	return nil
 }
@@ -445,11 +417,9 @@ func (m *Machine) Reboot(img *ccc.Image) error {
 // ResetDevice re-arms the machine as a factory-fresh device running its
 // constructor image, optionally swapping the power supply (nil keeps the
 // current one): the fleet engine's per-device reset. Unlike Reboot it is
-// alloc-free — the Reasons map is cleared in place, so the previous
-// device's Stats must not be retained by reference — and on a shared-
-// program machine it restores memory through the hook-free
-// armsim.Memory.ResetTo path, re-attaching the frozen cache if the
-// previous device's self-modifying code forced a private clone. The
+// alloc-free, and on a shared-program machine it restores memory through
+// the hook-free armsim.Memory.ResetTo path, re-attaching the frozen cache
+// if the previous device's self-modifying code forced a private clone. The
 // retired-instruction counter resets to zero so Insns is per-device.
 func (m *Machine) ResetDevice(supply power.Source) {
 	if supply != nil {
@@ -470,17 +440,14 @@ func (m *Machine) ResetDevice(supply power.Source) {
 		// Reloading the constructor image cannot fail: it fit at build time.
 		_ = m.mem.LoadImage(0, m.img.Bytes)
 	}
-	reasons := m.stats.Reasons
-	clear(reasons)
-	m.stats = Stats{Reasons: reasons}
 	m.resetRuntime()
 	m.cpu.Insns = 0
 }
 
 // resetRuntime resets every piece of modeled runtime state for a fresh run
-// of m.img: CPU registers, detector, monitor, watchdogs, journal, and the
-// compiler-pre-created checkpoint 0. Memory and m.stats are the caller's
-// responsibility (Reboot and ResetDevice differ on both).
+// of m.img: CPU registers, detector, monitor, ledger, statistics, journal,
+// and the compiler-pre-created checkpoint 0. Memory is the caller's
+// responsibility (Reboot and ResetDevice restore it differently).
 func (m *Machine) resetRuntime() {
 	m.sch.Reboot(0)
 	if m.mon != nil {
@@ -488,16 +455,11 @@ func (m *Machine) resetRuntime() {
 	}
 	m.cpu.ResetInto(m.img.InitialSP, m.img.Entry)
 	m.cpu.Cycle = 0
-	m.cyclesThisBoot = 0
-	m.sinceCkpt = 0
-	m.powerLeft = 0
-	m.ckptThisBoot = false
-	m.progLoad = 0
-	m.progEnabled = false
+	m.led = clank.NewLedger(m.opts.PerfWatchdog, m.opts.ProgressDefault)
+	m.stats = Stats{}
 	m.pendingReason = 0
 	m.forceCkptAfter = false
 	m.cutPower = false
-	m.consecutiveBarren = 0
 	m.jnlNV.Reset()
 	m.slotNV[0].Reset()
 	m.slotNV[1].Reset()
@@ -626,10 +588,10 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 		// checkpoint. The condition mirrors the policy simulator's
 		// bracketing exactly so the two engines count the same
 		// checkpoints on the same access stream. Elapsed cycles include
-		// those this StepFused call already retired: account charges
-		// them to sinceCkpt only after the call returns, but the fused
+		// those this StepFused call already retired: Run charges them
+		// to the ledger only after the call returns, but the fused
 		// engine flushes them into cpu.Cycle before every access.
-		if m.sinceCkpt+(m.cpu.Cycle-m.stepCycle) > 0 || m.sectionAccesses() > 0 {
+		if m.led.SinceCkpt()+(m.cpu.Cycle-m.stepCycle) > 0 || m.sectionAccesses() > 0 {
 			m.pendingReason = clank.ReasonOutput
 			return errCheckpoint
 		}

@@ -74,9 +74,9 @@ func TestOutputNotDuplicatedAcrossPowerFailure(t *testing.T) {
 		pos := len(m.mem.Outputs) - 1
 		if !killed[pos] {
 			killed[pos] = true
-			// Not enough budget left for the trailing checkpoint: power
-			// dies between the output store and its commit.
-			m.powerLeft = 1
+			// Power dies between the output store and its trailing
+			// checkpoint.
+			m.led.Cut()
 		}
 	}
 	st, err := m.Run()

@@ -13,24 +13,21 @@ import (
 // returns the statistics. UsefulCycles is the CPU cycle counter at the
 // final commit, which equals a continuous run's cycle count.
 func (m *Machine) Run() (Stats, error) {
-	m.powerLeft = m.opts.Supply.NextOn()
-	m.cyclesThisBoot = 0
-	m.ckptThisBoot = true // boot 0 behaves like a post-checkpoint cycle
+	m.led.PowerOn(m.opts.Supply)
 
 	for {
-		if m.stats.WallCycles > m.opts.MaxWallCycles {
-			return m.stats, fmt.Errorf("intermittent: exceeded %d wall cycles (pc %#x, %d restarts)",
-				m.opts.MaxWallCycles, m.cpu.R[armsim.PC], m.stats.Restarts)
+		if m.led.WallCycles > m.opts.MaxWallCycles {
+			return m.result(), fmt.Errorf("intermittent: exceeded %d wall cycles (pc %#x, %d restarts)",
+				m.opts.MaxWallCycles, m.cpu.R[armsim.PC], m.led.Restarts)
 		}
 
 		// Handle a power outage: roll back, reboot, and pay the start-up
 		// routine; boots too short even for the restart are consumed
 		// whole (runt cycles).
-		if m.powerLeft == 0 {
+		if m.led.Off() {
 			for {
-				m.powerFail()
-				if m.consecutiveBarren > m.opts.MaxBarrenBoots {
-					return m.stats, errors.New("intermittent: no forward progress (runt power cycles shorter than the restart routine)")
+				if m.powerFail() > m.opts.MaxBarrenBoots {
+					return m.result(), errors.New("intermittent: no forward progress (runt power cycles shorter than the restart routine)")
 				}
 				if m.chargeRestart() {
 					break
@@ -42,14 +39,8 @@ func (m *Machine) Run() (Stats, error) {
 		// Watchdogs fire at instruction boundaries. The per-cause counters
 		// are charged at the commit point inside checkpoint() — a routine
 		// that dies after its linearization point has still committed.
-		if w := m.opts.PerfWatchdog; w != 0 && m.sinceCkpt >= w {
-			m.checkpoint(clank.ReasonPerfWatchdog)
-			continue
-		}
-		if m.progEnabled && m.cyclesThisBoot >= m.progLoad {
-			// Progress Watchdog: force a superfluous checkpoint so runt
-			// power cycles still advance (paper section 3.1.4).
-			m.checkpoint(clank.ReasonProgWatchdog)
+		if r := m.led.WatchdogDue(); r != clank.ReasonNone {
+			m.checkpoint(r)
 			continue
 		}
 		// The scheme's own commit schedule (task boundaries, differential
@@ -58,7 +49,7 @@ func (m *Machine) Run() (Stats, error) {
 		schedIn := uint64(scheme.Never)
 		if m.k == nil {
 			var reason clank.Reason
-			if schedIn, reason = m.sch.NextCommitIn(m.cpu.Cycle, m.sinceCkpt); schedIn == 0 {
+			if schedIn, reason = m.sch.NextCommitIn(m.cpu.Cycle, m.led.SinceCkpt()); schedIn == 0 {
 				m.checkpoint(reason)
 				continue
 			}
@@ -78,31 +69,19 @@ func (m *Machine) Run() (Stats, error) {
 		// instruction — so all three land at the same boundaries as
 		// single-step. Each guard is > its loop-top check, so the budget
 		// is always at least one cycle.
-		budget := m.powerLeft
-		if w := m.opts.PerfWatchdog; w != 0 && w-m.sinceCkpt < budget {
-			budget = w - m.sinceCkpt
-		}
-		if m.progEnabled && m.progLoad-m.cyclesThisBoot < budget {
-			budget = m.progLoad - m.cyclesThisBoot
-		}
-		if schedIn < budget {
-			budget = schedIn
-		}
-		if left := m.opts.MaxWallCycles + 1 - m.stats.WallCycles; left < budget {
-			budget = left
-		}
+		budget := min(m.led.Horizon(), schedIn, m.opts.MaxWallCycles+1-m.led.WallCycles)
 		m.stepCycle = m.cpu.Cycle
 		err := m.cpu.StepFused(budget)
-		m.account(m.cpu.Cycle - m.stepCycle)
+		m.led.Spend(m.cpu.Cycle - m.stepCycle)
 		if m.cutPower {
 			// A FailAfterAccess schedule cut power mid-instruction; the
 			// outage takes effect at the instruction boundary, like any
 			// supply-driven outage. The unconsumed budget is discarded,
 			// not charged: the device is simply off.
 			m.cutPower = false
-			m.powerLeft = 0
+			m.led.Cut()
 		}
-		if m.powerLeft == 0 {
+		if m.led.Off() {
 			// The outage is handled at the top of the loop. The
 			// just-executed instruction's NV effects persist; the
 			// rollback to the last checkpoint re-executes it safely.
@@ -124,14 +103,20 @@ func (m *Machine) Run() (Stats, error) {
 				continue // power died during the final commit; redo
 			}
 			m.stats.Completed = true
-			m.stats.UsefulCycles = m.cpu.Cycle
+			m.led.UsefulCycles = m.cpu.Cycle
 			m.stats.Outputs = append([]uint32(nil), m.mem.Outputs...)
-			m.finishAccounting()
-			return m.stats, nil
+			m.led.Finish()
+			return m.result(), nil
 		default:
-			return m.stats, err
+			return m.result(), err
 		}
 	}
+}
+
+// result is the run's Stats with the ledger's counters folded in.
+func (m *Machine) result() Stats {
+	m.stats.Counters = m.led.Counters
+	return m.stats
 }
 
 // chargeRestart pays the start-up routine at the beginning of a power
@@ -141,21 +126,13 @@ func (m *Machine) Run() (Stats, error) {
 // a dead staging record from a commit that never linearized; a corrupt one
 // is a detected torn write. Either way recovery ignores it — detect, never
 // consume. Returns false if the boot is too short to finish either part.
-// Both the `<=` comparison (a boot exactly equal to the restart cost is
-// barren: the routine completes with nothing left to run) and the replay
-// are pinned by tests.
+// Both the barren boundary (a boot exactly equal to the restart cost is
+// barren: the routine completes with nothing left to run; see
+// clank.Ledger.SpendOverhead) and the replay are pinned by tests.
 func (m *Machine) chargeRestart() bool {
-	cost := m.opts.Costs.Restart
-	if m.powerLeft <= cost {
-		m.stats.WallCycles += m.powerLeft
-		m.stats.RestartCycles += m.powerLeft
-		m.powerLeft = 0
+	if !m.led.SpendOverhead(m.opts.Costs.Restart, &m.led.RestartCycles) {
 		return false
 	}
-	m.powerLeft -= cost
-	m.stats.WallCycles += cost
-	m.stats.RestartCycles += cost
-	m.cyclesThisBoot += cost
 	count, jseq, st := m.decodeJournal()
 	if st == clank.RecCorrupt {
 		m.stats.DetectedCorrupt++
@@ -180,7 +157,7 @@ func (m *Machine) chargeRestart() bool {
 func (m *Machine) recoverJournal(count int) bool {
 	m.stepScratch = clank.AppendRecoverySteps(m.stepScratch[:0], m.opts.Costs, count)
 	for _, s := range m.stepScratch {
-		ok, torn, mask := m.commitWrite(s.Cost, &m.stats.RestartCycles)
+		ok, torn, mask := m.commitWrite(s.Cost, &m.led.RestartCycles)
 		switch s.Kind {
 		case clank.StepApply:
 			addr, val := clank.JournalEntry(m.jnlNV.Words(), s.Index)
@@ -205,24 +182,6 @@ func (m *Machine) recoverJournal(count int) bool {
 	return true
 }
 
-// account charges delta executed cycles against the power budget and the
-// wall clock, clamping at the power boundary. The clamped path charges
-// sinceCkpt too: the Performance Watchdog's notion of work since the last
-// checkpoint must match the wall clock right up to the outage.
-func (m *Machine) account(delta uint64) {
-	if delta >= m.powerLeft {
-		m.stats.WallCycles += m.powerLeft
-		m.cyclesThisBoot += m.powerLeft
-		m.sinceCkpt += m.powerLeft
-		m.powerLeft = 0
-		return
-	}
-	m.powerLeft -= delta
-	m.stats.WallCycles += delta
-	m.cyclesThisBoot += delta
-	m.sinceCkpt += delta
-}
-
 // commitWrite spends one commit-protocol NV word write against the power
 // budget (attributed to the given overhead counter) and consults the fault
 // injector. The write counter advances on consultation — before the write
@@ -242,7 +201,7 @@ func (m *Machine) commitWrite(cost uint64, counter *uint64) (ok, torn bool, mask
 	m.stats.CommitWrites++
 	if m.opts.NVFault != nil {
 		if fault, fmask := m.opts.NVFault(w); fault {
-			m.powerLeft = 0
+			m.led.Cut()
 			if fmask != 0 {
 				m.stats.TornWrites++
 				return false, true, fmask
@@ -250,17 +209,7 @@ func (m *Machine) commitWrite(cost uint64, counter *uint64) (ok, torn bool, mask
 			return false, false, 0
 		}
 	}
-	if m.powerLeft <= cost {
-		m.stats.WallCycles += m.powerLeft
-		*counter += m.powerLeft
-		m.powerLeft = 0
-		return false, false, 0
-	}
-	m.powerLeft -= cost
-	m.stats.WallCycles += cost
-	*counter += cost
-	m.cyclesThisBoot += cost
-	return true, false, 0
+	return m.led.SpendOverhead(cost, counter), false, 0
 }
 
 // checkpoint runs the modeled checkpoint routine as the explicit sequence
@@ -351,7 +300,7 @@ func (m *Machine) checkpoint(reason clank.Reason) bool {
 		case clank.StepClear:
 			reg, idx, val = jn, clank.JnlLenWord, 0
 		}
-		ok, torn, mask := m.commitWrite(s.Cost, &m.stats.CkptCycles)
+		ok, torn, mask := m.commitWrite(s.Cost, &m.led.CkptCycles)
 		if toMem {
 			if torn {
 				old := m.mem.ReadWord(addr)
@@ -374,7 +323,7 @@ func (m *Machine) checkpoint(reason clank.Reason) bool {
 			m.active = target
 			m.activeSeq = seq
 			m.nextSeq = seq + 1
-			m.commitBookkeeping(reason)
+			m.led.Linearized(reason)
 		}
 	}
 	// Fully drained: the scheme's buffered state is persistent now, and
@@ -407,31 +356,6 @@ func jnlSealWord(bug CommitBug, sub uint8) int {
 		return [clank.RecSealWords]int{clank.JnlCRCWord, clank.JnlSeqWord, clank.JnlLenWord}[sub]
 	}
 	return [clank.RecSealWords]int{clank.JnlLenWord, clank.JnlSeqWord, clank.JnlCRCWord}[sub]
-}
-
-// commitBookkeeping runs at the linearization point: everything keyed on "a
-// checkpoint committed" happens here, whether or not the rest of the drain
-// survives.
-func (m *Machine) commitBookkeeping(reason clank.Reason) {
-	m.sinceCkpt = 0
-	m.ckptThisBoot = true
-	m.consecutiveBarren = 0
-	switch reason {
-	case clank.ReasonNone:
-	case clank.ReasonPerfWatchdog:
-		m.stats.PerfWatchdogs++
-		m.stats.Reasons[reason]++
-	case clank.ReasonProgWatchdog:
-		m.stats.ProgWatchdogs++
-		m.stats.Reasons[reason]++
-	default:
-		m.stats.Reasons[reason]++
-	}
-	m.stats.Checkpoints++
-	// The first checkpoint of a power cycle disarms the Progress Watchdog
-	// and clears its load value (paper section 3.1.4).
-	m.progEnabled = false
-	m.progLoad = 0
 }
 
 // reorderEarlyFlip rearranges the commit sequence into the deliberately
@@ -527,10 +451,9 @@ func (m *Machine) degradedRestore() {
 // are decoded, corrupt ones are counted and never consumed, and the CPU
 // resumes from the valid record with the highest sequence number — the new
 // slot if a dying commit got past its seal, the old one otherwise, and the
-// fresh-boot degraded path if neither validates. Then the next boot's
-// Progress Watchdog bookkeeping runs.
-func (m *Machine) powerFail() {
-	m.stats.Restarts++
+// fresh-boot degraded path if neither validates. Then the ledger starts
+// the next boot; powerFail returns its count of consecutive barren boots.
+func (m *Machine) powerFail() int {
 	if m.mon != nil {
 		m.mon.Reset()
 	}
@@ -582,40 +505,5 @@ func (m *Machine) powerFail() {
 	// from the restored progress clock (0 on a degraded boot).
 	m.sch.Reboot(m.cpu.Cycle)
 	m.forceCkptAfter = false
-
-	madeProgress := m.ckptThisBoot
-	m.powerLeft = m.opts.Supply.NextOn()
-	m.cyclesThisBoot = 0
-	m.sinceCkpt = 0
-	m.ckptThisBoot = false
-	if !madeProgress {
-		m.consecutiveBarren++
-		m.stats.BarrenBoots++
-	} else {
-		m.consecutiveBarren = 0
-	}
-	if m.opts.ProgressDefault == 0 {
-		return
-	}
-	if madeProgress {
-		m.progEnabled = false
-		return
-	}
-	// No checkpoint last cycle: arm the watchdog, halving the load value
-	// if it was already armed and still made no progress.
-	if m.progLoad == 0 {
-		m.progLoad = m.opts.ProgressDefault
-	} else if m.progLoad > 2 {
-		m.progLoad /= 2
-	}
-	m.progEnabled = true
-}
-
-// finishAccounting derives the re-execution component.
-func (m *Machine) finishAccounting() {
-	w := m.stats.WallCycles
-	sum := m.stats.UsefulCycles + m.stats.CkptCycles + m.stats.RestartCycles
-	if w > sum {
-		m.stats.ReexecCycles = w - sum
-	}
+	return m.led.Boot(m.opts.Supply)
 }

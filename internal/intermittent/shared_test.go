@@ -307,7 +307,7 @@ func TestSharedResetDeviceAllocFlat(t *testing.T) {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		device() // warm-up: scratch buffers and the Reasons map reach steady size
+		device() // warm-up: scratch buffers reach steady size
 	}
 	if allocs := testing.AllocsPerRun(10, device); allocs > 4 {
 		t.Errorf("steady-state device simulation allocates %.1f times per device, want <= 4", allocs)

@@ -21,7 +21,8 @@ import (
 // There is one general replay core plus one fast path:
 //
 //   - The general core (colSim, colsim.go) replays one job at a time,
-//     config-major, with the full power-budget / reboot state machine.
+//     config-major, driving the full run-time state machine (clank.Ledger:
+//     power budget, watchdogs, reboots).
 //     Power-cycled jobs need it because each job's reboot schedule
 //     desynchronizes its trace position from every other's; they still
 //     share the decoded columns, the classification, the arena, and the
@@ -226,7 +227,7 @@ func (b *Batch) resetSlot(s *slot) {
 	if s.o.Mixed != nil {
 		s.minStackWrite = s.o.Mixed.StackTop
 	}
-	s.res = Result{UsefulCycles: b.tr.total}
+	s.res = Result{Counters: clank.Counters{UsefulCycles: b.tr.total}}
 	s.err = nil
 	s.done = false
 	s.needsPowered = false
@@ -659,8 +660,7 @@ func (s *slot) tail(b *Batch, prevT uint64) {
 	s.res.WallCycles = total + s.res.CkptCycles
 	s.res.Completed = true
 	s.done = true
-	// ReexecCycles = Wall - (Useful + Ckpt + Restart) = 0: continuous
-	// replay re-executes nothing, matching colSim.finish.
+	s.res.Finish()
 }
 
 // commit is the continuous-power checkpoint: with power that cannot fail
@@ -684,18 +684,7 @@ func (s *slot) commit(reason clank.Reason, cyc uint64) {
 	s.res.CkptCycles += clank.CommitCost(s.o.Costs, dirty)
 	s.ckptT = cyc
 	s.undoEntries = 0
-	switch reason {
-	case clank.ReasonNone:
-	case clank.ReasonPerfWatchdog:
-		s.res.PerfWatchdogs++
-		s.res.Reasons[reason]++
-	case clank.ReasonProgWatchdog:
-		s.res.ProgWatchdogs++
-		s.res.Reasons[reason]++
-	default:
-		s.res.Reasons[reason]++
-	}
-	s.res.Checkpoints++
+	s.res.CountCheckpoint(reason)
 	s.k.Reset()
 	if s.mon != nil {
 		s.mon.Reset()
@@ -726,15 +715,15 @@ func (b *Batch) runPowered(s *slot) error {
 		o:          s.o,
 		shadow:     shadow,
 		refeedGate: -1,
+		led:        clank.NewLedger(s.o.PerfWatchdog, s.o.ProgressDefault),
 	}
-	c.res.UsefulCycles = b.tr.total
-	c.powerLeft = c.o.Supply.NextOn()
-	c.ckptThisBoot = true
+	c.led.UsefulCycles = b.tr.total
+	c.led.PowerOn(c.o.Supply)
 	if c.o.Mixed != nil {
 		c.minStackWrite = c.o.Mixed.StackTop
 	}
 	err := c.run()
-	s.res = c.res
+	s.res = Result{Completed: c.completed, Counters: c.led.Counters}
 	s.done = true
 	return err
 }

@@ -7,11 +7,12 @@ import (
 	"repro/internal/refmon"
 )
 
-// colSim is the general replay core, the policy simulator's one
-// power-budget / watchdog / barren-boot state machine. It runs one job at
-// a time over BatchTrace columns through the pre-classified detector entry
-// points, and serves every Simulate call, every power-cycled batch job and
-// the rare continuous batch job that outgrows the lockstep core's guard.
+// colSim is the general replay core: it drives the run-time state
+// machine (clank.Ledger, shared with the full-system machine) over
+// BatchTrace columns, one job at a time, through the pre-classified
+// detector entry points. It serves every Simulate call, every power-cycled
+// batch job and the rare continuous batch job that outgrows the lockstep
+// core's guard.
 // The lockstep core (batch.go) is a continuous-power specialisation of it;
 // TestBatchMatchesScalar pins the two to byte-identical Results.
 type colSim struct {
@@ -31,30 +32,27 @@ type colSim struct {
 	prevT      uint64
 	ckptT      uint64
 
-	powerLeft      uint64
-	cyclesThisBoot uint64
-	sinceCkpt      uint64
-	ckptThisBoot   bool
-	progLoad       uint64
-	progEnabled    bool
-	consecBarren   int
+	led       clank.Ledger
+	completed bool
 
 	minStackWrite uint32
 	undoEntries   int
 	jarmed        int
-
-	res Result
 }
+
+// maxBarrenBoots is how many consecutive boots without a committed
+// checkpoint a replay tolerates before reporting errNoProgress.
+const maxBarrenBoots = 100_000
 
 func (c *colSim) run() error {
 	tr := c.tr
 	n := len(tr.addr)
 	for {
-		if c.res.WallCycles > c.o.MaxWallCycles {
+		if c.led.WallCycles > c.o.MaxWallCycles {
 			return fmt.Errorf("policysim: exceeded %d wall cycles at access %d/%d (%d restarts)",
-				c.o.MaxWallCycles, c.pos, n, c.res.Restarts)
+				c.o.MaxWallCycles, c.pos, n, c.led.Restarts)
 		}
-		if c.powerLeft == 0 {
+		if c.led.Off() {
 			if err := c.reboot(); err != nil {
 				return err
 			}
@@ -63,23 +61,21 @@ func (c *colSim) run() error {
 		if c.pos == n {
 			// Tail: cycles after the last access until program end, then
 			// the final commit.
-			delta := tr.total - c.prevT
-			if !c.spend(delta) {
+			if !c.led.Spend(tr.total - c.prevT) {
 				continue
 			}
 			c.prevT = tr.total
 			if !c.checkpoint(clank.ReasonNone) {
 				continue
 			}
-			c.res.Completed = true
-			c.finish()
+			c.completed = true
+			c.led.Finish()
 			return nil
 		}
 
 		i := c.pos
 		cyc := tr.cycle[i]
-		delta := cyc - c.prevT
-		if !c.spend(delta) {
+		if !c.led.Spend(cyc - c.prevT) {
 			continue
 		}
 		c.prevT = cyc
@@ -87,7 +83,7 @@ func (c *colSim) run() error {
 		f := c.class[i]
 		if f&faOutput != 0 {
 			// Output commit: bracket with checkpoints (section 3.3).
-			if c.sinceCkpt > 0 || c.k.SectionAccesses() > 0 {
+			if c.led.SinceCkpt() > 0 || c.k.SectionAccesses() > 0 {
 				if !c.checkpoint(clank.ReasonOutput) {
 					continue
 				}
@@ -139,7 +135,7 @@ func (c *colSim) run() error {
 				// to NV (two word writes plus bookkeeping) and let the
 				// write through instead of holding it in the volatile
 				// buffer. The journal is rolled back at every reboot.
-				if !c.spendOverhead(c.o.Costs.WBFlushPerEntry, &c.res.CkptCycles) {
+				if !c.led.SpendOverhead(c.o.Costs.WBFlushPerEntry, &c.led.CkptCycles) {
 					continue
 				}
 				c.undoEntries++
@@ -165,12 +161,8 @@ func (c *colSim) run() error {
 		// Watchdogs, quantized to access boundaries. Like the full system,
 		// the per-cause counters are charged at the commit point inside
 		// checkpoint().
-		if w := c.o.PerfWatchdog; w != 0 && c.sinceCkpt >= w {
-			c.checkpoint(clank.ReasonPerfWatchdog)
-			continue
-		}
-		if c.progEnabled && c.cyclesThisBoot >= c.progLoad {
-			c.checkpoint(clank.ReasonProgWatchdog)
+		if r := c.led.WatchdogDue(); r != clank.ReasonNone {
+			c.checkpoint(r)
 		}
 	}
 }
@@ -204,39 +196,6 @@ func (c *colSim) setShadow(word, v uint32) {
 	c.shadow.gen[word] = c.shadow.run
 }
 
-// spend consumes program cycles from the power budget; returns false when
-// power dies first (the caller loops; reboot() handles the outage).
-func (c *colSim) spend(delta uint64) bool {
-	if delta >= c.powerLeft {
-		c.res.WallCycles += c.powerLeft
-		c.cyclesThisBoot += c.powerLeft
-		c.powerLeft = 0
-		return false
-	}
-	c.powerLeft -= delta
-	c.res.WallCycles += delta
-	c.cyclesThisBoot += delta
-	c.sinceCkpt += delta
-	return true
-}
-
-// spendOverhead is spend for runtime-routine cycles, attributed to the
-// given counter.
-func (c *colSim) spendOverhead(cost uint64, counter *uint64) bool {
-	if cost >= c.powerLeft {
-		c.res.WallCycles += c.powerLeft
-		*counter += c.powerLeft
-		c.cyclesThisBoot += c.powerLeft
-		c.powerLeft = 0
-		return false
-	}
-	c.powerLeft -= cost
-	c.res.WallCycles += cost
-	*counter += cost
-	c.cyclesThisBoot += cost
-	return true
-}
-
 // checkpoint models the checkpoint routine as the same sequence of NV word
 // writes the full-system machine walks (clank.AppendCommitSteps), so the
 // two die at the same cycle boundaries and agree on what a mid-routine
@@ -256,13 +215,13 @@ func (c *colSim) checkpoint(reason clank.Reason) bool {
 	if c.o.Mixed != nil && c.minStackWrite < c.o.Mixed.StackTop {
 		// The volatile-stack save precedes the slot writes: all pre-flip.
 		words := uint64(c.o.Mixed.StackTop-c.minStackWrite) / 4
-		if !c.spendOverhead(words*c.o.Costs.StackWordSave, &c.res.CkptCycles) {
+		if !c.led.SpendOverhead(words*c.o.Costs.StackWordSave, &c.led.CkptCycles) {
 			return false
 		}
 	}
 	c.b.stepScratch = clank.AppendCommitSteps(c.b.stepScratch[:0], c.o.Costs, len(dirty))
 	for _, st := range c.b.stepScratch {
-		if !c.spendOverhead(st.Cost, &c.res.CkptCycles) {
+		if !c.led.SpendOverhead(st.Cost, &c.led.CkptCycles) {
 			return false
 		}
 		switch st.Kind {
@@ -282,26 +241,10 @@ func (c *colSim) checkpoint(reason clank.Reason) bool {
 			c.ckptT = c.prevT
 			c.undoEntries = 0
 			c.jarmed = len(dirty)
-			c.sinceCkpt = 0
-			c.ckptThisBoot = true
-			c.consecBarren = 0
 			if c.o.Mixed != nil {
 				c.minStackWrite = c.o.Mixed.StackTop
 			}
-			switch reason {
-			case clank.ReasonNone:
-			case clank.ReasonPerfWatchdog:
-				c.res.PerfWatchdogs++
-				c.res.Reasons[reason]++
-			case clank.ReasonProgWatchdog:
-				c.res.ProgWatchdogs++
-				c.res.Reasons[reason]++
-			default:
-				c.res.Reasons[reason]++
-			}
-			c.res.Checkpoints++
-			c.progEnabled = false
-			c.progLoad = 0
+			c.led.Linearized(reason)
 		case clank.StepClear:
 			c.jarmed = 0
 		}
@@ -314,11 +257,10 @@ func (c *colSim) checkpoint(reason clank.Reason) bool {
 }
 
 // reboot rolls back to the last checkpoint, starts the next power-on
-// period, applies Progress Watchdog bookkeeping, and pays the start-up
-// routine (looping over boots too short to finish it).
+// period, and pays the start-up routine (looping over boots too short to
+// finish it).
 func (c *colSim) reboot() error {
 	for {
-		c.res.Restarts++
 		c.k.Reset()
 		if c.mon != nil {
 			c.mon.Reset()
@@ -328,30 +270,8 @@ func (c *colSim) reboot() error {
 		if c.o.Mixed != nil {
 			c.minStackWrite = c.o.Mixed.StackTop
 		}
-
-		madeProgress := c.ckptThisBoot
-		c.powerLeft = c.o.Supply.NextOn()
-		c.cyclesThisBoot = 0
-		c.sinceCkpt = 0
-		c.ckptThisBoot = false
-		if !madeProgress {
-			c.consecBarren++
-			c.res.BarrenBoots++
-			if c.consecBarren > 100000 {
-				return errNoProgress
-			}
-		} else {
-			c.consecBarren = 0
-		}
-		if c.o.ProgressDefault != 0 && !madeProgress {
-			if c.progLoad == 0 {
-				c.progLoad = c.o.ProgressDefault
-			} else if c.progLoad > 2 {
-				c.progLoad /= 2
-			}
-			c.progEnabled = true
-		} else {
-			c.progEnabled = false
+		if c.led.Boot(c.o.Supply) > maxBarrenBoots {
+			return errNoProgress
 		}
 		// The start-up routine, plus (in undo mode) rolling the journal
 		// back, plus — after a post-flip commit death — replaying the armed
@@ -363,20 +283,10 @@ func (c *colSim) reboot() error {
 		if c.jarmed > 0 {
 			bootCost += clank.RecoveryCost(c.o.Costs, c.jarmed)
 		}
-		if c.spendOverhead(bootCost, &c.res.RestartCycles) {
+		if c.led.SpendOverhead(bootCost, &c.led.RestartCycles) {
 			c.undoEntries = 0
 			c.jarmed = 0
 			return nil
 		}
-	}
-}
-
-// finish attributes the wall cycles not spent on useful work, commits or
-// restarts to re-execution.
-func (c *colSim) finish() {
-	w := c.res.WallCycles
-	sum := c.res.UsefulCycles + c.res.CkptCycles + c.res.RestartCycles
-	if w > sum {
-		c.res.ReexecCycles = w - sum
 	}
 }

@@ -9,7 +9,6 @@ package policysim
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 
@@ -60,52 +59,10 @@ type Options struct {
 	MaxWallCycles uint64
 }
 
-// ReasonCounts counts checkpoints by cause, indexed by clank.Reason. It
-// is a fixed array rather than a map so a Result needs no per-simulation
-// allocation (million-configuration sweeps measure the difference) and so
-// two Results compare with == — the batch replay engine's differential
-// tests rely on that.
-type ReasonCounts [clank.NumReasons]int
-
-func (rc ReasonCounts) String() string {
-	s := "{"
-	for r, n := range rc {
-		if n == 0 {
-			continue
-		}
-		if len(s) > 1 {
-			s += " "
-		}
-		s += fmt.Sprintf("%v:%d", clank.Reason(r), n)
-	}
-	return s + "}"
-}
-
 // Result is the simulator's overhead breakdown.
 type Result struct {
 	Completed bool
-
-	UsefulCycles  uint64
-	WallCycles    uint64
-	CkptCycles    uint64
-	RestartCycles uint64
-	ReexecCycles  uint64
-
-	Checkpoints   int
-	Restarts      int
-	BarrenBoots   int
-	PerfWatchdogs int
-	ProgWatchdogs int
-
-	Reasons ReasonCounts
-}
-
-// Overhead is the total run-time overhead versus continuous execution.
-func (r Result) Overhead() float64 {
-	if r.UsefulCycles == 0 {
-		return 0
-	}
-	return float64(r.WallCycles)/float64(r.UsefulCycles) - 1
+	clank.Counters
 }
 
 // CheckpointOverhead is the fraction of useful time spent checkpointing

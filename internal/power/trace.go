@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"strconv"
 	"strings"
@@ -90,7 +91,8 @@ var _ Source = (*Trace)(nil)
 // ("38ms", converted at the model's 1 MHz clock). Blank lines and lines
 // starting with '#' are ignored. A duration of 0 is rejected — a boot
 // that cannot even pay for itself would hang the restart loop silently,
-// which is always a recording error.
+// which is always a recording error — and so is a duration whose cycle
+// count does not fit in 64 bits.
 func ParseTrace(r io.Reader) (*Trace, error) {
 	var ons []uint64
 	sc := bufio.NewScanner(r)
@@ -110,7 +112,11 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 		if v == 0 {
 			return nil, fmt.Errorf("power: trace line %d: zero-length on-time", line)
 		}
-		ons = append(ons, v*scale)
+		hi, cycles := bits.Mul64(v, scale)
+		if hi != 0 {
+			return nil, fmt.Errorf("power: trace line %d: on-time overflows the 64-bit cycle count", line)
+		}
+		ons = append(ons, cycles)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("power: reading trace: %w", err)

@@ -72,6 +72,9 @@ func TestParseTraceErrors(t *testing.T) {
 		{"zero", "100\n0\n"},
 		{"garbage", "100\nforty\n"},
 		{"negative", "-5\n"},
+		// 2^61 ms is 2^64 cycles: the product wraps to a zero on-time.
+		{"ms wraps to zero", "2305843009213693952ms\n"},
+		{"ms overflows", "18446744073709551615ms\n"},
 	}
 	for _, c := range cases {
 		if _, err := ParseTrace(strings.NewReader(c.in)); err == nil {
