@@ -68,10 +68,11 @@ type slot struct {
 	mon   *refmon.Monitor
 	o     Options // normalized
 	class []uint8 // classification column (trace-wide bits + group bits)
-	skip  []uint8 // bypass-read run lengths; nil unless textOn (the
-	// column counts TEXT reads as skippable, so a slot that tracks TEXT
-	// must not use it — it falls back to the per-access bypass test,
-	// which its textMask correctly narrows to exempt-only)
+	skip  []uint8 // bypass-read run lengths for the slot's mode (monitored
+	// or not); nil unless textOn (the column counts TEXT reads as
+	// skippable, so a slot that tracks TEXT must not use it — it falls
+	// back to the per-access bypass test, which its textMask correctly
+	// narrows to exempt-only)
 	textOn   bool   // OptIgnoreText active: faText bits apply
 	textMask uint8  // faText when textOn, else 0 (hoists the && per access)
 	wdt      uint64 // o.PerfWatchdog, hoisted
@@ -124,7 +125,8 @@ type Batch struct {
 }
 
 // NewBatch validates the jobs and allocates every per-batch structure:
-// the detector arena, the classification columns, and the monitors.
+// the detector arena, the classification and skip columns, and the
+// monitors.
 func NewBatch(tr *BatchTrace, jobs []Job) (*Batch, error) {
 	cfgs := make([]clank.Config, len(jobs))
 	njobs := make([]Job, len(jobs))
@@ -145,13 +147,8 @@ func NewBatch(tr *BatchTrace, jobs []Job) (*Batch, error) {
 		o := njobs[i].Opts
 		s.k = &ks[i]
 		s.o = o
-		var skip []uint8
-		s.class, skip = tr.classFor(njobs[i].Config.ExemptPCs, o.Mixed)
-		_, _, s.textOn = s.k.TextWords()
-		if s.textOn {
-			s.textMask = faText
-			s.skip = skip
-		}
+		g := tr.classFor(njobs[i].Config.ExemptPCs, o.Mixed)
+		s.class = g.flags
 		s.wdt = o.PerfWatchdog
 		s.refeedGate = -1
 		if o.Verify && !o.UndoLog {
@@ -160,6 +157,11 @@ func NewBatch(tr *BatchTrace, jobs []Job) (*Batch, error) {
 			// restores old values on rollback instead, which the monitor
 			// cannot express. The undo mode is an overhead model only.
 			s.mon = refmon.New()
+		}
+		_, _, s.textOn = s.k.TextWords()
+		if s.textOn {
+			s.textMask = faText
+			s.skip = tr.skipFor(g, s.mon != nil)
 		}
 		// Checkpoint-cycle budget within which the lockstep core is exact
 		// (see the ckptLimit field comment); min() keeps the sums
@@ -375,12 +377,16 @@ func (s *slot) watchdogEnd(tr *BatchTrace, lo, hi int) int {
 // reaches NV memory on its own terms, filter hits included: exactly what
 // settleAccess would report for the same verdict. Writes certified
 // Outcome{} go to WriteNV, reads certified Outcome{} to ReadNV, and
-// Write-back hits (Buffered / FromWB) report nothing. The probes that
-// cannot tell Outcome{} from FromWB — exempt reads and untracked-mode
-// reads — certify only without a monitor; with one, those reads take the
-// full ReadPre. The skip run-length column likewise applies only without
-// a monitor, which must see each TEXT read. Returns false once the slot
-// is done.
+// Write-back hits (Buffered / FromWB) report nothing. Reads flagged
+// faNoReport are the exception: their ReadNV can change no verdict (see
+// faNoReport), so they report nothing either. Exempt reads and
+// untracked-mode reads are Outcome{} or FromWB with no state change that
+// matters (the slow path would only refresh the performance-only
+// filter); they certify without a monitor, and with one whenever no
+// Write-back entry is dirty (k.WBDirty() == 0, so FromWB is impossible)
+// or the read is faNoReport (so the two verdicts report alike). The
+// monitored skip column covers only faNoReport runs. Returns false once
+// the slot is done.
 func (s *slot) probeSpan(b *Batch, lo, hi int) bool {
 	tr := b.tr
 	k := s.k
@@ -391,7 +397,8 @@ func (s *slot) probeSpan(b *Batch, lo, hi int) bool {
 	// the TEXT check precedes every insert) and, without a monitor, exempt
 	// reads (the read tree resolves them before any insert, and the
 	// Write-back branches above them are read-only — but they may be
-	// FromWB, which only a monitor cares about).
+	// FromWB, which only a monitor cares about; see the certification
+	// below the Write-back probe).
 	rdBypass := textMask
 	if mon == nil {
 		rdBypass |= faExempt
@@ -407,7 +414,7 @@ func (s *slot) probeSpan(b *Batch, lo, hi int) bool {
 	vals := tr.value[lo:hi]
 	cls := s.class[lo:hi]
 	var sk []uint8
-	if s.skip != nil && mon == nil {
+	if s.skip != nil {
 		sk = s.skip[lo:hi]
 	}
 	for j := 0; j < len(addrs); j++ {
@@ -449,27 +456,39 @@ func (s *slot) probeSpan(b *Batch, lo, hi int) bool {
 				continue
 			}
 		} else if f&rdBypass != 0 {
-			acc++
-			if mon != nil {
-				mon.ReadNV(word, vals[j])
-			} else if sk != nil {
+			if sk != nil && sk[j] != 0 {
 				// The whole bypass-read run is consumed in O(1).
 				n := min(int(sk[j]), len(addrs)-j)
-				acc += n - 1
+				acc += n
 				j += n - 1
+				continue
+			}
+			acc++
+			if mon != nil && f&faNoReport == 0 {
+				mon.ReadNV(word, vals[j])
 			}
 			continue
 		} else if k.FilterHitRead(word) {
 			acc++
-			if mon != nil {
+			if mon != nil && f&faNoReport == 0 {
 				mon.ReadNV(word, vals[j])
 			}
 			continue
-		} else if k.BufferedRead(word) || mon == nil && k.Untracked() {
-			// In untracked mode every read is verdict-{} or FromWB (the
-			// untracked branch precedes every insert, and the dirty case
-			// was just probed) — no mutation either way.
+		} else if k.BufferedRead(word) {
 			acc++
+			continue
+		} else if (f&faExempt != 0 || k.Untracked()) && (mon == nil || f&faNoReport != 0 || k.WBDirty() == 0) {
+			// In untracked mode every read is verdict-{} or FromWB (the
+			// untracked branch precedes every insert), and so is an
+			// exempt read (its branch precedes every insert too); neither
+			// mutates anything but the filter. A monitor must tell the
+			// two apart unless the read is faNoReport, and a BufferedRead
+			// miss may not be authoritative, so otherwise it certifies
+			// only when no entry is dirty.
+			acc++
+			if mon != nil && f&faNoReport == 0 {
+				mon.ReadNV(word, vals[j])
+			}
 			continue
 		}
 		i := lo + j
@@ -561,7 +580,7 @@ func (s *slot) settleAccess(b *Batch, i int, f uint8, out clank.Outcome) bool {
 				return false
 			}
 		}
-	} else if !out.FromWB && s.mon != nil {
+	} else if !out.FromWB && s.mon != nil && f&faNoReport == 0 {
 		s.mon.ReadNV(word, tr.value[i])
 	}
 	return true

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/clank"
+	"repro/internal/experiments"
 	"repro/internal/mibench"
 	"repro/internal/policysim"
 )
@@ -66,13 +67,32 @@ func BenchmarkBatchSweepTable2Verified(b *testing.B) {
 	benchSweepTable2(b, true)
 }
 
+// BenchmarkBatchSweepGridVerified replays clank-explore's 96-config
+// buffer grid (experiments.ExploreGrid at max-rf 32, Program Idempotent
+// exemptions on) with the reference monitor attached to every job: the
+// long-section configurations where Verify costs the most.
+func BenchmarkBatchSweepGridVerified(b *testing.B) {
+	c := benchBuild(b)
+	var jobs []policysim.Job
+	for _, cfg := range experiments.ExploreGrid(32, c.Image.TextStart, c.Image.TextEnd, c.ExemptPCs) {
+		jobs = append(jobs, policysim.Job{Config: cfg, Opts: policysim.Options{Verify: true}})
+	}
+	benchSweep(b, c, jobs)
+}
+
 func benchSweepTable2(b *testing.B, verify bool) {
 	c := benchBuild(b)
-	tr := policysim.NewBatchTrace(c.Trace, c.Cycles, c.Image.TextStart, c.Image.TextEnd)
 	jobs := table2Jobs(c)
 	for i := range jobs {
 		jobs[i].Opts.Verify = verify
 	}
+	benchSweep(b, c, jobs)
+}
+
+// benchSweep replays jobs over c's trace as one batch per iteration and
+// reports ns per (access × config).
+func benchSweep(b *testing.B, c *mibench.Compiled, jobs []policysim.Job) {
+	tr := policysim.NewBatchTrace(c.Trace, c.Cycles, c.Image.TextStart, c.Image.TextEnd)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

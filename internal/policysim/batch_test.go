@@ -282,10 +282,28 @@ func TestBatchReplayZeroAlloc(t *testing.T) {
 		{Config: clank.Config{ReadFirst: 8, WriteFirst: 4, WriteBack: 2, Opts: clank.OptAll,
 			TextStart: img.TextStart, TextEnd: img.TextEnd, ExemptPCs: exempt},
 			Opts: Options{Verify: true, PerfWatchdog: 3_000}},
+		// An unverified job in the same exempt class group: the group
+		// now needs both skip columns.
+		{Config: clank.Config{ReadFirst: 8, WriteFirst: 4, WriteBack: 2, Opts: clank.OptAll,
+			TextStart: img.TextStart, TextEnd: img.TextEnd, ExemptPCs: exempt}},
 	}
 	b, err := NewBatch(tr, jobs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Both skip columns are built lazily, but by NewBatch, not by Run.
+	g := tr.classFor(exempt, nil)
+	if g.skip[0] == nil || g.skip[1] == nil {
+		t.Fatalf("NewBatch left a skip column of the shared exempt group unbuilt (unmonitored %v, monitored %v)",
+			g.skip[0] != nil, g.skip[1] != nil)
+	}
+	if &b.sl[5].skip[0] != &g.skip[1][0] || &b.sl[6].skip[0] != &g.skip[0][0] {
+		t.Fatal("verified and unverified slots do not use their mode's skip column")
+	}
+	// No verified job of the exempt-free group tracks TEXT reads as
+	// bypassable, so its monitored column is never built.
+	if tr.base.skip[1] != nil {
+		t.Fatal("NewBatch built a monitored skip column no job uses")
 	}
 	res := make([]Result, len(jobs))
 	if err := b.Run(res, nil); err != nil {
@@ -312,8 +330,11 @@ func TestBatchMatchesScalarOnViolation(t *testing.T) {
 		textEnd = 0x100 // TEXT is [0, 0x100)
 		lit     = 0x40  // a TEXT word (literal pool)
 		a, b, c = 0x1000, 0x1004, 0x1008
+		d       = 0x100c
+		pool    = 0x80 // three never-written TEXT words from here
 		pcRead  = 0x10
 		pcBad   = 0x20 // wrongly exempted: it overwrites read words
+		pcPlain = 0x30 // never exempt
 	)
 	rd := func(addr, v uint32, cyc uint64) armsim.Access {
 		return armsim.Access{Addr: addr, Size: 4, Value: v, PC: pcRead, Cycle: cyc}
@@ -321,11 +342,13 @@ func TestBatchMatchesScalarOnViolation(t *testing.T) {
 	wr := func(addr, v, prev uint32, cyc uint64) armsim.Access {
 		return armsim.Access{Write: true, Addr: addr, Size: 4, Value: v, Prev: prev, PC: pcBad, Cycle: cyc}
 	}
+	plain := func(a armsim.Access) armsim.Access { a.PC = pcPlain; return a }
 	exempt := map[uint32]bool{pcBad: true}
 	cases := []struct {
 		name  string
 		cfg   clank.Config
 		trace []armsim.Access
+		run   int // access index that must start a monitored skip run of 3 (0 = none)
 	}{
 		{
 			// The TEXT read bypasses the detector; the exempt write of
@@ -351,13 +374,36 @@ func TestBatchMatchesScalarOnViolation(t *testing.T) {
 			trace: []armsim.Access{rd(a, 1, 10), rd(b, 2, 20), rd(a, 1, 30), wr(a, 5, 1, 40), rd(c, 3, 50)},
 		},
 		{
-			// The exempt read of b takes the full ReadPre under a
-			// monitor; a plain write then passes through (WriteFirst 0)
-			// by IdxMiss.
+			// The exempt read of b is certified in the probe loop (no
+			// Write-back entry is dirty) and reported to ReadNV; a plain
+			// write then passes through (WriteFirst 0) by IdxMiss.
 			name: "exempt-read-passthrough",
 			cfg:  clank.Config{ReadFirst: 4, ExemptPCs: map[uint32]bool{pcRead: true}},
-			trace: []armsim.Access{rd(a, 1, 10), rd(b, 2, 20), {Write: true, Addr: b, Size: 4, Value: 9, Prev: 2, PC: 0x30, Cycle: 30},
+			trace: []armsim.Access{rd(a, 1, 10), rd(b, 2, 20), plain(wr(b, 9, 2, 30)),
 				rd(c, 3, 40)},
+		},
+		{
+			// The same exempt read of b while d holds a dirty Write-back
+			// entry (d is Read-first resident, so its plain write is
+			// buffered): the read could be FromWB, so it falls back to
+			// ReadPre, which reports it to ReadNV through settleAccess.
+			name: "exempt-read-dirty-wb",
+			cfg:  clank.Config{ReadFirst: 4, WriteBack: 2, ExemptPCs: map[uint32]bool{pcRead: true}},
+			trace: []armsim.Access{plain(rd(d, 4, 10)), plain(wr(d, 5, 4, 20)), rd(a, 1, 30), rd(b, 2, 40),
+				plain(wr(b, 9, 2, 50)), rd(c, 3, 60)},
+		},
+		{
+			// A run of never-written TEXT literals is consumed by the
+			// monitored skip column without reaching the monitor; the
+			// literal at lit is written later, so its read still goes to
+			// ReadNV, and the exempt write of it is caught in the same
+			// section.
+			name: "text-skip-run",
+			cfg: clank.Config{ReadFirst: 4, Opts: clank.OptIgnoreText,
+				TextEnd: textEnd, ExemptPCs: exempt},
+			trace: []armsim.Access{rd(a, 1, 10), rd(pool, 5, 20), rd(pool+4, 6, 30), rd(pool+8, 7, 40),
+				rd(lit, 7, 50), wr(lit, 8, 7, 60), rd(b, 2, 70)},
+			run: 1,
 		},
 	}
 	for _, tc := range cases {
@@ -378,6 +424,9 @@ func TestBatchMatchesScalarOnViolation(t *testing.T) {
 			bt.Run(res, errs)
 			if bt.sl[0].needsPowered {
 				t.Fatal("job left the lockstep core")
+			}
+			if tc.run != 0 && bt.sl[0].skip[tc.run] != 3 {
+				t.Fatalf("monitored skip column at access %d is %d, want a run of 3", tc.run, bt.sl[0].skip[tc.run])
 			}
 			if errs[0] == nil || errs[0].Error() != werr.Error() {
 				t.Errorf("batch error %v\n  scalar error %v", errs[0], werr)

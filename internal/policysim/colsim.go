@@ -151,7 +151,9 @@ func (c *colSim) run() error {
 				}
 				c.setShadow(word, tr.value[i])
 			}
-			if f&faWrite == 0 && !out.FromWB && c.mon != nil {
+			// A faNoReport read cannot change a monitor verdict, so the
+			// monitor need not see it.
+			if f&faWrite == 0 && f&faNoReport == 0 && !out.FromWB && c.mon != nil {
 				c.mon.ReadNV(word, tr.value[i])
 			}
 			c.pos++

@@ -7,6 +7,15 @@
 // simulator and the intermittent machine run it alongside every experiment
 // as a dynamic checker.
 //
+// A violation can only be raised at WriteNV, for a word the section read
+// earlier, and only the first value read counts. So a caller may omit
+// ReadNV for a word the section can provably never pass to WriteNV, or
+// when a ReadNV of the same word and value is certain to follow before
+// any WriteNV of it, without changing any verdict (only Tracked and
+// ReadDominated can differ). The policy simulator does both: it skips
+// reads of words its whole trace never stores to, and reads whose word's
+// next access is a load of the same value.
+//
 // Both sets live in one open-addressed word table stamped with a section
 // epoch, so Reset (once per checkpoint) is O(1) however large an earlier
 // section grew the table, and each access costs a single probe.
