@@ -41,3 +41,22 @@ func TestAddFlagsMatchesAddWithCarry(t *testing.T) {
 		check(rng.Uint32(), rng.Uint32(), rng.Uint32()&1 != 0)
 	}
 }
+
+// addWithCarry implements the ARM AddWithCarry pseudocode via 64-bit
+// widening, returning the result and updating no state. It is the
+// reference model for addFlags (TestAddFlagsMatchesAddWithCarry proves
+// them identical); the executors call addFlags, whose bit-twiddled flag
+// formulas fit the inliner budget where this function's widened
+// arithmetic does not.
+func addWithCarry(x, y uint32, carryIn bool) (result uint32, carryOut, overflow bool) {
+	ci := uint64(0)
+	if carryIn {
+		ci = 1
+	}
+	usum := uint64(x) + uint64(y) + ci
+	ssum := int64(int32(x)) + int64(int32(y)) + int64(ci)
+	result = uint32(usum)
+	carryOut = usum != uint64(result)
+	overflow = ssum != int64(int32(result))
+	return result, carryOut, overflow
+}

@@ -35,8 +35,9 @@ package armsim
 //     use (op.rd&15) so the register file is indexed without bounds
 //     checks.
 //
-// Correctness contract (the legacy interpreter stays the differential
-// reference, exactly as the predecode PR did):
+// Correctness contract (the reference interpreter in the package tests is
+// the differential model for the fused engine, exactly as for the unfused
+// predecode path):
 //
 //   - Monitored buses see every load/store exactly once, in order, with
 //     c.Cycle flushed to the precise pre-instruction value first (the
@@ -68,8 +69,8 @@ package armsim
 //     RunTo fall back to single-stepping otherwise, and chaining re-checks
 //     the gate per block — so every budget stop lands on a block boundary,
 //     where the liveness pass materialized all four flags. Lazily skipped
-//     flags are exactly why mid-run budget stops are forbidden: the legacy
-//     interpreter has exact flags at every instruction boundary, and a
+//     flags are exactly why mid-run budget stops are forbidden: the unfused
+//     path has exact flags at every instruction boundary, and a
 //     stop at a boundary whose flag setter was skipped would expose stale
 //     NZCV (to the intermittent layer's checkpoints, among others). The
 //     remaining early-stop points — faults and vetoes, yields, and
@@ -349,7 +350,7 @@ func (c *CPU) buildRun(pc uint32) int32 {
 	}
 	head := int32(pc >> 1)
 
-	// Scan: collect the block's decoded instructions. fillDecoded both
+	// Scan: collect the block's decoded instructions. decode both
 	// classifies TEXT literals and raises maxSlot over every scanned slot,
 	// which is what keeps the Invalidate watermark sound for lookahead
 	// slots the single-step path never executed.
@@ -365,8 +366,7 @@ func (c *CPU) buildRun(pc uint32) int32 {
 		}
 		d := &pd.tab[(cur>>1)&(MemSize/2-1)]
 		if d.Kind == kindNone {
-			cached, err := c.fillDecoded(d, cur)
-			if err != nil || !cached {
+			if cached, err := c.decode(d, cur); err != nil || cached != d {
 				break
 			}
 		}

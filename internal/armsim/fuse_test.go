@@ -9,8 +9,9 @@ import (
 
 // The superinstruction layer (fuse.go) must be architecturally invisible:
 // same registers, flags, cycle counts, retired-instruction counts, memory,
-// outputs, and errors as the legacy decoder for every program at every
-// budget. These tests drive StepFused against the legacy Step with
+// outputs, and errors as the reference interpreter (reference_test.go) for
+// every program at every budget. These tests drive StepFused against the
+// reference's stepRef with
 // resynchronization on retired-instruction count: one StepFused call may
 // retire a whole block — or several instructions even at budget 1, when a
 // folded constant chain retires as a single micro-op — so the reference
@@ -20,9 +21,9 @@ import (
 // engine.
 
 // fusedPair is two machines with identical memories: ref executes through
-// the legacy decoder, fus through the fused superinstruction engine.
+// the reference interpreter, fus through the fused superinstruction engine.
 type fusedPair struct {
-	ref *Machine // legacy fetch+decode switch: the ground-truth reference
+	ref *Machine // reference fetch+decode switch: the ground truth
 	fus *Machine // predecode + fusion, the default NewMachine configuration
 
 	// Monitored (strict-mode) pairs only: each machine's bus, plus counts
@@ -36,9 +37,7 @@ type fusedPair struct {
 
 func newFusedPair(t testing.TB) *fusedPair {
 	t.Helper()
-	ref := NewMachine()
-	ref.CPU.DisablePredecode()
-	p := &fusedPair{ref: ref, fus: NewMachine()}
+	p := &fusedPair{ref: newRefMachine(), fus: NewMachine()}
 	if !p.fus.CPU.FusionEnabled() {
 		t.Fatal("fusion not enabled by default on NewMachine")
 	}
@@ -211,10 +210,10 @@ func (p *fusedPair) sync(t *testing.T, budget uint64, label string) error {
 	last, accInsns, lastAccessed := 0, 0, false
 	step := func() error {
 		if p.refBus == nil {
-			return r.Step()
+			return r.stepRef()
 		}
 		last = len(p.refBus.log)
-		err := r.Step()
+		err := r.stepRef()
 		lastAccessed = len(p.refBus.log) > last
 		if lastAccessed {
 			accInsns++
@@ -223,7 +222,7 @@ func (p *fusedPair) sync(t *testing.T, budget uint64, label string) error {
 	}
 	for r.Insns < q.Insns {
 		if err := step(); err != nil {
-			t.Fatalf("%s: legacy error %v at insn %d while catching up to %d (fused err: %v)",
+			t.Fatalf("%s: reference error %v at insn %d while catching up to %d (fused err: %v)",
 				label, err, r.Insns, q.Insns, errF)
 		}
 	}
@@ -233,23 +232,23 @@ func (p *fusedPair) sync(t *testing.T, budget uint64, label string) error {
 		errR = step()
 	}
 	if (errR == nil) != (errF == nil) || (errR != nil && errR.Error() != errF.Error()) {
-		t.Fatalf("%s: error mismatch:\n  legacy: %v\n  fused:  %v", label, errR, errF)
+		t.Fatalf("%s: error mismatch:\n  reference: %v\n  fused:     %v", label, errR, errF)
 	}
 	if p.fusBus != nil {
 		p.checkMonitored(t, label, errF, q.Insns-start, last, retired, lastAccessed)
 	}
 	if r.Insns != q.Insns {
-		t.Fatalf("%s: retired-instruction mismatch: legacy %d, fused %d", label, r.Insns, q.Insns)
+		t.Fatalf("%s: retired-instruction mismatch: reference %d, fused %d", label, r.Insns, q.Insns)
 	}
 	if r.R != q.R {
-		t.Fatalf("%s: register mismatch:\n  legacy: %v\n  fused:  %v", label, r.R, q.R)
+		t.Fatalf("%s: register mismatch:\n  reference: %v\n  fused:     %v", label, r.R, q.R)
 	}
 	if r.N != q.N || r.Z != q.Z || r.C != q.C || r.V != q.V || r.Prim != q.Prim || r.Halt != q.Halt {
-		t.Fatalf("%s: flag mismatch: legacy N%v Z%v C%v V%v P%v H%v, fused N%v Z%v C%v V%v P%v H%v",
+		t.Fatalf("%s: flag mismatch: reference N%v Z%v C%v V%v P%v H%v, fused N%v Z%v C%v V%v P%v H%v",
 			label, r.N, r.Z, r.C, r.V, r.Prim, r.Halt, q.N, q.Z, q.C, q.V, q.Prim, q.Halt)
 	}
 	if r.Cycle != q.Cycle {
-		t.Fatalf("%s: cycle mismatch at insn %d: legacy %d, fused %d", label, r.Insns, r.Cycle, q.Cycle)
+		t.Fatalf("%s: cycle mismatch at insn %d: reference %d, fused %d", label, r.Insns, r.Cycle, q.Cycle)
 	}
 	return errF
 }
@@ -264,12 +263,12 @@ func (p *fusedPair) checkMonitored(t *testing.T, label string, errF error, insns
 	t.Helper()
 	fl, rl := p.fusBus.log, p.refBus.log
 	if len(fl) != len(rl) {
-		t.Fatalf("%s: fused bus saw %d accesses, legacy %d:\n  legacy: %+v\n  fused:  %+v",
+		t.Fatalf("%s: fused bus saw %d accesses, reference %d:\n  reference: %+v\n  fused:     %+v",
 			label, len(fl), len(rl), rl, fl)
 	}
 	for i := range fl {
 		if fl[i] != rl[i] {
-			t.Fatalf("%s: access %d differs:\n  legacy: %+v\n  fused:  %+v", label, i, rl[i], fl[i])
+			t.Fatalf("%s: access %d differs:\n  reference: %+v\n  fused:     %+v", label, i, rl[i], fl[i])
 		}
 	}
 	if y := p.fusBus.yieldAt; y >= 0 && y < last {
@@ -298,7 +297,7 @@ func (p *fusedPair) deepCompare(t *testing.T, label string) {
 		t.Fatalf("%s: memory contents diverged", label)
 	}
 	if len(p.ref.Mem.Outputs) != len(p.fus.Mem.Outputs) {
-		t.Fatalf("%s: output count mismatch: legacy %d, fused %d",
+		t.Fatalf("%s: output count mismatch: reference %d, fused %d",
 			label, len(p.ref.Mem.Outputs), len(p.fus.Mem.Outputs))
 	}
 	for i := range p.ref.Mem.Outputs {
@@ -312,7 +311,7 @@ func (p *fusedPair) deepCompare(t *testing.T, label string) {
 // second-halfword variants for the 32-bit prefixes) embedded mid-block —
 // padded so the probed instruction actually fuses into a run rather than
 // being a lone unfusable head — under multiple register seeds and budgets,
-// and asserts the fused engine matches the legacy decoder exactly.
+// and asserts the fused engine matches the reference interpreter exactly.
 func TestFusedDifferentialAllEncodings(t *testing.T) {
 	p := newFusedPair(t)
 	seeds := []uint32{0x1234, 0xBEEF5EED, 0x0F0F7777}
@@ -354,7 +353,7 @@ func TestFusedDifferentialAllEncodings(t *testing.T) {
 // TestFusedDifferentialRandomStreams runs randomized instruction streams
 // through the fused engine with cycling budgets (mid-run boundary stops,
 // chained whole-block execution, and everything between), resynchronizing
-// with the legacy decoder after every StepFused call. The monitored mode
+// with the reference interpreter after every StepFused call. The monitored mode
 // repeats the streams on a strict-mode bus whose vetoes and yields land
 // mid-run.
 func TestFusedDifferentialRandomStreams(t *testing.T) {
@@ -451,7 +450,7 @@ func TestFusedMonitoredYieldAndVeto(t *testing.T) {
 // transfer mid-run on a strict-mode bus and vetoes, then yields, at every
 // access ordinal k of the transfer. After every StepFused the full state —
 // registers (SP and PC included), flags, Cycle, Insns, the bus log with its
-// cycle stamps, and all of memory — must equal the legacy decoder's at the
+// cycle stamps, and all of memory — must equal the reference's at the
 // same instruction count. The first call must also stop where the contract
 // puts it: on a veto, at the transfer with only the ALU op before it
 // retired; on a yield, right after the whole transfer (at the popped
@@ -537,8 +536,8 @@ func hw(ops ...uint16) []byte {
 	return b
 }
 
-// FuzzFusedBlocks feeds arbitrary instruction blocks through the fused/legacy
-// differential. The committed seeds pin the scenarios the fusion layer must
+// FuzzFusedBlocks feeds arbitrary instruction blocks through the
+// fused/reference differential. The committed seeds pin the scenarios the fusion layer must
 // survive: a branch into the middle of an already-fused run, a store into
 // the run currently executing, a flag consumer heading a run (lazy flag
 // evaluation must materialize flags across run boundaries), monitored

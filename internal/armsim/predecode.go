@@ -20,7 +20,10 @@ package armsim
 // failures never flush the cache: non-volatile memory survives them, so
 // every cached entry is still exact after a rollback.
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Instruction kinds. The executor switches on this dense enumeration, which
 // the compiler lowers to a jump table. kindNone (the zero value) marks an
@@ -121,8 +124,9 @@ const (
 	// TextLitLoader bus is attached; see SetTextWindow.
 	kindLDRLitText
 
-	// Anything else: execute through the legacy decoder so undefined
-	// encodings keep their exact legacy errors.
+	// Anything else: execDecoded raises ErrUndefined worded for the
+	// encoding (undefined); Raw is the first halfword, and Imm the second
+	// for a 32-bit encoding.
 	kindUndef
 )
 
@@ -147,7 +151,7 @@ type DecodeCache struct {
 	// data store far above the text region — Invalidate is one compare,
 	// and a whole-memory reset clears only the slots that were ever
 	// filled instead of the full table. Fused-run discovery scans ahead of
-	// execution through fillDecoded, so the watermark also covers every
+	// execution through decode, so the watermark also covers every
 	// slot a run spans — including lookahead slots never reached by the
 	// single-step path.
 	maxSlot int
@@ -174,9 +178,9 @@ type DecodeCache struct {
 
 	// Shared-image freeze state (shared.go). A frozen cache is immutable —
 	// safe for any number of concurrently executing CPUs — so every lazy
-	// mutation point (fillDecoded, buildRun, Invalidate) is guarded:
-	// undecoded slots fall back to the legacy interpreter, unexamined run
-	// heads single-step, and Invalidate must never be reached (the
+	// mutation point (decode, buildRun, Invalidate) is guarded: undecoded
+	// slots decode into the CPU's own scratch record, unexamined run heads
+	// single-step, and Invalidate must never be reached (the
 	// copy-on-write hook installed by AttachShared clones the cache first).
 	// limitB is the freeze-time decode bound in bytes: while it is non-zero
 	// no cached entry's encoded bytes may cross it, which is what makes the
@@ -273,16 +277,14 @@ func (c *CPU) EnablePredecode(mem *Memory) {
 	c.EnableFusion()
 }
 
-// DisablePredecode detaches the cache, forcing every Step through the
-// legacy fetch+decode path (the reference model for differential testing).
-func (c *CPU) DisablePredecode() { c.pd, c.mem = nil, nil }
-
 // TextLitLoader is an optional Bus extension for loads the predecoder
 // proved lie inside the TEXT window: monitored buses implement it to serve
 // the word without per-access classification (the detector's verdict for a
-// TEXT read is statically known). The legacy decode path never uses it, so
-// implementations must keep it observably identical to Load — same value,
-// same side effects on monitors and failure hooks.
+// TEXT read is statically known). Only cached records use it — an
+// instruction decoded on the miss path, or on a CPU whose TEXT window is
+// cleared, reaches the same word through Load — so implementations must
+// keep it observably identical to Load: same value, same side effects on
+// monitors and failure hooks.
 type TextLitLoader interface {
 	LoadTextLit(addr, pc uint32) (uint32, error)
 }
@@ -300,9 +302,10 @@ func (c *CPU) SetTextWindow(lo, hi uint32) {
 }
 
 // predecode decodes one instruction into its flat record. op2 is the
-// following halfword, consulted only for 32-bit encodings. The mapping
-// mirrors CPU.exec's dispatch exactly; any encoding exec rejects maps to
-// kindUndef, which re-executes through exec for identical error values.
+// following halfword, consulted only for 32-bit encodings. Any encoding
+// outside ARMv6-M maps to kindUndef. The reference interpreter in the
+// package tests decodes independently; the differential suites prove the
+// two agree on every encoding, error text included.
 func predecode(op, op2 uint16) DecodedInsn {
 	switch {
 	case op>>14 == 0b00:
@@ -408,7 +411,7 @@ func predecode(op, op2 uint16) DecodedInsn {
 	case op>>11 == 0b11100:
 		off := int32(op&0x7FF) << 21 >> 20
 		return DecodedInsn{Kind: kindB, Imm: uint32(off)}
-	case op>>11 == 0b11110 || op>>11 == 0b11101 || op>>11 == 0b11111:
+	case is32(op):
 		return predecode32(op, op2)
 	}
 	return DecodedInsn{Kind: kindUndef, Raw: op}
@@ -488,7 +491,7 @@ func predecodeMisc(op uint16) DecodedInsn {
 
 func predecode32(op, op2 uint16) DecodedInsn {
 	// BL: 11110 S imm10 : 11 J1 1 J2 imm11 (checked before the system
-	// encodings, mirroring exec32's order).
+	// encodings).
 	if op>>11 == 0b11110 && op2>>14 == 0b11 && op2&(1<<12) != 0 {
 		s := uint32(op>>10) & 1
 		imm10 := uint32(op) & 0x3FF
@@ -505,10 +508,11 @@ func predecode32(op, op2 uint16) DecodedInsn {
 	if op>>4 == 0b111100111011 || op>>4 == 0b111100111000 || op>>4 == 0b111100111110 {
 		return DecodedInsn{Kind: kindSYS32, Raw: op}
 	}
-	return DecodedInsn{Kind: kindUndef, Raw: op}
+	return DecodedInsn{Kind: kindUndef, Raw: op, Imm: uint32(op2)}
 }
 
-// readRegPC is readReg from execSpecial: PC reads as pc+4.
+// readRegPC reads register i as the instruction at pc sees it: PC reads as
+// pc+4.
 func (c *CPU) readRegPC(i int, pc uint32) uint32 {
 	if i == PC {
 		return pc + 4
@@ -566,8 +570,9 @@ func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
 	return c.Bus.Store(addr, size, v, pc)
 }
 
-// loadD / storeD are c.load / c.store with the access routed through the
-// fast path: same cycle accounting, same abort-without-side-effects rule.
+// loadD / storeD perform one single-register load or store through the
+// fast path, returning the instruction's cycle cost and next PC; on a
+// failed access no register changes.
 func (c *CPU) loadD(addr uint32, size uint8, rt int, ext func(uint32) uint32, pc, next uint32) (int, uint32, error) {
 	v, err := c.pdLoad(addr, size, pc)
 	if err != nil {
@@ -627,9 +632,9 @@ func (c *CPU) loadMulti(addr, list, pc uint32) (uint32, error) {
 }
 
 // execDecoded executes one predecoded instruction at pc, returning its
-// cycle cost and next PC, with semantics identical to exec (the legacy
-// decoder is the reference model; predecode_test.go proves the equivalence
-// over all 65536 encodings). On error, no architectural state has changed.
+// cycle cost and next PC. The reference interpreter in the package tests is
+// its model; predecode_test.go proves the equivalence over all 65536
+// encodings. On error, no architectural state has changed.
 func (c *CPU) execDecoded(d *DecodedInsn, pc uint32) (cycles int, next uint32, err error) {
 	next = pc + 2
 
@@ -978,54 +983,76 @@ func (c *CPU) execDecoded(d *DecodedInsn, pc uint32) (cycles int, next uint32, e
 		return cycSys, pc + 4, nil
 	}
 
-	// kindUndef (and, defensively, kindNone): the legacy decoder produces
-	// the exact error value, re-fetching the second halfword of a 32-bit
-	// encoding itself. None of these paths mutate architectural state.
-	return c.exec(d.Raw, pc)
+	// kindUndef. Step and RunTo decode a slot before executing it, so
+	// kindNone never gets here.
+	return 0, 0, undefined(d, pc)
 }
 
-// fillDecoded decodes the instruction at pc into the cache slot d. It
-// reports cached=false when this Step must take the legacy path instead
-// (the second halfword of a 32-bit encoding is unfetchable, so the legacy
-// decoder surfaces that exact fetch fault). A non-nil error is a fetch
-// fault on the first halfword, returned from Step unchanged.
-func (c *CPU) fillDecoded(d *DecodedInsn, pc uint32) (cached bool, err error) {
-	// Freeze-build bound (shared.go): while limitB is set, refuse to cache
-	// any instruction whose encoded bytes would reach past it. The frozen
-	// cache's write hook skips invalidation for addr >= limitB with a
-	// single compare, which is only sound if no cached encoding crosses
-	// the line; the refused instructions execute through stepLegacy.
-	if lim := c.pd.limitB; lim != 0 && pc+2 > lim {
-		return false, nil
+// undefined is the error a kindUndef record raises, worded by encoding
+// class: the UDF opcode, an empty register list, a 32-bit pair (its second
+// halfword as fetched at decode time), or any other halfword.
+func undefined(d *DecodedInsn, pc uint32) error {
+	op := d.Raw
+	switch {
+	case op>>12 == 0b1101:
+		return fmt.Errorf("%w: UDF %#04x at %#x", ErrUndefined, op, pc)
+	case op>>9 == 0b1011010:
+		return fmt.Errorf("%w: empty PUSH at %#x", ErrUndefined, pc)
+	case op>>9 == 0b1011110:
+		return fmt.Errorf("%w: empty POP at %#x", ErrUndefined, pc)
+	case op>>12 == 0b1100:
+		return fmt.Errorf("%w: empty LDM/STM at %#x", ErrUndefined, pc)
+	case is32(op):
+		return fmt.Errorf("%w: 32-bit %#04x %#04x at %#x", ErrUndefined, op, uint16(d.Imm), pc)
 	}
+	return fmt.Errorf("%w: %#04x at %#x", ErrUndefined, op, pc)
+}
+
+// is32 reports whether op is the first halfword of a 32-bit encoding.
+func is32(op uint16) bool { return op>>11 >= 0b11101 }
+
+// decode is the cache's miss path: it fetches the instruction at pc and
+// predecodes it. slot is pc's empty cache slot, nil when pc has none (no
+// cache, or pc outside main memory). The record goes into slot when the
+// cache may hold it, and otherwise into the CPU-local scratch record
+// c.miss: no slot, a frozen shared cache, or an encoding crossing the
+// freeze-build bound limitB. A frozen cache is therefore never written. A
+// fetch fault on either halfword is returned unchanged; nothing is cached.
+func (c *CPU) decode(slot *DecodedInsn, pc uint32) (*DecodedInsn, error) {
 	op, err := c.Bus.Fetch16(pc)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	if op>>11 == 0b11110 || op>>11 == 0b11101 || op>>11 == 0b11111 {
-		if lim := c.pd.limitB; lim != 0 && pc+4 > lim {
-			return false, nil
+	var op2 uint16
+	end := pc + 2
+	if is32(op) {
+		if op2, err = c.Bus.Fetch16(pc + 2); err != nil {
+			return nil, err
 		}
-		op2, err2 := c.Bus.Fetch16(pc + 2)
-		if err2 != nil {
-			return false, nil
-		}
-		*d = predecode(op, op2)
-	} else {
-		*d = predecode(op, 0)
+		end = pc + 4
 	}
+	// Freeze-build bound (shared.go): while limitB is set, no cached
+	// encoding may reach past it. The frozen cache's write hook skips
+	// invalidation for addr >= limitB with a single compare, which is only
+	// sound if no cached encoding crosses the line.
+	pd := c.pd
+	if slot == nil || pd.frozen || (pd.limitB != 0 && end > pd.limitB) {
+		c.miss = predecode(op, op2)
+		return &c.miss, nil
+	}
+	*slot = predecode(op, op2)
 	// Pre-classify literal loads against the TEXT window: the literal's
 	// address depends only on pc, which the cache slot fixes, so the
 	// classification is as immutable as the decode itself. (Text-region
 	// stores invalidate the slot through the write hook like any other
 	// entry; the refill reclassifies to the same verdict.)
-	if d.Kind == kindLDRLit && c.textLit != nil {
-		if addr := ((pc + 4) &^ 3) + d.Imm; addr>>2 >= c.textLoW && addr>>2 < c.textHiW {
-			*d = DecodedInsn{Kind: kindLDRLitText, Rd: d.Rd, Imm: addr}
+	if slot.Kind == kindLDRLit && c.textLit != nil {
+		if addr := ((pc + 4) &^ 3) + slot.Imm; addr>>2 >= c.textLoW && addr>>2 < c.textHiW {
+			*slot = DecodedInsn{Kind: kindLDRLitText, Rd: slot.Rd, Imm: addr}
 		}
 	}
-	if slot := int(pc >> 1); slot > c.pd.maxSlot {
-		c.pd.maxSlot = slot
+	if i := int(pc >> 1); i > pd.maxSlot {
+		pd.maxSlot = i
 	}
-	return true, nil
+	return slot, nil
 }

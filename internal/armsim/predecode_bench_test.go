@@ -5,8 +5,9 @@ import (
 )
 
 // The simulator's hot loop is CPU.Step. These benchmarks compare the
-// predecoded jump-table dispatch against the legacy fetch-and-switch decode
-// on a steady-state instruction mix, and pin the steady state to zero
+// predecoded jump-table dispatch against the reference fetch-and-switch
+// interpreter (reference_test.go; the "legacy" sub-benchmark) on a
+// steady-state instruction mix, and pin the steady state to zero
 // allocations (BENCH_armsim.json records the numbers).
 
 // benchLoopOps is an infinite loop with a representative mix: ALU ops, a
@@ -27,12 +28,9 @@ func benchLoopOps() []uint16 {
 	}
 }
 
-func benchStepMachine(b *testing.B, predecode bool) *Machine {
+func benchStepMachine(b *testing.B) *Machine {
 	b.Helper()
 	m := NewMachine()
-	if !predecode {
-		m.CPU.DisablePredecode()
-	}
 	if err := m.Boot(asmImage(benchLoopOps()...)); err != nil {
 		b.Fatal(err)
 	}
@@ -46,29 +44,39 @@ func benchStepMachine(b *testing.B, predecode bool) *Machine {
 }
 
 // BenchmarkStepLoop measures ns per executed instruction in the simulator's
-// innermost loop, with and without the predecoded instruction cache.
+// innermost loop: the predecoded Step, the reference interpreter ("legacy",
+// the denominator of the predecode speedup) and the fused engine.
 func BenchmarkStepLoop(b *testing.B) {
-	for _, sub := range []struct {
-		name      string
-		predecode bool
-	}{{"predecode", true}, {"legacy", false}} {
-		b.Run(sub.name, func(b *testing.B) {
-			m := benchStepMachine(b, sub.predecode)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := m.CPU.Step(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("predecode", func(b *testing.B) {
+		m := benchStepMachine(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := m.CPU.Step(); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/insn")
-		})
-	}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/insn")
+	})
+	b.Run("legacy", func(b *testing.B) {
+		m := newRefMachine()
+		if err := m.Boot(asmImage(benchLoopOps()...)); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := m.CPU.stepRef(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/insn")
+	})
 	// The fused engine executes whole basic blocks per StepFused call; a
 	// 1024-cycle budget keeps each call inside the run-chaining fast path
 	// while exercising the budget gate like the intermittent driver does.
 	b.Run("fused", func(b *testing.B) {
-		m := benchStepMachine(b, true)
+		m := benchStepMachine(b)
 		for i := 0; i < 16; i++ {
 			if err := m.CPU.StepFused(1); err != nil {
 				b.Fatal(err)
@@ -111,7 +119,7 @@ func TestStepNoAllocs(t *testing.T) {
 	}
 }
 
-// TestPushPopNoAllocs covers the register-list paths (the legacy decoder's
+// TestPushPopNoAllocs covers the register-list paths (the reference decoder's
 // only allocation site) through the predecoded dispatch: PUSH/POP in a loop
 // must not allocate either.
 func TestPushPopNoAllocs(t *testing.T) {

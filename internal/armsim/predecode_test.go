@@ -7,22 +7,20 @@ import (
 )
 
 // The predecoded dispatch must be architecturally indistinguishable from
-// the legacy exec switch: same registers, flags, cycle counts, memory,
+// the reference interpreter (reference_test.go): same registers, flags, cycle counts, memory,
 // outputs, and errors (including ErrUndefined) for every encoding. These
 // tests run both decoders side by side — the same differential methodology
 // mapmodel_test.go used for the clank CAM rewrite.
 
 // diffPair is two machines with identical memories: ref executes through
-// the legacy decoder, pre through the predecode cache.
+// the reference interpreter, pre through the predecode cache.
 type diffPair struct {
 	ref *Machine
 	pre *Machine
 }
 
 func newDiffPair() *diffPair {
-	ref := NewMachine()
-	ref.CPU.DisablePredecode()
-	return &diffPair{ref: ref, pre: NewMachine()}
+	return &diffPair{ref: newRefMachine(), pre: NewMachine()}
 }
 
 // seedCPU sets both CPUs to the same pseudo-random-but-valid state: a few
@@ -58,27 +56,27 @@ func (p *diffPair) seedCPU(seed uint32, pc uint32) {
 // so the differential check stays exact.
 func (p *diffPair) step(t *testing.T, label string) error {
 	t.Helper()
-	errRef := p.ref.CPU.Step()
+	errRef := p.ref.CPU.stepRef()
 	errPre := p.pre.CPU.Step()
 	if (errRef == nil) != (errPre == nil) || (errRef != nil && errRef.Error() != errPre.Error()) {
-		t.Fatalf("%s: error mismatch:\n  legacy:    %v\n  predecode: %v", label, errRef, errPre)
+		t.Fatalf("%s: error mismatch:\n  reference: %v\n  predecode: %v", label, errRef, errPre)
 	}
 	r, q := p.ref.CPU, p.pre.CPU
 	if r.R != q.R {
-		t.Fatalf("%s: register mismatch:\n  legacy:    %v\n  predecode: %v", label, r.R, q.R)
+		t.Fatalf("%s: register mismatch:\n  reference: %v\n  predecode: %v", label, r.R, q.R)
 	}
 	if r.N != q.N || r.Z != q.Z || r.C != q.C || r.V != q.V || r.Prim != q.Prim || r.Halt != q.Halt {
-		t.Fatalf("%s: flag mismatch: legacy N%v Z%v C%v V%v P%v H%v, predecode N%v Z%v C%v V%v P%v H%v",
+		t.Fatalf("%s: flag mismatch: reference N%v Z%v C%v V%v P%v H%v, predecode N%v Z%v C%v V%v P%v H%v",
 			label, r.N, r.Z, r.C, r.V, r.Prim, r.Halt, q.N, q.Z, q.C, q.V, q.Prim, q.Halt)
 	}
 	if r.Cycle != q.Cycle {
-		t.Fatalf("%s: cycle mismatch: legacy %d, predecode %d", label, r.Cycle, q.Cycle)
+		t.Fatalf("%s: cycle mismatch: reference %d, predecode %d", label, r.Cycle, q.Cycle)
 	}
 	if !bytes.Equal(p.ref.Mem.Bytes(), p.pre.Mem.Bytes()) {
 		t.Fatalf("%s: memory contents diverged", label)
 	}
 	if len(p.ref.Mem.Outputs) != len(p.pre.Mem.Outputs) {
-		t.Fatalf("%s: output count mismatch: legacy %d, predecode %d",
+		t.Fatalf("%s: output count mismatch: reference %d, predecode %d",
 			label, len(p.ref.Mem.Outputs), len(p.pre.Mem.Outputs))
 	}
 	for i := range p.ref.Mem.Outputs {
@@ -99,8 +97,8 @@ func (p *diffPair) writeOp(op, op2 uint16) {
 
 // TestDifferentialAllEncodings sweeps every 16-bit encoding (with two
 // second-halfword variants for the 32-bit prefixes) under multiple register
-// seeds and asserts the predecoded dispatch matches the legacy decoder
-// exactly — state, cycles, memory, and error values.
+// seeds and asserts the predecoded dispatch matches the reference
+// interpreter exactly — state, cycles, memory, and error values.
 func TestDifferentialAllEncodings(t *testing.T) {
 	p := newDiffPair()
 	seeds := []uint32{0x1234, 0xBEEF5EED, 0x0F0F7777}

@@ -14,13 +14,14 @@ package armsim
 // intermittent test suites):
 //
 //  1. A frozen cache is never written. Every lazy mutation point checks
-//     pd.frozen: Step/RunTo fall back to stepLegacy for undecoded slots,
-//     StepFused/execRun skip buildRun for unexamined heads, and
+//     pd.frozen: the miss path (decode) decodes an undecoded slot into the
+//     CPU's own scratch record and executes it from there, StepFused,
+//     RunTo and execRun skip buildRun for unexamined heads, and
 //     Invalidate panics (it is unreachable: see 2 and 3).
 //
 //  2. Data writes cannot require invalidation. During the build, limitB
 //     bounds every cached encoding to lie strictly below the text end
-//     (fillDecoded refuses entries that would cross it, and buildRun's
+//     (decode refuses to cache entries that would cross it, and buildRun's
 //     scan stops at the first refusal), so a store at addr >= limitB
 //     provably overlaps no frozen entry. The write hook installed by
 //     AttachShared is therefore one compare in the common case.
@@ -147,16 +148,12 @@ func NewSharedProgram(img []byte, initialSP, entry, textEnd uint32, litLoW, litH
 		}
 	}
 	// Eager pass: decode every remaining slot below the limit so frozen
-	// execution never needs fillDecoded. Slots the decoder refuses (a
-	// 32-bit encoding straddling the limit, junk in literal pools that
-	// fails to fetch) stay kindNone and run through stepLegacy.
+	// execution rarely misses. A slot the cache refuses (a 32-bit encoding
+	// straddling the limit) or whose fetch faults stays kindNone; the miss
+	// path executes it, or raises the same fault, at run time.
 	for slot := 0; uint32(slot)*2+2 <= lim; slot++ {
-		d := &pd.tab[slot]
-		if d.Kind != kindNone {
-			continue
-		}
-		if _, err := cpu.fillDecoded(d, uint32(slot)*2); err != nil {
-			return nil, err
+		if d := &pd.tab[slot]; d.Kind == kindNone {
+			_, _ = cpu.decode(d, uint32(slot)*2)
 		}
 	}
 	sp.Runs = len(pd.runs)

@@ -13,14 +13,17 @@ import (
 // The superinstruction engine must be invisible to the whole intermittent
 // stack: identical checkpoints, rollbacks, watchdog firings, commit
 // protocol traffic, outputs, and final NV memory as the unfused predecode
-// path and the legacy interpreter. These tests run the same image under the
-// same deterministic supply in all three modes and require deep-equal Stats
-// — any divergence in when a monitored access is seen, when a budget
-// boundary lands, or what flags a checkpoint captures shows up as a
-// counter, reason-map, or output difference.
+// path. These tests run the same image under the same deterministic supply
+// in three modes and require deep-equal Stats — any divergence in when a
+// monitored access is seen, when a budget boundary lands, or what flags a
+// checkpoint captures shows up as a counter, reason-map, or output
+// difference. The third mode also clears the CPU's TEXT window, so literal
+// loads reach the bus through Load instead of LoadTextLit: equal Stats pin
+// the TextLitLoader contract that the two are observably identical.
 
-// fuseModeNames are the three engine configurations, strongest first.
-var fuseModeNames = []string{"fused", "predecode", "legacy"}
+// fuseModeNames are the three engine configurations, strongest first; the
+// last is the baseline the others are compared against.
+var fuseModeNames = []string{"fused", "predecode", "predecode-notext"}
 
 // runModes executes the image once per engine mode with identically seeded
 // supplies and returns the Stats plus a final-NV-memory snapshot. mkOpts
@@ -37,12 +40,15 @@ func runImageModes(t *testing.T, img *ccc.Image, mkOpts func() Options) (stats [
 	t.Helper()
 	for _, name := range fuseModeNames {
 		mode := name
-		opts := mkOpts()
-		opts.DisableFusion = mode == "predecode"
-		opts.LegacyDecode = mode == "legacy"
-		m, err := NewMachine(img, opts)
+		m, err := NewMachine(img, mkOpts())
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
+		}
+		if mode != "fused" {
+			m.cpu.DisableFusion()
+		}
+		if mode == "predecode-notext" {
+			m.cpu.SetTextWindow(0, 0)
 		}
 		st, err := m.Run()
 		if err != nil {
@@ -64,16 +70,16 @@ func runImageModes(t *testing.T, img *ccc.Image, mkOpts func() Options) (stats [
 
 func requireIdenticalModes(t *testing.T, label string, stats []Stats, mems [][]byte) {
 	t.Helper()
-	names := []string{"fused", "predecode", "legacy"}
-	ref := len(stats) - 1 // legacy is ground truth
+	ref := len(stats) - 1
+	base := fuseModeNames[ref]
 	for i := 0; i < ref; i++ {
 		if !reflect.DeepEqual(stats[i], stats[ref]) {
-			t.Errorf("%s: %s Stats diverge from legacy:\n  %+v\n  %+v",
-				label, names[i], stats[i], stats[ref])
+			t.Errorf("%s: %s Stats diverge from %s:\n  %+v\n  %+v",
+				label, fuseModeNames[i], base, stats[i], stats[ref])
 		}
 		for a := range mems[i] {
 			if mems[i][a] != mems[ref][a] {
-				t.Errorf("%s: %s NV memory diverges from legacy at %#x", label, names[i], a)
+				t.Errorf("%s: %s NV memory diverges from %s at %#x", label, fuseModeNames[i], base, a)
 				break
 			}
 		}
@@ -100,7 +106,7 @@ func TestFusedIntermittentDifferentialAlways(t *testing.T) {
 // checkpointed PC is frequently inside a fused block, so resumption builds
 // and enters suffix runs), rollbacks re-execute fused work, and the
 // watchdogs interleave with budget-gated block entry. Identical Stats
-// means every one of those boundaries matched the legacy interpreter
+// means every one of those boundaries matched the unfused path
 // cycle-for-cycle.
 func TestFusedIntermittentDifferentialFailures(t *testing.T) {
 	for _, seed := range []int64{3, 44} {

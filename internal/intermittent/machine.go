@@ -94,14 +94,6 @@ type Options struct {
 	// the crash-consistency sweep must catch the corruption the bug makes
 	// reachable. Production runs leave it at BugNone.
 	CommitBug CommitBug
-
-	// DisableFusion turns off the superinstruction layer, keeping the
-	// predecoded single-step path — the mid-tier reference for differential
-	// testing of the fused engine.
-	DisableFusion bool
-	// LegacyDecode additionally drops the predecode cache, running the
-	// original fetch+decode switch interpreter — the ground-truth reference.
-	LegacyDecode bool
 }
 
 // TearAtCommitWrite returns an NVFault hook that tears exactly the n-th
@@ -251,15 +243,10 @@ func NewMachine(img *ccc.Image, opts Options) (*Machine, error) {
 // private one — dropping per-device memory from ~1.8 MB to the NV memory,
 // detector, and journal (see Footprint), which is what makes fleets of
 // tens of thousands of devices practical. prog must have been built from
-// this image under an equivalent Clank configuration (same TEXT window);
-// the decode-engine overrides are rejected because a frozen cache IS the
-// fused predecode engine.
+// this image under an equivalent Clank configuration (same TEXT window).
 func NewMachineShared(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Machine, error) {
 	if prog == nil {
 		return nil, errors.New("intermittent: NewMachineShared requires a shared program")
-	}
-	if opts.LegacyDecode || opts.DisableFusion {
-		return nil, errors.New("intermittent: shared programs require the fused predecode engine")
 	}
 	return newMachine(img, opts, prog)
 }
@@ -358,12 +345,6 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 		// writes) invalidate the affected lines through the Memory write
 		// hook.
 		m.cpu.EnablePredecode(m.mem)
-		switch {
-		case opts.LegacyDecode:
-			m.cpu.DisablePredecode()
-		case opts.DisableFusion:
-			m.cpu.DisableFusion()
-		}
 		if winHi > winLo {
 			m.cpu.SetTextWindow(winLo, winHi)
 		}
@@ -548,7 +529,8 @@ func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 	if word-m.textLoW < m.textSpanW {
 		// TEXT read under OptIgnoreText: same statically-known verdict as
 		// LoadTextLit, reached dynamically (register-based addressing the
-		// predecoder cannot classify, and the legacy reference path).
+		// predecoder cannot classify, and literal loads the CPU did not
+		// classify: the decode cache's miss path, or a cleared TEXT window).
 		m.k.NoteIgnoredAccess()
 		memWord := m.mem.ReadWord(addr)
 		if m.mon != nil {

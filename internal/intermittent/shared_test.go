@@ -67,22 +67,13 @@ func TestSharedMachineDifferential(t *testing.T) {
 }
 
 // TestSharedMachineRejectsEngineOverrides pins the constructor contract: a
-// frozen cache IS the fused predecode engine, so the reference-engine
-// switches cannot combine with it.
+// shared machine needs a program, built for its own TEXT window.
 func TestSharedMachineRejectsEngineOverrides(t *testing.T) {
 	img := compileTest(t, testProgram)
 	opts := Options{Config: sharedTestConfig()}
 	prog, err := BuildSharedProgram(img, opts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, o := range []Options{
-		{Config: sharedTestConfig(), LegacyDecode: true},
-		{Config: sharedTestConfig(), DisableFusion: true},
-	} {
-		if _, err := NewMachineShared(img, o, prog); err == nil {
-			t.Errorf("NewMachineShared accepted %+v", o)
-		}
 	}
 	if _, err := NewMachineShared(img, opts, nil); err == nil {
 		t.Error("NewMachineShared accepted a nil shared program")

@@ -7,15 +7,13 @@ import (
 	"repro/internal/armsim"
 )
 
-// TestFusedContinuousDifferential runs every kernel to completion on all
-// three execution engines — fused superinstructions (the NewMachine
-// default), the unfused predecode cache, and the legacy fetch+decode
-// switch — and requires bit-identical final architectural state: cycle
-// count, retired instructions, registers, flags, the entire memory image,
-// and the output log. This is the whole-program complement to armsim's
-// per-encoding and per-step differentials: a kernel that runs hundreds of
-// millions of instructions through real loop nests, function calls, and
-// table walks leaves no room for a fusion bug to hide in aggregate state.
+// TestFusedContinuousDifferential runs every kernel to completion on both
+// production engines — fused superinstructions (the NewMachine default) and
+// the unfused predecode cache — and requires bit-identical final
+// architectural state: cycle count, retired instructions, registers, flags,
+// the entire memory image, and the output log. The armsim package's
+// external test of the same name adds the reference interpreter as a third
+// leg, which only armsim's own tests can reach.
 func TestFusedContinuousDifferential(t *testing.T) {
 	type engine struct {
 		name string
@@ -28,7 +26,6 @@ func TestFusedContinuousDifferential(t *testing.T) {
 			}
 		}},
 		{"predecode", func(m *armsim.Machine) { m.CPU.DisableFusion() }},
-		{"legacy", func(m *armsim.Machine) { m.CPU.DisablePredecode() }},
 	}
 	for _, b := range append(All(), DS()) {
 		b := b
@@ -47,14 +44,14 @@ func TestFusedContinuousDifferential(t *testing.T) {
 				}
 				machines[i] = m
 			}
-			ref := machines[len(machines)-1] // legacy: the ground truth
+			ref := machines[len(machines)-1] // the unfused path: the baseline
 			for i, m := range machines[:len(machines)-1] {
 				name := engines[i].name
 				if m.CPU.Cycle != ref.CPU.Cycle {
-					t.Errorf("%s cycle count %d != legacy %d", name, m.CPU.Cycle, ref.CPU.Cycle)
+					t.Errorf("%s cycle count %d != predecode %d", name, m.CPU.Cycle, ref.CPU.Cycle)
 				}
 				if m.CPU.Insns != ref.CPU.Insns {
-					t.Errorf("%s retired %d insns != legacy %d", name, m.CPU.Insns, ref.CPU.Insns)
+					t.Errorf("%s retired %d insns != predecode %d", name, m.CPU.Insns, ref.CPU.Insns)
 				}
 				if m.CPU.R != ref.CPU.R {
 					t.Errorf("%s final registers diverge:\n  %v\n  %v", name, m.CPU.R, ref.CPU.R)
@@ -67,12 +64,12 @@ func TestFusedContinuousDifferential(t *testing.T) {
 					t.Errorf("%s final memory diverges", name)
 				}
 				if len(m.Mem.Outputs) != len(ref.Mem.Outputs) {
-					t.Fatalf("%s emitted %d outputs, legacy %d",
+					t.Fatalf("%s emitted %d outputs, predecode %d",
 						name, len(m.Mem.Outputs), len(ref.Mem.Outputs))
 				}
 				for j := range m.Mem.Outputs {
 					if m.Mem.Outputs[j] != ref.Mem.Outputs[j] {
-						t.Errorf("%s output %d is %#x, legacy %#x",
+						t.Errorf("%s output %d is %#x, predecode %#x",
 							name, j, m.Mem.Outputs[j], ref.Mem.Outputs[j])
 						break
 					}

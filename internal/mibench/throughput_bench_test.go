@@ -12,10 +12,10 @@ import (
 )
 
 // End-to-end simulator throughput on MiBench-scale programs: compile once,
-// then run the image to completion per iteration, with and without the
-// predecoded instruction cache. The ns/insn and MIPS metrics are the
-// numbers BENCH_armsim.json records; the predecode/legacy ratio is the
-// tentpole speedup.
+// then run the image to completion per iteration on the fused engine and on
+// the unfused predecode path. The ns/insn and MIPS metrics are the numbers
+// BENCH_armsim.json records; the fused/predecode ratio is the fusion
+// speedup.
 
 var throughputImages struct {
 	sync.Mutex
@@ -55,10 +55,7 @@ func benchThroughput(b *testing.B, name, mode string) {
 		// them out of the throughput measurement.
 		b.StopTimer()
 		m := armsim.NewMachine()
-		switch mode {
-		case "legacy":
-			m.CPU.DisablePredecode()
-		case "predecode":
+		if mode == "predecode" {
 			m.CPU.DisableFusion()
 		}
 		if err := m.Boot(img.Bytes); err != nil {
@@ -82,7 +79,7 @@ func benchThroughput(b *testing.B, name, mode string) {
 // the hot path the access-filter front end targets: with the CPU core
 // predecoded, the run spends its time in clank.Read/Write and the busAdapter
 // dispatch.
-func benchIntermittentThroughput(b *testing.B, name string, disableFusion bool) {
+func benchIntermittentThroughput(b *testing.B, name string) {
 	img := throughputImage(b, name)
 	cfg := clank.Config{
 		ReadFirst: 16, WriteFirst: 8, WriteBack: 4,
@@ -98,7 +95,6 @@ func benchIntermittentThroughput(b *testing.B, name string, disableFusion bool) 
 			Config:          cfg,
 			Supply:          power.NewSupply(power.Exponential{Mean: 200_000, Min: 2_000}, 7),
 			ProgressDefault: 10_000,
-			DisableFusion:   disableFusion,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -125,17 +121,14 @@ func benchIntermittentThroughput(b *testing.B, name string, disableFusion bool) 
 // power.
 func BenchmarkMiBenchThroughput(b *testing.B) {
 	for _, name := range []string{"bitcount", "crc", "aes", "dijkstra"} {
-		for _, mode := range []string{"fused", "predecode", "legacy"} {
+		for _, mode := range []string{"fused", "predecode"} {
 			mode := mode
 			b.Run(name+"/"+mode, func(b *testing.B) {
 				benchThroughput(b, name, mode)
 			})
 		}
 		b.Run(name+"/intermittent", func(b *testing.B) {
-			benchIntermittentThroughput(b, name, false)
-		})
-		b.Run(name+"/intermittent_nofuse", func(b *testing.B) {
-			benchIntermittentThroughput(b, name, true)
+			benchIntermittentThroughput(b, name)
 		})
 	}
 }
