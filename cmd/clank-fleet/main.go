@@ -169,6 +169,7 @@ func main() {
 		if err := enc.Encode(rep); err != nil {
 			fatal(err)
 		}
+		exitOnMismatch(&rep.Agg)
 		return
 	}
 
@@ -180,6 +181,7 @@ func main() {
 		a.Completed, a.Devices, a.Errors, a.Boots, a.Checkpoints, a.BarrenBoots)
 	fmt.Printf("commits: %d torn, %d recovered, %d writes; %d outputs\n",
 		a.TornCommits, a.RecoveredCommits, a.CommitWrites, a.Outputs)
+	fmt.Printf("outputs: %d/%d devices differ from the continuous run\n", a.OutputMismatches, a.Devices)
 	if *nvFaultRate > 0 {
 		fmt.Printf("nv faults (rate %g): %d torn writes, %d corrupt records detected, %d degraded boots\n",
 			*nvFaultRate, a.TornWrites, a.DetectedCorrupt, a.DegradedBoots)
@@ -192,6 +194,16 @@ func main() {
 	h := &rep.Host
 	fmt.Printf("host: %d workers, %.2fs, %.0f devices/sec, %.1f ns/insn (p50 %.1f, p99 %.1f)\n",
 		h.Workers, float64(h.ElapsedNS)/1e9, h.DevicesPerSec, h.NsPerInsn, h.NsPerInsnP50, h.NsPerInsnP99)
+	exitOnMismatch(a)
+}
+
+// exitOnMismatch fails the run, after its report is out, when any device's
+// outputs differ from the continuous run's — the check clank-sim makes for
+// a single device.
+func exitOnMismatch(a *fleet.Aggregate) {
+	if a.OutputMismatches > 0 {
+		fatal(fmt.Errorf("outputs of %d/%d devices differ from the continuous run", a.OutputMismatches, a.Devices))
+	}
 }
 
 func writeSink(path string, rep *fleet.Report, write func(w io.Writer, results []fleet.DeviceResult) error) error {

@@ -1,6 +1,10 @@
 package armsim
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/accfilter"
+)
 
 // Register indices.
 const (
@@ -66,6 +70,13 @@ type CPU struct {
 	// bus's TextLitLoader implementation, nil when the bus has none.
 	textLoW, textHiW uint32
 	textLit          TextLitLoader
+
+	// port, when port.Read is non-nil, is a detector's access filter
+	// (SetAccessPort): the predecoded executor completes the accesses it
+	// certifies, and TEXT literal loads, against portMem without a Bus
+	// call.
+	port    accfilter.Port
+	portMem *Memory
 
 	// yield is set by Yield during a bus access and read by execRun after
 	// each access micro-op (see Yield).

@@ -1177,7 +1177,7 @@ next:
 			c.Cycle += cum
 			budget -= cum
 			cum = 0
-			v, err := c.textLit.LoadTextLit(op.imm, op.pc)
+			v, err := c.loadTextLit(op.imm, op.pc)
 			if err != nil {
 				return c.runFault(op.pc, ret, err)
 			}

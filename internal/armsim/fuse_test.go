@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/accfilter"
 )
 
 // The superinstruction layer (fuse.go) must be architecturally invisible:
@@ -781,6 +783,39 @@ func TestStepFusedNoAllocs(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("steady-state monitored StepFused allocates: %v per 500 calls, want 0", avg)
+		}
+	})
+	t.Run("port", func(t *testing.T) {
+		// The monitored loop again, with an access port certifying the
+		// loop's data word for reads and writes: every STR/LDR completes
+		// in the loop and the bus sees none of them.
+		mm, bus := newMonitoredMachine(true)
+		if err := mm.Boot(asmImage(benchLoopOps()...)); err != nil {
+			t.Fatal(err)
+		}
+		rd, wr := accfilter.Empty, accfilter.Empty
+		const word = 0x80 >> 2
+		rd[word&accfilter.Mask], wr[word&accfilter.Mask] = word, word
+		var accesses int
+		mm.CPU.SetAccessPort(accfilter.Port{Read: &rd, Write: &wr, Accesses: &accesses}, mm.Mem)
+		step := func() {
+			if err := mm.CPU.StepFused(1000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 16; i++ {
+			step()
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			for i := 0; i < 500; i++ {
+				step()
+			}
+		})
+		if avg != 0 {
+			t.Errorf("steady-state StepFused with an access port allocates: %v per 500 calls, want 0", avg)
+		}
+		if bus.ordinal != 0 || accesses == 0 {
+			t.Errorf("port-certified accesses reached the bus: %d bus accesses, %d port accesses", bus.ordinal, accesses)
 		}
 	})
 }

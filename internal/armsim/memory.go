@@ -174,6 +174,42 @@ func (m *Memory) WriteWord(addr uint32, v uint32) {
 	}
 }
 
+// WordLane is a load's value as a word-granular monitored bus serves it
+// from word, the aligned word containing addr: the addressed byte or
+// halfword lane, or the whole word for a word load (aligned or not).
+func WordLane(word, addr uint32, size uint8) uint32 {
+	sh := (addr & 3) * 8
+	switch size {
+	case 1:
+		return (word >> sh) & 0xFF
+	case 2:
+		return (word >> sh) & 0xFFFF
+	default:
+		return word
+	}
+}
+
+// storeRAM is Store for an address the caller proved lies below MemSize-3
+// (an access port's certified store): it writes the low size bytes of v at
+// addr and fires the write hook.
+func (m *Memory) storeRAM(addr uint32, size uint8, v uint32) {
+	switch size {
+	case 4:
+		m.data[addr] = byte(v)
+		m.data[addr+1] = byte(v >> 8)
+		m.data[addr+2] = byte(v >> 16)
+		m.data[addr+3] = byte(v >> 24)
+	case 2:
+		m.data[addr] = byte(v)
+		m.data[addr+1] = byte(v >> 8)
+	default:
+		m.data[addr] = byte(v)
+	}
+	if m.onWrite != nil {
+		m.onWrite(addr, uint32(size))
+	}
+}
+
 // Load implements Bus.
 func (m *Memory) Load(addr uint32, size uint8, pc uint32) (uint32, error) {
 	if m.isOutput(addr) {

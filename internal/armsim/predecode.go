@@ -23,6 +23,8 @@ package armsim
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/accfilter"
 )
 
 // Instruction kinds. The executor switches on this dense enumeration, which
@@ -520,10 +522,30 @@ func (c *CPU) readRegPC(i int, pc uint32) uint32 {
 	return c.R[i]
 }
 
+// SetAccessPort installs a detector's access filter on the memory path.
+// While installed, the predecoded and fused executors complete three kinds
+// of access in the loop instead of calling the Bus: a load whose word p.Read certifies and a store whose
+// word p.Write certifies each count one access in *p.Accesses and then read
+// or write mem exactly as the bus would, and a TEXT literal load (the
+// TextLitLoader path) counts one access and reads the word. Every other
+// access — filter misses, addresses outside main memory, stores straddling
+// its top — still takes the Bus.
+//
+// Installing a port is the bus owner's promise that for those three
+// kinds the Bus would do exactly that and nothing else: no veto, no Yield,
+// no monitor or failure hook, with mem its backing store. The intermittent
+// machine installs its Clank detector's port (clank.Clank.Port) only when
+// no reference monitor and no FailAfterAccess hook observe accesses.
+func (c *CPU) SetAccessPort(p accfilter.Port, mem *Memory) { c.port, c.portMem = p, mem }
+
+// AccessPort returns the installed access port (zero when none).
+func (c *CPU) AccessPort() accfilter.Port { return c.port }
+
 // pdLoad is the predecoded executor's data-load path. When the bus is the
 // bare Memory it reads the backing store directly — no interface dispatch —
 // with the near-top-of-memory and output/fault cases deferring to
-// Memory.Load for identical semantics. Monitored buses take the interface.
+// Memory.Load for identical semantics. Monitored buses take the interface,
+// except for loads an installed access port certifies (SetAccessPort).
 func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
 	if m := c.mem; m != nil {
 		if addr < MemSize-3 {
@@ -539,11 +561,16 @@ func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
 		}
 		return m.Load(addr, size, pc)
 	}
+	if t := c.port.Read; t != nil && addr < MemSize && t.Hit(addr>>2) {
+		*c.port.Accesses++
+		return WordLane(c.portMem.ReadWord(addr), addr, size), nil
+	}
 	return c.Bus.Load(addr, size, pc)
 }
 
-// pdStore is pdLoad's store counterpart. The direct path performs exactly
-// what Memory.Store would — including firing the write hook, so text-region
+// pdStore is pdLoad's store counterpart. Both direct paths (the bare
+// Memory's, and an access port's storeRAM) perform exactly what
+// Memory.Store would — including firing the write hook, so text-region
 // stores still invalidate the decode cache.
 func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
 	if m := c.mem; m != nil {
@@ -567,7 +594,23 @@ func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
 		}
 		return m.Store(addr, size, v, pc)
 	}
+	if t := c.port.Write; t != nil && addr < MemSize-3 && t.Hit(addr>>2) {
+		*c.port.Accesses++
+		c.portMem.storeRAM(addr, size, v)
+		return nil
+	}
 	return c.Bus.Store(addr, size, v, pc)
+}
+
+// loadTextLit serves a literal-pool load the predecoder proved lies inside
+// the TEXT window: in the loop when an access port is installed, through
+// the bus's TextLitLoader otherwise.
+func (c *CPU) loadTextLit(addr, pc uint32) (uint32, error) {
+	if c.port.Read != nil {
+		*c.port.Accesses++
+		return c.portMem.ReadWord(addr), nil
+	}
+	return c.textLit.LoadTextLit(addr, pc)
 }
 
 // loadD / storeD perform one single-register load or store through the
@@ -842,7 +885,7 @@ func (c *CPU) execDecoded(d *DecodedInsn, pc uint32) (cycles int, next uint32, e
 		c.R[d.Rd] = v
 		return cycLoad, next, nil
 	case kindLDRLitText:
-		v, err := c.textLit.LoadTextLit(d.Imm, pc)
+		v, err := c.loadTextLit(d.Imm, pc)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -39,7 +39,10 @@ package armsim
 // would, and each device's bus ends a run early through a veto or a
 // Yield where its own driver must act.
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // SharedProgram is an immutable predecode+fusion cache for one program
 // image, safe for concurrent use by any number of CPUs (AttachShared).
@@ -56,6 +59,8 @@ type SharedProgram struct {
 	Runs int
 	// WarmCycles is the warm-up run's continuous cycle count.
 	WarmCycles uint64
+	// outputs is the warm-up run's output-port words (Outputs).
+	outputs []uint32
 }
 
 // freezeBus is the build-time bus: a monitored-bus stand-in (it is not the
@@ -138,6 +143,7 @@ func NewSharedProgram(img []byte, initialSP, entry, textEnd uint32, litLoW, litH
 		imgSum:     fnv1a(img),
 		imgLen:     len(img),
 		WarmCycles: cpu.Cycle,
+		outputs:    slices.Clone(mem.Outputs),
 	}
 	if textWritten {
 		// The executed text diverged from the pristine image: drop
@@ -176,6 +182,12 @@ func (sp *SharedProgram) Matches(img []byte, litLoW, litHiW uint32) error {
 	}
 	return nil
 }
+
+// Outputs returns the words the warm-up execution wrote to the output
+// port: the program's outputs on continuous power, the oracle every
+// intermittent run of the image must reproduce. The slice is shared and
+// must not be modified.
+func (sp *SharedProgram) Outputs() []uint32 { return sp.outputs }
 
 // FootprintBytes reports the frozen cache's resident size: the per-device
 // memory a fleet amortizes across every machine sharing this program.

@@ -3,6 +3,8 @@ package clank
 import (
 	"slices"
 	"unsafe"
+
+	"repro/internal/accfilter"
 )
 
 // Buffer representation. Real Clank hardware implements the Read-first,
@@ -220,34 +222,34 @@ func (c *wbCAM) reset() {
 //	    can never reach the violation path or acquire Write-back entries
 //	    (both Read and Write bail on the WF hit first), and a WF hit
 //	    returns Outcome{} even in untracked mode — or while w is a
-//	    passthrough word (WriteFirst == 0, w untracked by any buffer):
-//	    those writes stay Outcome{} until the word enters the Read-first
-//	    Buffer (the insert point-invalidates) or the section goes
-//	    untracked (the transition wipes all write entries, since an
-//	    untracked write must checkpoint). WF entries themselves
-//	    invalidate only at Reset.
+//	    passthrough word, untracked by any buffer and written in tracked
+//	    mode where the write is let through unrecorded: WriteFirst == 0,
+//	    or, under OptNoWFOverflow, a full Write-first Buffer or a full
+//	    Address Prefix Buffer missing w's prefix (both only fill up
+//	    until Reset). Passthrough writes stay Outcome{} until the word
+//	    enters the Read-first Buffer (the insert point-invalidates) or
+//	    the section goes untracked (the transition wipes all write
+//	    entries, since an untracked write must checkpoint). WF entries
+//	    themselves invalidate only at Reset.
 //
 // Both assertions hold for every pc: exempt-PC accesses to such words
 // return Outcome{} through a different branch of the same decision tree,
 // so the filter need not be pc-aware.
+//
+// The tag array type is internal/accfilter's, so the CPU's fused executor
+// can probe these very arrays through an accfilter.Port (Port): the two
+// assertions above are the whole contract it relies on.
 const (
-	fltEntries = 512
-	fltMask    = fltEntries - 1
+	fltEntries = accfilter.Entries
+	fltMask    = accfilter.Mask
 
 	// FilterEntries exports the slot count of each direct-mapped filter
 	// array for hardware-cost accounting (internal/hwcost).
 	FilterEntries = fltEntries
 )
 
-// fltEmpty is the all-slots-invalid tag array (slot i holds ^i: the low
-// nine bits come out as 511-i, and 511-i == i has no integer solution, so
-// no probe of any word address can match an empty slot).
-var fltEmpty = func() (a [fltEntries]uint32) {
-	for i := range a {
-		a[i] = ^uint32(i)
-	}
-	return
-}()
+// fltEmpty is the all-slots-invalid tag array (see accfilter.Empty).
+var fltEmpty = accfilter.Empty
 
 // Word-state index. The access filter above answers "this access repeats
 // and cannot change state"; everything else still walks the CAM scans —
@@ -346,8 +348,8 @@ type Clank struct {
 
 	// Access-filter front end (see the block comment above FilterBug).
 	// Embedded arrays keep the probe one pointer dereference from k.
-	fltRead    [fltEntries]uint32
-	fltWrite   [fltEntries]uint32
+	fltRead    accfilter.Tags
+	fltWrite   accfilter.Tags
 	fltTouched [fltEntries]uint16 // slots written this section (undo list)
 	fltN       int                // undo-list length; -1 = overflowed
 	fltOn      bool
@@ -455,9 +457,10 @@ func (k *Clank) fltSetWrite(word uint32) {
 	}
 }
 
-// fltSetPass records that writes of word pass through (WriteFirst == 0,
-// word untracked): the write verdict is cached but the read side is not —
-// a read of a passthrough word still inserts it into the Read-first
+// fltSetPass records that writes of word pass through (word untracked,
+// nothing records the write: WriteFirst == 0, or an OptNoWFOverflow write
+// finding WF or APB full): the write verdict is cached but the read side is
+// not — a read of a passthrough word still inserts it into the Read-first
 // Buffer, and that insert point-invalidates the write entry.
 func (k *Clank) fltSetPass(word uint32) {
 	if k.fltOn {
@@ -619,6 +622,17 @@ func (k *Clank) FilterHitWrite(word uint32) bool { return k.fltWrite[word&fltMas
 // AddAccesses credits n accesses the driver classified through the
 // filter probes above.
 func (k *Clank) AddAccesses(n int) { k.accesses += n }
+
+// Port exposes the filter probes above to code outside this package —
+// the CPU's fused executor, which completes certified accesses without a
+// bus call. It aliases the detector's own tag arrays and access counter,
+// so a port hit is by construction the first probe Read and Write make,
+// and the port stays valid across Reset and for the detector's lifetime.
+// A port credits its hits to the counter directly, so the AddAccesses
+// obligation is settled per access.
+func (k *Clank) Port() accfilter.Port {
+	return accfilter.Port{Read: &k.fltRead, Write: &k.fltWrite, Accesses: &k.accesses}
+}
 
 // IdxMiss reports authoritatively that word is tracked by no buffer: the
 // word-state index is live, collision-free, and holds no entry for word.
@@ -964,14 +978,21 @@ func (k *Clank) writeSlowPre(word, value, memValue uint32, exempt, inText bool) 
 		k.fltSetPass(word)
 		return Outcome{}
 	}
+	// Under OptNoWFOverflow a write that finds no room passes through
+	// untracked. That verdict is the passthrough one above in all but
+	// name, and caches under the same invalidation: WF and APB only fill
+	// up until Reset, so the word stays unrecordable until it enters the
+	// Read-first Buffer or the section goes untracked.
 	if k.wf.full() {
 		if k.cfg.Opts&OptNoWFOverflow != 0 {
+			k.fltSetPass(word)
 			return Outcome{}
 		}
 		return k.fillOnWrite(ReasonWFOverflow)
 	}
 	if !k.ensurePrefix(word) {
 		if k.cfg.Opts&OptNoWFOverflow != 0 {
+			k.fltSetPass(word)
 			return Outcome{}
 		}
 		return k.fillOnWrite(ReasonAPOverflow)

@@ -90,16 +90,16 @@ func TestFilterBugDiverges(t *testing.T) {
 	}
 }
 
-// TestFilterDisabledMatches runs a collision-heavy stream (words 64 apart
-// share a filter slot) through a filtered and an unfiltered detector and
-// requires identical outcomes and counters at every step.
+// TestFilterDisabledMatches runs a collision-heavy stream (words 512
+// apart share a filter slot) through a filtered and an unfiltered detector
+// and requires identical outcomes and counters at every step.
 func TestFilterDisabledMatches(t *testing.T) {
 	cfgOn := filterTestConfig
 	cfgOff := filterTestConfig
 	cfgOff.DisableFilter = true
 	on, off := New(cfgOn), New(cfgOff)
 
-	words := []uint32{0, 64, 0, 128, 64, 0, 192, 128}
+	words := []uint32{0, 512, 0, 1024, 512, 0, 1536, 1024}
 	for i, w := range words {
 		if got, want := on.Read(w, w+1, 0), off.Read(w, w+1, 0); got != want {
 			t.Fatalf("step %d: Read(%d) = %+v filtered, %+v unfiltered", i, w, got, want)
@@ -111,6 +111,76 @@ func TestFilterDisabledMatches(t *testing.T) {
 			t.Fatalf("step %d: accesses %d filtered, %d unfiltered", i, on.SectionAccesses(), off.SectionAccesses())
 		}
 	}
+	t.Run("noWFOverflow", testFilterPassEntries)
+}
+
+// testFilterPassEntries drives the OptNoWFOverflow pass verdicts through
+// their whole life on buffers small enough to fill: a write finding the
+// Address Prefix Buffer full, then one finding the Write-first Buffer full,
+// each cached as a write pass entry; a later read that inserts the word
+// into the Read-first Buffer, after which the same write is a violation;
+// and a Read-first fill that goes untracked, after which a write of the
+// other pass word must checkpoint. Filtered and unfiltered detectors must
+// agree at every step, and the entries must be cached and dropped exactly
+// where the invalidation matrix says.
+func testFilterPassEntries(t *testing.T) {
+	cfg := Config{ReadFirst: 2, WriteFirst: 1, WriteBack: 1, AddrPrefix: 1, PrefixLowBits: 4,
+		Opts: OptNoWFOverflow | OptLatestCheckpoint}
+	cfgOff := cfg
+	cfgOff.DisableFilter = true
+	on, off := New(cfg), New(cfgOff)
+	mem := map[uint32]uint32{}
+	type op struct {
+		write     bool
+		word, val uint32
+		want      Outcome
+		pass      map[uint32]bool // FilterHitWrite expected after the op
+	}
+	ops := []op{
+		{word: 1, want: Outcome{}},                                            // RF insert; APB takes prefix 0 and is full
+		{write: true, word: 16, val: 5, want: Outcome{}, pass: pass(16)},      // prefix 1 unrecordable: APB-full pass
+		{write: true, word: 16, val: 6, want: Outcome{}, pass: pass(16)},      // filter hit
+		{write: true, word: 2, val: 7, want: Outcome{}, pass: pass(16, 2)},    // WF insert; WF is full
+		{write: true, word: 3, val: 8, want: Outcome{}, pass: pass(16, 2, 3)}, // WF-full pass
+		{write: true, word: 3, val: 9, want: Outcome{}, pass: pass(16, 2, 3)}, // filter hit
+		{word: 3, want: Outcome{}, pass: pass(16, 2)},                         // RF insert drops 3's pass entry
+		{write: true, word: 3, val: 10, want: Outcome{Buffered: true}},        // now a WAR violation
+		{word: 17, want: Outcome{}, pass: pass()},                             // RF full: untracked, every write entry wiped
+		{write: true, word: 16, val: 11, want: Outcome{NeedCheckpoint: true, Reason: ReasonWriteInFill}},
+	}
+	for i, o := range ops {
+		var got, want Outcome
+		if o.write {
+			got, want = on.Write(o.word, o.val, mem[o.word], 0), off.Write(o.word, o.val, mem[o.word], 0)
+			if !got.NeedCheckpoint && !got.Buffered {
+				mem[o.word] = o.val
+			}
+		} else {
+			got, want = on.Read(o.word, mem[o.word], 0), off.Read(o.word, mem[o.word], 0)
+		}
+		if got != want || got != o.want {
+			t.Fatalf("step %d: filtered %+v, unfiltered %+v, want %+v", i, got, want, o.want)
+		}
+		if on.SectionAccesses() != off.SectionAccesses() {
+			t.Fatalf("step %d: accesses %d filtered, %d unfiltered", i, on.SectionAccesses(), off.SectionAccesses())
+		}
+		if o.pass == nil {
+			continue
+		}
+		for _, w := range []uint32{2, 3, 16} {
+			if on.FilterHitWrite(w) != o.pass[w] {
+				t.Fatalf("step %d: FilterHitWrite(%d) = %v, want %v", i, w, on.FilterHitWrite(w), o.pass[w])
+			}
+		}
+	}
+}
+
+func pass(words ...uint32) map[uint32]bool {
+	m := map[uint32]bool{}
+	for _, w := range words {
+		m[w] = true
+	}
+	return m
 }
 
 // TestTextWordsRoundsUp pins the word-address classification of an

@@ -112,14 +112,28 @@ type SlotRecord struct {
 // CRC32/IEEE, equivalent to crc32.Update over the word's four bytes but
 // without the escaping byte buffer — commit runs it per protocol write, so
 // it must stay alloc-free (TestCRCWordMatchesStdlib pins the equivalence).
+// It is slicing-by-4: the four byte steps of the table-driven CRC collapse
+// into four independent lookups, one per byte of crc^w, each table
+// advancing its byte by the steps still to come.
 func crcWord(crc, w uint32) uint32 {
-	crc = ^crc
-	for i := 0; i < 4; i++ {
-		crc = crc32.IEEETable[byte(crc)^byte(w)] ^ (crc >> 8)
-		w >>= 8
-	}
-	return ^crc
+	x := ^crc ^ w
+	return ^(crcSlice4[3][byte(x)] ^ crcSlice4[2][byte(x>>8)] ^
+		crcSlice4[1][byte(x>>16)] ^ crcSlice4[0][x>>24])
 }
+
+// crcSlice4[k][b] is the CRC32/IEEE register after byte b is followed by k
+// zero bytes: crcSlice4[0] is the byte-at-a-time table, and each further
+// table runs one more step of it.
+var crcSlice4 = func() (t [4][256]uint32) {
+	t[0] = *crc32.IEEETable
+	for k := 1; k < 4; k++ {
+		for i := range t[k] {
+			p := t[k-1][i]
+			t[k][i] = t[0][byte(p)] ^ p>>8
+		}
+	}
+	return
+}()
 
 // word reads cell i of a region image, treating absent words as erased.
 func word(w []uint32, i int) uint32 {

@@ -24,6 +24,13 @@ func testSlotRecord(seq uint32) SlotRecord {
 // CRC32/IEEE over the same little-endian byte stream.
 func TestCRCWordMatchesStdlib(t *testing.T) {
 	words := []uint32{0, 1, 0xFFFFFFFF, 0xDEADBEEF, 0x80000001, 0x12345678}
+	// A pseudo-random tail drives every byte lane through every table.
+	for x, i := uint32(0x9E3779B9), 0; i < 4096; i++ {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		words = append(words, x)
+	}
 	crc, want := uint32(0), uint32(0)
 	var b [4]byte
 	for _, w := range words {

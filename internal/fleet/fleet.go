@@ -22,6 +22,7 @@ package fleet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -217,7 +218,7 @@ func Run(img *ccc.Image, o Options) (*Report, error) {
 					hi = o.Devices
 				}
 				for dev := lo; dev < hi; dev++ {
-					results[dev] = runDevice(m, dev, o.supplyFor(dev), o.nvFaultFor(dev))
+					results[dev] = runDevice(m, dev, o.supplyFor(dev), o.nvFaultFor(dev), prog.Outputs())
 				}
 			}
 		}()
@@ -238,8 +239,10 @@ func Run(img *ccc.Image, o Options) (*Report, error) {
 
 // runDevice simulates one device on a (reused) machine. The fault injector
 // (nil = pristine NV) is installed unconditionally so a machine reused from
-// a faulted device never leaks its predecessor's stream.
-func runDevice(m *intermittent.Machine, dev int, supply power.Source, nvFault func(int) (bool, uint32)) DeviceResult {
+// a faulted device never leaks its predecessor's stream. want is the
+// image's continuous-power output sequence (the shared program's warm-up
+// run), against which the device's committed outputs are checked.
+func runDevice(m *intermittent.Machine, dev int, supply power.Source, nvFault func(int) (bool, uint32), want []uint32) DeviceResult {
 	t0 := time.Now()
 	m.ResetDevice(supply)
 	m.SetNVFault(nvFault)
@@ -257,6 +260,7 @@ func runDevice(m *intermittent.Machine, dev int, supply power.Source, nvFault fu
 		DegradedBoots:    st.DegradedBoots,
 		CommitWrites:     st.CommitWrites,
 		Outputs:          len(st.Outputs),
+		OutputsMatch:     st.Completed && slices.Equal(st.Outputs, want),
 		UsefulCycles:     st.UsefulCycles,
 		WallCycles:       st.WallCycles,
 		CkptCycles:       st.CkptCycles,

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ccc"
 	"repro/internal/clank"
+	"repro/internal/intermittent"
 	"repro/internal/power"
 	"repro/internal/scheme"
 )
@@ -291,6 +292,9 @@ func TestFleetSmoke(t *testing.T) {
 	if rep.Agg.UsefulCycles == 0 || rep.Agg.Insns == 0 {
 		t.Error("fleet retired no useful work")
 	}
+	if rep.Agg.OutputMismatches != 0 {
+		t.Errorf("%d devices' outputs differ from the continuous run", rep.Agg.OutputMismatches)
+	}
 
 	rep2, err := Run(img, o)
 	if err != nil {
@@ -326,6 +330,54 @@ func TestFleetGoldenHash(t *testing.T) {
 		if rep.Agg.Hash != c.want {
 			t.Errorf("fault rate %v: aggregate hash %s, want %s", c.faultRate, rep.Agg.Hash, c.want)
 		}
+	}
+}
+
+// TestOutputsMatchOutsideHash pins the output-value check: every device
+// of a correct fleet matches the shared program's continuous outputs, a
+// device checked against different outputs does not, and the aggregate
+// counts mismatching devices without the verdict moving the hash.
+func TestOutputsMatchOutsideHash(t *testing.T) {
+	img := fleetImage(t)
+	o := baseOptions(8, 2)
+	rep, err := Run(img, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rep.Results {
+		if !r.OutputsMatch {
+			t.Fatalf("device %d: outputs differ from the continuous run", r.Device)
+		}
+	}
+	prog, err := intermittent.BuildSharedProgram(img, o.intermittentOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Outputs()) == 0 {
+		t.Fatal("the warm-up run kept no outputs")
+	}
+	m, err := intermittent.NewMachineShared(img, o.intermittentOptions(), prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := append([]uint32(nil), prog.Outputs()...)
+	wrong[0]++
+	bad := runDevice(m, 3, o.supplyFor(3), nil, wrong)
+	if bad.OutputsMatch {
+		t.Fatal("a device checked against different outputs matches")
+	}
+	same := bad
+	same.OutputsMatch, same.HostNS = true, rep.Results[3].HostNS
+	if same != rep.Results[3] {
+		t.Fatalf("only the verdict may differ:\n  %+v\n  %+v", bad, rep.Results[3])
+	}
+	rep.Results[3] = bad
+	agg := aggregate(rep.Results)
+	if agg.OutputMismatches != 1 {
+		t.Errorf("aggregate counts %d mismatching devices, want 1", agg.OutputMismatches)
+	}
+	if agg.Hash != rep.Agg.Hash {
+		t.Errorf("the output verdict moved the aggregate hash: %s vs %s", agg.Hash, rep.Agg.Hash)
 	}
 }
 

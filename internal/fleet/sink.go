@@ -30,7 +30,7 @@ var csvHeader = []string{
 	"device", "completed",
 	"boots", "checkpoints", "barren_boots", "torn_commits",
 	"recovered_commits", "torn_writes", "detected_corrupt",
-	"degraded_boots", "commit_writes", "outputs",
+	"degraded_boots", "commit_writes", "outputs", "outputs_match",
 	"useful_cycles", "wall_cycles", "ckpt_cycles", "restart_cycles",
 	"reexec_cycles", "progress_permille", "overhead_permille", "insns",
 	"err",
@@ -57,15 +57,16 @@ func WriteCSV(w io.Writer, results []DeviceResult) error {
 		row[9] = strconv.Itoa(r.DegradedBoots)
 		row[10] = strconv.Itoa(r.CommitWrites)
 		row[11] = strconv.Itoa(r.Outputs)
-		row[12] = strconv.FormatUint(r.UsefulCycles, 10)
-		row[13] = strconv.FormatUint(r.WallCycles, 10)
-		row[14] = strconv.FormatUint(r.CkptCycles, 10)
-		row[15] = strconv.FormatUint(r.RestartCycles, 10)
-		row[16] = strconv.FormatUint(r.ReexecCycles, 10)
-		row[17] = strconv.FormatUint(r.ProgressPermille, 10)
-		row[18] = strconv.FormatUint(r.OverheadPermille, 10)
-		row[19] = strconv.FormatUint(r.Insns, 10)
-		row[20] = r.Err
+		row[12] = strconv.FormatBool(r.OutputsMatch)
+		row[13] = strconv.FormatUint(r.UsefulCycles, 10)
+		row[14] = strconv.FormatUint(r.WallCycles, 10)
+		row[15] = strconv.FormatUint(r.CkptCycles, 10)
+		row[16] = strconv.FormatUint(r.RestartCycles, 10)
+		row[17] = strconv.FormatUint(r.ReexecCycles, 10)
+		row[18] = strconv.FormatUint(r.ProgressPermille, 10)
+		row[19] = strconv.FormatUint(r.OverheadPermille, 10)
+		row[20] = strconv.FormatUint(r.Insns, 10)
+		row[21] = r.Err
 		if err := cw.Write(row); err != nil {
 			return err
 		}

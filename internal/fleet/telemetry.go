@@ -29,6 +29,12 @@ type DeviceResult struct {
 	DegradedBoots   int `json:"degraded_boots"`
 	CommitWrites    int `json:"commit_writes"`
 	Outputs         int `json:"outputs"`
+	// OutputsMatch reports whether the device's committed output log
+	// equals, word for word, the image's outputs on continuous power. A
+	// device that did not complete never matches. The bit stays out of
+	// the aggregate hash (appendDeviceBinary), which pins the run's
+	// accounting, not the correctness verdict.
+	OutputsMatch bool `json:"outputs_match"`
 
 	UsefulCycles  uint64 `json:"useful_cycles"`
 	WallCycles    uint64 `json:"wall_cycles"`
@@ -73,6 +79,10 @@ type Aggregate struct {
 	Devices   int `json:"devices"`
 	Completed int `json:"completed"`
 	Errors    int `json:"errors"`
+	// OutputMismatches counts devices whose outputs differ from the
+	// continuous run's (DeviceResult.OutputsMatch false), incomplete
+	// devices included. Like that bit it is not part of Hash.
+	OutputMismatches int `json:"output_mismatches"`
 
 	Boots            uint64 `json:"boots"`
 	Checkpoints      uint64 `json:"checkpoints"`
@@ -174,6 +184,9 @@ func aggregate(results []DeviceResult) Aggregate {
 		}
 		if r.Err != "" {
 			agg.Errors++
+		}
+		if !r.OutputsMatch {
+			agg.OutputMismatches++
 		}
 		agg.Boots += uint64(r.Boots)
 		agg.Checkpoints += uint64(r.Checkpoints)

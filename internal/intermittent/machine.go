@@ -349,6 +349,16 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 			m.cpu.SetTextWindow(winLo, winHi)
 		}
 	}
+	// The access port: with nothing but the detector watching the memory
+	// path, an access the detector's filter certifies is, on this bus,
+	// exactly "count it and touch memory" (load's and store's filter-hit
+	// branches, and LoadTextLit), so the CPU completes it in the loop. A
+	// reference monitor or a FailAfterAccess hook must see every access,
+	// and a boxed or non-Clank scheme has no filter to share; all of those
+	// keep the whole Bus path.
+	if m.k != nil && m.mon == nil && opts.FailAfterAccess == nil {
+		m.cpu.SetAccessPort(m.k.Port(), m.mem)
+	}
 	m.cpu.ResetInto(img.InitialSP, img.Entry)
 	// The compiler pre-creates checkpoint 0: boot state entering main
 	// (paper section 4.2), so the start-up routine never special-cases
@@ -539,7 +549,7 @@ func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
 			m.cutAfterAccess()
 		}
-		return extract(memWord, addr, size), nil
+		return armsim.WordLane(memWord, addr, size), nil
 	}
 	memWord := m.mem.ReadWord(addr)
 	out := m.k.Read(word, memWord, pc)
@@ -556,7 +566,7 @@ func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
 		m.cutAfterAccess()
 	}
-	return extract(wordVal, addr, size), nil
+	return armsim.WordLane(wordVal, addr, size), nil
 }
 
 func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error {
@@ -670,7 +680,7 @@ func (m *Machine) loadGeneric(addr uint32, size uint8, pc uint32) (uint32, error
 		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
 			m.cutAfterAccess()
 		}
-		return extract(memWord, addr, size), nil
+		return armsim.WordLane(memWord, addr, size), nil
 	}
 	memWord := m.mem.ReadWord(addr)
 	out := m.sch.Read(word, memWord, pc)
@@ -687,7 +697,7 @@ func (m *Machine) loadGeneric(addr uint32, size uint8, pc uint32) (uint32, error
 	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
 		m.cutAfterAccess()
 	}
-	return extract(wordVal, addr, size), nil
+	return armsim.WordLane(wordVal, addr, size), nil
 }
 
 // storeGeneric is store's scheme-interface twin for non-Clank schemes;
@@ -728,18 +738,6 @@ func (m *Machine) storeGeneric(addr uint32, size uint8, value uint32, pc uint32)
 		m.cutAfterAccess()
 	}
 	return nil
-}
-
-func extract(word, addr uint32, size uint8) uint32 {
-	sh := (addr & 3) * 8
-	switch size {
-	case 1:
-		return (word >> sh) & 0xFF
-	case 2:
-		return (word >> sh) & 0xFFFF
-	default:
-		return word
-	}
 }
 
 func merge(word, addr uint32, size uint8, value uint32) uint32 {
