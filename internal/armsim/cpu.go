@@ -58,8 +58,13 @@ type CPU struct {
 	// miss is the miss path's scratch record (decode): an instruction the
 	// cache cannot hold is decoded here and executed once.
 	miss DecodedInsn
-	// mem, when non-nil, is the Bus's concrete Memory: the predecoded
-	// executor then bypasses interface dispatch on data accesses. Set only
+	// step and stepOp are Step's scratch run: the instruction at PC
+	// translated into one micro-op, executed by execRun as run 0. Like
+	// miss, they are CPU-local, so a frozen shared cache is never written.
+	step   fusedRun
+	stepOp [1]fusedOp
+	// mem, when non-nil, is the Bus's concrete Memory: the executor then
+	// bypasses interface dispatch on data accesses. Set only
 	// when the bus IS that memory (plain continuous machines); monitored
 	// buses (trace recorder, the intermittent Clank adapter) leave it nil
 	// so every access stays visible to them.
@@ -72,7 +77,7 @@ type CPU struct {
 	textLit          TextLitLoader
 
 	// port, when port.Read is non-nil, is a detector's access filter
-	// (SetAccessPort): the predecoded executor completes the accesses it
+	// (SetAccessPort): the executor completes the accesses it
 	// certifies, and TEXT literal loads, against portMem without a Bus
 	// call.
 	port    accfilter.Port
@@ -88,9 +93,8 @@ type CPU struct {
 // monitored bus calls it from inside Load/Store/LoadTextLit when its driver
 // must act at that boundary — an output that needs a trailing checkpoint,
 // an injected power cut — so fused runs can otherwise span monitored
-// accesses without hiding the boundary. Outside a fused run (Step and the
-// unfused path) every call already returns after one instruction and the
-// request is moot.
+// accesses without hiding the boundary. A Step already returns after one
+// instruction, so there the request is moot.
 func (c *CPU) Yield() { c.yield = true }
 
 // NewCPU returns a CPU attached to bus with all state zeroed.
@@ -168,12 +172,15 @@ func (c *CPU) addFlags(x, y uint32, carryIn bool) uint32 {
 // ErrHalted after BKPT, or any Bus error (a veto or bus fault), in which
 // case the instruction had no effect and PC is unchanged.
 //
-// The hot path indexes the predecode cache by halfword address, decodes on
-// first execution only, and dispatches through execDecoded's jump table.
-// An instruction the cache cannot hold goes through the same decoder on
-// the miss path (decode): PC outside main memory, a CPU without a cache, a
-// frozen shared cache's empty slot, or a 32-bit encoding whose second
-// halfword faults.
+// The instruction comes from the predecode cache, indexed by halfword
+// address and decoded on first execution only. An instruction the cache
+// cannot hold goes through the same decoder on the miss path (decode): PC
+// outside main memory, a CPU without a cache, a frozen shared cache's empty
+// slot, or a 32-bit encoding whose second halfword faults. Either way Step
+// translates it into its scratch micro-op with every flag live and runs
+// that as a run of length one with a budget of one cycle, so it executes
+// through the fused engine's handlers (execRun) and stops after exactly
+// the one instruction.
 func (c *CPU) Step() error {
 	if c.Halt {
 		return ErrHalted
@@ -191,67 +198,19 @@ func (c *CPU) Step() error {
 			return err
 		}
 	}
-	cycles, next, err := c.execDecoded(d, pc)
-	if err != nil {
-		return err
-	}
-	c.R[PC] = next
-	c.Cycle += uint64(cycles)
-	c.Insns++
-	return nil
+	translate(&c.stepOp[0], d, pc, true)
+	c.step.endPC = pc + insnBytes(d)
+	return c.execRun(0, 1)
 }
 
 // RunTo executes instructions until Halt (ErrHalted), another error, or
-// Cycle reaching maxCycles (nil). It is Step's body merged into the run
-// loop — one call per instruction instead of three — and is what
-// Machine.Run drives; the semantics per instruction are identical to Step.
+// Cycle reaching maxCycles (nil): StepFused with the remaining cycles as
+// its budget, until they are spent. It is what Machine.Run drives.
 func (c *CPU) RunTo(maxCycles uint64) error {
-	if c.pd == nil {
-		for c.Cycle < maxCycles {
-			if err := c.Step(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	fuse := c.pd.fuse
 	for c.Cycle < maxCycles {
-		if c.Halt {
-			return ErrHalted
-		}
-		pc := c.R[PC]
-		var d *DecodedInsn
-		if pc < MemSize {
-			if fuse {
-				rid := c.pd.runTab[pc>>1]
-				if rid == 0 && !c.pd.frozen {
-					rid = c.buildRun(pc)
-				}
-				// Enter the run only when the cycle allowance covers its worst
-				// case, so the stop at maxCycles lands on a block boundary
-				// (exact flags); the last few instructions single-step below.
-				if rid > 0 && maxCycles-c.Cycle >= uint64(c.pd.runs[rid-1].maxCyc) {
-					if err := c.execRun(rid, maxCycles-c.Cycle); err != nil {
-						return err
-					}
-					continue
-				}
-			}
-			d = &c.pd.tab[(pc>>1)&(MemSize/2-1)]
-		}
-		if d == nil || d.Kind == kindNone {
-			var err error
-			if d, err = c.decode(d, pc); err != nil {
-				return err
-			}
-		}
-		cycles, next, err := c.execDecoded(d, pc)
-		if err != nil {
+		if err := c.StepFused(maxCycles - c.Cycle); err != nil {
 			return err
 		}
-		c.R[PC] = next
-		c.Cycle += uint64(cycles)
-		c.Insns++
 	}
 	return nil
 }
@@ -262,10 +221,10 @@ func (c *CPU) RunTo(maxCycles uint64) error {
 // fusion is disabled, or PC is outside memory — exactly one Step. Budget
 // stops therefore land on block boundaries, the only points where lazily
 // skipped flags are guaranteed materialized; near a boundary event the tail
-// instructions single-step, so the intermittent run loop's power, watchdog,
-// and wall-clock decisions fire at byte-identical points to insn-at-a-time
-// stepping. At least one instruction executes regardless of budget, exactly
-// like Step.
+// instructions step one at a time, so the intermittent run loop's power,
+// watchdog, and wall-clock decisions fire at byte-identical points to
+// stepping every instruction. At least one instruction executes regardless
+// of budget, exactly like Step.
 func (c *CPU) StepFused(budget uint64) error {
 	if c.Halt {
 		return ErrHalted

@@ -1,17 +1,24 @@
 package armsim
 
-// Basic-block superinstruction fusion. The predecode layer (predecode.go)
-// removed fetch+decode from the hot path; what remains is per-instruction
-// dispatch — the Step/RunTo loop bookkeeping, the jump through execDecoded's
-// 60-way switch, and flag materialization on every data-processing
-// instruction whether or not anything ever reads the flags. This file
-// removes those too: at first execution the CPU discovers the basic block
-// starting at pc (straight-line code up to a branch or an excluded opcode),
-// translates it once into a run of compact micro-ops (fusedOp), and
-// thereafter executes the whole run inside one specialized handler loop
-// without re-entering the dispatch switch.
+// The executor: basic-block superinstruction fusion. The predecode layer
+// (predecode.go) removed fetch+decode from the hot path; this file removes
+// per-instruction dispatch and flag materialization on every
+// data-processing instruction whether or not anything ever reads the
+// flags. At first execution the CPU discovers the basic block starting at
+// pc (straight-line code up to a branch, a return, BKPT or an undefined
+// encoding), translates it once into a run of compact micro-ops (fusedOp),
+// and thereafter executes the whole run inside one specialized handler
+// loop (execRun) without re-entering any dispatch code.
 //
-// Three mechanisms make runs faster than the insn-at-a-time loop:
+// execRun is the only production statement of the ISA. Step translates the
+// one instruction at PC into a CPU-local scratch micro-op (translate, with
+// every flag live) and runs it with a budget of one cycle, so single-step,
+// the miss path, budget tails and the DisableFusion tier ("runs of length
+// one") execute through the same handlers as fused blocks. The reference
+// interpreter in the package tests is the differential model for both.
+//
+// Three mechanisms make runs faster than stepping one instruction at a
+// time:
 //
 //   - Lazy flag materialization. A backward liveness pass over the block
 //     decides, per instruction, whether any flag it sets is ever consumed
@@ -29,53 +36,51 @@ package armsim
 //     fold into one constant load (ccc's loadConst emits exactly these).
 //   - No per-instruction loop bookkeeping: PC writeback, the Cycle/Insns
 //     counters, and the budget check happen per micro-op inside one tight
-//     loop over a contiguous []fusedOp slice. Every instruction the run
-//     covers has its own micro-op, PUSH/POP/LDM/STM included, so the loop
-//     never re-enters execDecoded, and register operands are masked at
-//     use (op.rd&15) so the register file is indexed without bounds
-//     checks.
+//     loop over a contiguous []fusedOp slice. Every instruction has its own
+//     micro-op, PUSH/POP/LDM/STM, BKPT and undefined encodings included,
+//     and register operands are masked at use (op.rd&15) so the register
+//     file is indexed without bounds checks.
 //
-// Correctness contract (the reference interpreter in the package tests is
-// the differential model for the fused engine, exactly as for the unfused
-// predecode path):
+// Correctness contract (every rule holds for a run of one micro-op too,
+// which is what makes Step a special case rather than a second executor):
 //
 //   - Monitored buses see every load/store exactly once, in order, with
 //     c.Cycle flushed to the precise pre-instruction value first (the
 //     trace recorder stamps accesses with it). Runs span accesses in
 //     either mode; what keeps a monitored driver's decisions at the same
-//     instruction boundaries as insn-at-a-time execution is the next two
-//     rules.
+//     instruction boundaries as stepping one instruction at a time is the
+//     next two rules.
 //   - An error at micro-op k — a bus veto (the intermittent machine's
-//     errCheckpoint), a bus fault — commits ops 0..k-1 (registers, flags,
-//     cycles, Insns), leaves PC at op k's address, and returns the error
-//     unchanged: indistinguishable from k successful Steps followed by
-//     one failing Step.
+//     errCheckpoint), a bus fault, BKPT (ErrHalted, with Halt set) or an
+//     undefined encoding (ErrUndefined) — commits ops 0..k-1 (registers,
+//     flags, cycles, Insns), leaves PC at op k's address, charges op k
+//     nothing, and returns the error unchanged: indistinguishable from k
+//     successful Steps followed by one failing Step.
 //   - Yield: a bus that must act at the boundary after the current
 //     instruction (an injected power cut, an output needing its trailing
 //     checkpoint) calls CPU.Yield during the access, and the run stops
 //     right after that instruction with everything up to it committed:
 //     indistinguishable from Steps up to and including it.
-//   - Multi-register transfers (PUSH/POP/LDM/STM) are native micro-ops
-//     sharing storeMulti/loadMulti with execDecoded, so both rules above
-//     hold per instruction, not per access: every access of the transfer
-//     sees the Cycle flushed before its first; a veto or fault at
-//     register k leaves PC on the instruction with no register loaded and
-//     no base or SP writeback (stores 0..k-1 stay in memory, and
-//     re-execution rewrites them); a yield at any access completes the
-//     instruction and stops the run after it. POP with PC in the list
-//     ends its run and chains to the popped address.
+//   - Multi-register transfers (PUSH/POP/LDM/STM) go through
+//     storeMulti/loadMulti, so both rules above hold per instruction, not
+//     per access: every access of the transfer sees the Cycle flushed
+//     before its first; a veto or fault at register k leaves PC on the
+//     instruction with no register loaded and no base or SP writeback
+//     (stores 0..k-1 stay in memory, and re-execution rewrites them); a
+//     yield at any access completes the instruction and stops the run
+//     after it. POP with PC in the list ends its run and chains to the
+//     popped address.
 //   - Budgeted execution: a run executes only when the remaining budget
-//     covers its worst-case cycle cost (fusedRun.maxCyc) — StepFused and
-//     RunTo fall back to single-stepping otherwise, and chaining re-checks
-//     the gate per block — so every budget stop lands on a block boundary,
-//     where the liveness pass materialized all four flags. Lazily skipped
-//     flags are exactly why mid-run budget stops are forbidden: the unfused
-//     path has exact flags at every instruction boundary, and a
-//     stop at a boundary whose flag setter was skipped would expose stale
-//     NZCV (to the intermittent layer's checkpoints, among others). The
-//     remaining early-stop points — faults and vetoes, yields, and
-//     self-invalidating stores — sit adjacent to memory accesses, which
-//     the liveness pass treats as full flag barriers.
+//     covers its worst-case cycle cost (fusedRun.maxCyc) — StepFused falls
+//     back to Step otherwise, and chaining re-checks the gate per block —
+//     so every budget stop lands on a block boundary, where the liveness
+//     pass materialized all four flags. Lazily skipped flags are exactly
+//     why mid-run budget stops are forbidden: a stop at a boundary whose
+//     flag setter was skipped would expose stale NZCV (to the intermittent
+//     layer's checkpoints, among others). The remaining early-stop points
+//     — faults and vetoes, BKPT and undefined encodings, yields, and
+//     self-invalidating stores — sit adjacent to memory accesses, which the
+//     liveness pass treats as full flag barriers, or end their run.
 //   - Self-modifying text: DecodeCache.Invalidate drops every run whose
 //     span intersects the written window (see Invalidate), and a store
 //     executed from inside a run re-validates its own run before
@@ -101,10 +106,10 @@ const (
 )
 
 // Micro-op codes. Unflagged variants omit all NZCV computation; F variants
-// use the same formulas as execDecoded. Codes suffixed B are merged
+// set NZCV as the architecture does. Codes suffixed B are merged
 // two-instruction superinstructions ending in a conditional branch.
 const (
-	fopNop uint8 = iota // cycle/count charge only (dead CMP/TST/CMN, hints, SVC)
+	fopNop uint8 = iota // cycle/count charge only (dead CMP/TST/CMN, hints, SVC, barriers)
 
 	// Unflagged ALU.
 	fopMovImm // R[rd] = imm (MOV, ADR, folded constant chains, pc-reads)
@@ -136,7 +141,7 @@ const (
 	fopRevsh
 	fopCps
 
-	// Flagged ALU (same semantics as execDecoded).
+	// Flagged ALU.
 	fopMovImmF
 	fopMovRegF // setNZ only (LSL #0)
 	fopAddImmF
@@ -155,6 +160,7 @@ const (
 	fopTstF
 	fopCmpImmF // imm is full 32 bits (covers CMP high with a pc operand)
 	fopCmpRegF
+	fopCmpPCF // CMP pc, rm: imm (= pc+4) minus R[rm], or minus imm when rm is pc
 	fopCmnF
 	fopLslImmF // imm 1..31
 	fopLsrImmF // imm 1..32
@@ -207,11 +213,13 @@ const (
 	// Terminators (always the final micro-op; fopPopPC above is one too).
 	fopB     // unconditional: next = imm (absolute, precomputed)
 	fopBc    // conditional: cond in rd, target in imm, fallthrough endPC
-	fopBL    // R[LR] = (pc+4)|1, next = imm
+	fopBL    // R[LR] = (pc+rn)|1, next = imm (BL: rn 4; BLX pc: rn 2, target pc+4)
 	fopBX    // next = R[rm] &^ 1
 	fopBLX   // R[LR] = (pc+2)|1, next = R[rm] &^ 1
 	fopAddPC // ADD pc, rm: next = (pc+4+R[rm]) &^ 1
 	fopMovPC // MOV pc, rm: next = R[rm] &^ 1
+	fopBkpt  // Halt, ErrHalted; PC stays on the BKPT, no cycles charged
+	fopUndef // ErrUndefined; imm = first halfword | second halfword << 16
 )
 
 // fusedOp is one micro-op: 16 bytes, stored contiguously per run.
@@ -265,8 +273,9 @@ func (c *CPU) EnableFusion() {
 	c.pd.strict = c.mem == nil
 }
 
-// DisableFusion turns the fusion layer off (the unfused predecode path is
-// the mid-tier reference for differential testing); the decode cache stays.
+// DisableFusion turns block discovery off: every instruction then runs as a
+// run of length one (Step), the mid tier of the differential tests. The
+// decode cache stays.
 func (c *CPU) DisableFusion() {
 	if c.pd != nil {
 		c.pd.fuse = false
@@ -335,9 +344,12 @@ func flagEffect(d *DecodedInsn) (kill, set, use uint8) {
 }
 
 // buildRun discovers and translates the basic-block suffix starting at pc,
-// installing it in runTab. It returns the run id (>0), or -1 after marking
-// the slot unfusable (blocks shorter than two instructions, or heads whose
-// first instruction is excluded from runs).
+// installing it in runTab. A block of one instruction (a lone B, BX lr or
+// POP {..., pc} at a branch target) is a run too, so chaining never leaves
+// the loop for it. buildRun returns the run id (>0), or -1 after marking the
+// slot unfusable: a head whose own instruction cannot be cached (its fetch
+// faults, it lies past the TEXT window, or a freeze build refuses it),
+// which Step then runs.
 func (c *CPU) buildRun(pc uint32) int32 {
 	pd := c.pd
 	if pd.frozen {
@@ -370,46 +382,25 @@ func (c *CPU) buildRun(pc uint32) int32 {
 				break
 			}
 		}
-		k := d.Kind
-		stop := false
 		final := false
-		switch {
-		case k == kindBKPT || k == kindSYS32 || k == kindUndef || k == kindNone:
-			stop = true // excluded: run ends before these
-		case k == kindPOP:
+		switch d.Kind {
+		case kindPOP:
 			final = d.Raw&(1<<PC) != 0 // POP with PC in the list is a return
-		case k == kindBCond || k == kindB || k == kindBL:
+		case kindBCond, kindB, kindBL, kindBXBLX, kindBKPT, kindUndef:
 			final = true
-		case k == kindBXBLX:
-			if d.Rm == PC && d.Raw&0x80 != 0 {
-				stop = true // BLX pc: UNPREDICTABLE-adjacent, leave to single-step
-			} else {
-				final = true
-			}
-		case k == kindADDHi || k == kindMOVHi:
+		case kindADDHi, kindMOVHi:
 			final = d.Rd == PC
-		case k == kindCMPHi:
-			if d.Rd == PC {
-				stop = true // CMP with pc destination operand: single-step
-			}
-		}
-		if stop {
-			break
 		}
 		ds[n] = *d
 		pcs[n] = cur
 		n++
 		wc += worstCycles(d)
-		if k == kindBL {
-			cur += 4
-		} else {
-			cur += 2
-		}
+		cur += insnBytes(d)
 		if final {
 			break
 		}
 	}
-	if n < 2 {
+	if n < 1 {
 		pd.runTab[head] = -1
 		return -1
 	}
@@ -437,7 +428,8 @@ func (c *CPU) buildRun(pc uint32) int32 {
 	// Translate forward, applying the loose-mode peepholes.
 	off := uint32(len(pd.ops))
 	for i := 0; i < n; i++ {
-		c.emitOp(&ds[i], pcs[i], needF[i], endPC)
+		pd.ops = append(pd.ops, fusedOp{})
+		translate(&pd.ops[len(pd.ops)-1], &ds[i], pcs[i], needF[i])
 	}
 	ops := pd.ops[off:]
 	if !pd.strict {
@@ -479,8 +471,10 @@ func worstCycles(d *DecodedInsn) uint32 {
 		return cycBranchTaken
 	case kindBXBLX, kindADDHi, kindMOVHi, kindCMPHi:
 		return cycBX // upper bound: the non-pc forms charge cycALU
-	case kindSVC:
+	case kindSVC, kindSYS32:
 		return cycSys
+	case kindBKPT, kindUndef:
+		return 0
 	case kindPUSH, kindSTM, kindLDM:
 		return 1 + uint32(d.Rn)
 	case kindPOP:
@@ -492,9 +486,25 @@ func worstCycles(d *DecodedInsn) uint32 {
 	return cycALU
 }
 
-// emitOp appends the micro-op(s) for one decoded instruction.
-func (c *CPU) emitOp(d *DecodedInsn, pc uint32, flagged bool, endPC uint32) {
-	op := fusedOp{rd: d.Rd, rn: d.Rn, rm: d.Rm, imm: d.Imm, pc: pc, cyc: cycALU, cnt: 1}
+// insnBytes is the encoded length of a decoded instruction: 4 for the
+// 32-bit encodings (BL, the system pairs, an undefined 32-bit pair), else 2.
+func insnBytes(d *DecodedInsn) uint32 {
+	if d.Kind == kindBL || d.Kind == kindSYS32 || d.Kind == kindUndef && is32(d.Raw) {
+		return 4
+	}
+	return 2
+}
+
+// translate writes the micro-op for one decoded instruction at pc into op,
+// and nothing else. flagged selects the NZCV-computing variant of a flag
+// setter; Step passes true, buildRun the liveness verdict. It stores the
+// fields one by one, in place: a whole-record copy (returning the op, or
+// assigning a composite literal through op) reads back a temporary built
+// by byte-wide stores, stalls on store forwarding, and cost a Step about
+// 40% of its time.
+func translate(op *fusedOp, d *DecodedInsn, pc uint32, flagged bool) {
+	op.code, op.rd, op.rn, op.rm = fopNop, d.Rd, d.Rn, d.Rm
+	op.imm, op.pc, op.cyc, op.cnt = d.Imm, pc, cycALU, 1
 	switch d.Kind {
 	case kindLSLImm:
 		switch {
@@ -590,9 +600,12 @@ func (c *CPU) emitOp(d *DecodedInsn, pc uint32, flagged bool, endPC uint32) {
 			op.code, op.rn = fopAddReg, d.Rd
 		}
 	case kindCMPHi:
-		if d.Rm == PC {
+		switch {
+		case d.Rd == PC:
+			op.code, op.imm = fopCmpPCF, pc+4
+		case d.Rm == PC:
 			op.code, op.imm = fopCmpImmF, pc+4
-		} else {
+		default:
 			op.code = fopCmpRegF
 		}
 	case kindMOVHi:
@@ -607,7 +620,9 @@ func (c *CPU) emitOp(d *DecodedInsn, pc uint32, flagged bool, endPC uint32) {
 			op.code = fopMovReg
 		}
 	case kindBXBLX:
-		if d.Raw&0x80 != 0 {
+		if d.Raw&0x80 != 0 && d.Rm == PC {
+			op.code, op.rn, op.imm, op.cyc = fopBL, 2, (pc+4)&^1, cycBX
+		} else if d.Raw&0x80 != 0 {
 			op.code = fopBLX
 		} else if d.Rm == PC {
 			op.code, op.imm = fopB, (pc+4)&^1
@@ -690,17 +705,20 @@ func (c *CPU) emitOp(d *DecodedInsn, pc uint32, flagged bool, endPC uint32) {
 		op.code = fopNop
 	case kindCPS:
 		op.code = fopCps
-	case kindSVC:
+	case kindSVC, kindSYS32:
 		op.code, op.cyc = fopNop, cycSys
+	case kindBKPT:
+		op.code, op.cyc = fopBkpt, 0
+	case kindUndef:
+		op.code, op.imm, op.cyc = fopUndef, uint32(d.Raw)|d.Imm<<16, 0
 
 	case kindBCond:
 		op.code, op.imm = fopBc, uint32(int32(pc+4)+int32(d.Imm))
 	case kindB:
 		op.code, op.imm = fopB, uint32(int32(pc+4)+int32(d.Imm))
 	case kindBL:
-		op.code, op.imm, op.cyc = fopBL, uint32(int32(pc+4)+int32(d.Imm)), cycBL
+		op.code, op.rn, op.imm, op.cyc = fopBL, 4, uint32(int32(pc+4)+int32(d.Imm)), cycBL
 	}
-	c.pd.ops = append(c.pd.ops, op)
 }
 
 func pick(flagged bool, f, u uint8) uint8 {
@@ -819,12 +837,15 @@ func mergePairs(ops []fusedOp) []fusedOp {
 // is hit, or the bus calls Yield during an access (the driver's
 // post-access hooks fire at that instruction boundary, so control returns
 // right after the yielding instruction, even mid-run). Callers must pass
-// a rid whose run fits the budget
-// (budget >= maxCyc) — StepFused and RunTo single-step otherwise — and the
-// chain point re-checks that gate per block, so budget stops always land
-// on block boundaries where every lazily-tracked flag is materialized; the
-// interior cum-vs-budget checks are a defensive backstop only. On success
-// PC, Cycle, and Insns reflect every completed instruction; on error they
+// a rid whose run fits the budget (budget >= maxCyc) — StepFused steps
+// otherwise — and the chain point re-checks that gate per block, so budget
+// stops always land on block boundaries where every lazily-tracked flag is
+// materialized; the interior cum-vs-budget checks are a defensive backstop
+// only. rid 0 is Step's scratch run (c.step), which Step enters with a
+// budget of 1: every micro-op that completes costs at least one cycle (BKPT
+// and undefined encodings return before charging), so it stops after its
+// one instruction without consulting the run table. On success PC,
+// Cycle, and Insns reflect every completed instruction; on error they
 // reflect the instructions before the failing one, whose address is left
 // in PC.
 func (c *CPU) execRun(rid int32, budget uint64) error {
@@ -837,9 +858,14 @@ func (c *CPU) execRun(rid int32, budget uint64) error {
 		pc  uint32 // resumption address once a stop reason is found
 	)
 	c.yield = false
+	if rid == 0 {
+		r, ops = &c.step, c.stepOp[:]
+		goto exec
+	}
 next:
 	r = &pd.runs[rid-1]
 	ops = pd.ops[r.off : r.off+uint32(r.n)]
+exec:
 	for i := range ops {
 		op := &ops[i]
 		switch op.code {
@@ -972,6 +998,12 @@ next:
 			c.addFlags(c.R[op.rd&15], ^op.imm, true)
 		case fopCmpRegF:
 			c.addFlags(c.R[op.rd&15], ^c.R[op.rm&15], true)
+		case fopCmpPCF:
+			y := op.imm
+			if op.rm != PC {
+				y = c.R[op.rm&15]
+			}
+			c.addFlags(op.imm, ^y, true)
 		case fopCmnF:
 			c.addFlags(c.R[op.rd&15], c.R[op.rm&15], false)
 		case fopLslImmF:
@@ -1136,8 +1168,8 @@ next:
 			c.R[rn] = end
 			cum += uint64(op.cyc)
 			ret++
-			// The single stores' self-modifying-text and yield check.
-			if pd.runTab[r.head] != rid || cum >= budget || c.yield {
+			// The single stores' budget, yield and self-modifying-text check.
+			if cum >= budget || c.yield || pd.runTab[r.head] != rid {
 				pc = nextPC(r, ops, i)
 				goto stop
 			}
@@ -1245,11 +1277,13 @@ next:
 			}
 			cum += uint64(op.cyc)
 			ret++
-			// A store may have invalidated this very run (self-modifying
-			// text): Invalidate cleared runTab before the store returned,
-			// so one compare re-validates the remainder. The bus may also
-			// have asked to regain control after this instruction.
-			if pd.runTab[r.head] != rid || cum >= budget || c.yield {
+			// The bus may have asked to regain control after this
+			// instruction, and a store may have invalidated this very run
+			// (self-modifying text): Invalidate cleared runTab before the
+			// store returned, so one compare re-validates the remainder.
+			// The budget test comes first, which is what stops Step's
+			// scratch run (rid 0) before the run table is consulted.
+			if cum >= budget || c.yield || pd.runTab[r.head] != rid {
 				pc = nextPC(r, ops, i)
 				goto stop
 			}
@@ -1271,8 +1305,8 @@ next:
 			}
 			goto chain
 		case fopBL:
-			c.R[LR] = (op.pc + 4) | 1
-			cum += cycBL
+			c.R[LR] = (op.pc + uint32(op.rn)) | 1
+			cum += uint64(op.cyc)
 			ret++
 			pc = op.imm
 			goto chain
@@ -1297,6 +1331,13 @@ next:
 			cum += cycBX
 			ret++
 			goto chain
+		case fopBkpt:
+			c.Halt = true
+			c.Cycle += cum
+			return c.runFault(op.pc, ret, ErrHalted)
+		case fopUndef:
+			c.Cycle += cum
+			return c.runFault(op.pc, ret, undefined(uint16(op.imm), uint16(op.imm>>16), op.pc))
 		}
 
 		// Common boundary for the simple (non-branch, non-store) micro-ops:
@@ -1314,7 +1355,7 @@ next:
 chain:
 	// Block boundary with budget to spare: thread straight into the run at
 	// the new pc, building it on first encounter, and return to the caller
-	// when the target is unfusable (it single-steps from there) or the
+	// when the target is unfusable (it steps from there) or the
 	// remaining budget no longer covers the target's worst case — budget
 	// stops land only here, on block boundaries with exact flags.
 	if cum >= budget || pc >= MemSize {
@@ -1347,8 +1388,7 @@ func nextPC(r *fusedRun, ops []fusedOp, i int) uint32 {
 // runFault finalizes an error raised by micro-op at pc: everything before
 // it is committed (cycles were flushed before the access), the faulting
 // instruction has had no architectural effect, and PC points at it — the
-// driver's retry (after a checkpoint veto) re-executes it exactly as the
-// single-step path would.
+// driver's retry (after a checkpoint veto) re-executes it.
 func (c *CPU) runFault(pc uint32, ret uint64, err error) error {
 	c.R[PC] = pc
 	c.Insns += ret

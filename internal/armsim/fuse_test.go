@@ -19,8 +19,8 @@ import (
 // folded constant chain retires as a single micro-op — so the reference
 // catches up to the same Insns and the full state is compared at every
 // synchronization point. This extends the differential methodology of
-// predecode_test.go (which pins the unfused predecode path) to the fused
-// engine.
+// predecode_test.go (which pins Step, a run of length one) to whole fused
+// runs.
 
 // fusedPair is two machines with identical memories: ref executes through
 // the reference interpreter, fus through the fused superinstruction engine.
@@ -311,8 +311,8 @@ func (p *fusedPair) deepCompare(t *testing.T, label string) {
 
 // TestFusedDifferentialAllEncodings sweeps every 16-bit encoding (with two
 // second-halfword variants for the 32-bit prefixes) embedded mid-block —
-// padded so the probed instruction actually fuses into a run rather than
-// being a lone unfusable head — under multiple register seeds and budgets,
+// padded so the probed instruction sits inside a run rather than heading
+// its own — under multiple register seeds and budgets,
 // and asserts the fused engine matches the reference interpreter exactly.
 func TestFusedDifferentialAllEncodings(t *testing.T) {
 	p := newFusedPair(t)
@@ -403,7 +403,7 @@ func randomStreams(t *testing.T, p *fusedPair) {
 // access: a run headed by a load fuses, a yield on the second load returns
 // right after it, and a veto on a later store leaves PC on the store with
 // the ALU work before it committed; the retried store then runs on to the
-// end of the block.
+// BKPT that ends the block, which halts inside the same call.
 func TestFusedMonitoredYieldAndVeto(t *testing.T) {
 	m, bus := newMonitoredMachine(true)
 	bus.rule = func(n uint32) (veto, yield bool) { return n == 2, n == 1 }
@@ -431,7 +431,7 @@ func TestFusedMonitoredYieldAndVeto(t *testing.T) {
 	for i, w := range []want{
 		{nil, 12, 0, 2, 4, "yield after the second load"},
 		{errTestVeto, 14, 1, 3, 5, "veto leaves PC on the store"},
-		{nil, 18, 2, 5, 8, "retried store runs on to the block end"},
+		{ErrHalted, 18, 2, 5, 8, "retried store runs on to the block's BKPT"},
 	} {
 		err := c.StepFused(1000)
 		if !errors.Is(err, w.err) || c.R[PC] != w.pc || c.Insns != w.insns ||
@@ -648,13 +648,14 @@ func FuzzFusedBlocks(f *testing.F) {
 // leave it alone — that precision is what keeps globals directly after text
 // from retranslating code on every store.
 func TestFusedRunInvalidationTwoSided(t *testing.T) {
-	// Eight 16-bit ALU instructions at 8..22 (slots 4..11), BKPT at 24:
-	// one run with head slot 4, span 8 halfword slots, endPC 24.
+	// Seven 16-bit ALU instructions at 8..20 and the BKPT that ends the
+	// block at 22 (slots 4..11): one run with head slot 4, span 8 halfword
+	// slots, endPC 24.
 	build := func(t *testing.T) (*Machine, int32) {
 		t.Helper()
 		ops := []uint16{
 			movImm8(0, 1), addImm8(0, 2), movImm8(1, 3), addImm8(1, 4),
-			movImm8(2, 5), addImm8(2, 6), movImm8(3, 7), addImm8(3, 8),
+			movImm8(2, 5), addImm8(2, 6), movImm8(3, 7),
 			opBKPT,
 		}
 		m := NewMachine()
@@ -718,7 +719,7 @@ func TestFusedRunInvalidationTwoSided(t *testing.T) {
 // the single-instruction budget and whole-block chaining, plus the RunTo
 // driver loop and a monitored (strict-mode) bus whose runs span accesses
 // and stop on yields and vetoes — to zero heap allocations, matching
-// TestStepNoAllocs for the unfused path.
+// TestStepNoAllocs for Step.
 func TestStepFusedNoAllocs(t *testing.T) {
 	m := NewMachine()
 	if err := m.Boot(asmImage(benchLoopOps()...)); err != nil {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestFusedContinuousDifferential runs every MiBench kernel to completion on
-// three engines — fused superinstructions (the NewMachine default), the
-// unfused predecode cache, and the reference interpreter — and requires
+// three engines — fused superinstructions (the NewMachine default), runs of
+// length one (DisableFusion), and the reference interpreter — and requires
 // bit-identical final architectural state: cycle count, retired
 // instructions, registers, flags, the entire memory image, and the output
 // log. This is the whole-program complement to the per-encoding and

@@ -1,13 +1,12 @@
 package armsim
 
-// Predecoded instruction cache. Every experiment in the reproduction runs
-// through CPU.Step, which historically re-fetched and re-walked the nested
-// Thumb decode switches for every executed instruction. With the Clank
-// buffer layer rewritten as CAMs (BENCH_clank.json) the decode path became
-// the dominant simulation cost, so Step now decodes each 16-bit instruction
-// (and 32-bit BL/system pair) once into a flat DecodedInsn record, indexed
-// by halfword address, and thereafter executes through a dense jump table —
-// bypassing both the Bus.Fetch16 interface call and the nested switches.
+// Predecoded instruction cache. Fetching through Bus.Fetch16 and walking
+// the nested Thumb decode switches for every executed instruction used to
+// be the dominant simulation cost, so each 16-bit instruction (and 32-bit
+// BL/system pair) is decoded once into a flat DecodedInsn record, indexed
+// by halfword address. Both consumers read the records from here: fused-run
+// discovery (fuse.go), which translates a block of them into micro-ops, and
+// Step, which translates the one at PC.
 //
 // Correctness rule: the cache must always agree with what Bus.Fetch16 would
 // return. Memory is the single backing store for instruction fetch, so the
@@ -27,9 +26,9 @@ import (
 	"repro/internal/accfilter"
 )
 
-// Instruction kinds. The executor switches on this dense enumeration, which
-// the compiler lowers to a jump table. kindNone (the zero value) marks an
-// undecoded cache slot.
+// Instruction kinds. translate (fuse.go) switches on this dense
+// enumeration, which the compiler lowers to a jump table. kindNone (the
+// zero value) marks an undecoded cache slot.
 const (
 	kindNone uint8 = iota
 
@@ -126,9 +125,9 @@ const (
 	// TextLitLoader bus is attached; see SetTextWindow.
 	kindLDRLitText
 
-	// Anything else: execDecoded raises ErrUndefined worded for the
-	// encoding (undefined); Raw is the first halfword, and Imm the second
-	// for a 32-bit encoding.
+	// Anything else: its micro-op (fopUndef) raises ErrUndefined worded
+	// for the encoding (undefined); Raw is the first halfword, and Imm the
+	// second for a 32-bit encoding.
 	kindUndef
 )
 
@@ -513,18 +512,9 @@ func predecode32(op, op2 uint16) DecodedInsn {
 	return DecodedInsn{Kind: kindUndef, Raw: op, Imm: uint32(op2)}
 }
 
-// readRegPC reads register i as the instruction at pc sees it: PC reads as
-// pc+4.
-func (c *CPU) readRegPC(i int, pc uint32) uint32 {
-	if i == PC {
-		return pc + 4
-	}
-	return c.R[i]
-}
-
 // SetAccessPort installs a detector's access filter on the memory path.
-// While installed, the predecoded and fused executors complete three kinds
-// of access in the loop instead of calling the Bus: a load whose word p.Read certifies and a store whose
+// While installed, the executor completes three kinds of access in the
+// loop instead of calling the Bus: a load whose word p.Read certifies and a store whose
 // word p.Write certifies each count one access in *p.Accesses and then read
 // or write mem exactly as the bus would, and a TEXT literal load (the
 // TextLitLoader path) counts one access and reads the word. Every other
@@ -541,7 +531,7 @@ func (c *CPU) SetAccessPort(p accfilter.Port, mem *Memory) { c.port, c.portMem =
 // AccessPort returns the installed access port (zero when none).
 func (c *CPU) AccessPort() accfilter.Port { return c.port }
 
-// pdLoad is the predecoded executor's data-load path. When the bus is the
+// pdLoad is the executor's data-load path. When the bus is the
 // bare Memory it reads the backing store directly — no interface dispatch —
 // with the near-top-of-memory and output/fault cases deferring to
 // Memory.Load for identical semantics. Monitored buses take the interface,
@@ -613,34 +603,11 @@ func (c *CPU) loadTextLit(addr, pc uint32) (uint32, error) {
 	return c.textLit.LoadTextLit(addr, pc)
 }
 
-// loadD / storeD perform one single-register load or store through the
-// fast path, returning the instruction's cycle cost and next PC; on a
-// failed access no register changes.
-func (c *CPU) loadD(addr uint32, size uint8, rt int, ext func(uint32) uint32, pc, next uint32) (int, uint32, error) {
-	v, err := c.pdLoad(addr, size, pc)
-	if err != nil {
-		return 0, 0, err
-	}
-	if ext != nil {
-		v = ext(v)
-	}
-	c.R[rt] = v
-	return cycLoad, next, nil
-}
-
-func (c *CPU) storeD(addr uint32, size uint8, v uint32, pc, next uint32) (int, uint32, error) {
-	if err := c.pdStore(addr, size, v, pc); err != nil {
-		return 0, 0, err
-	}
-	return cycStore, next, nil
-}
-
 // storeMulti stores the registers in list (bit i = R[i]) to consecutive
 // words from addr, lowest register first, and returns the address after the
 // last word. It stops at the first failing store: the stores before it stay
 // in memory (re-execution rewrites the same values, see DESIGN.md) and the
-// caller skips its base-register writeback. Shared by execDecoded and the
-// fused engine's PUSH/STM micro-ops.
+// caller skips its base-register writeback. The PUSH/STM micro-ops' body.
 func (c *CPU) storeMulti(addr, list, pc uint32) (uint32, error) {
 	for l := list; l != 0; l &= l - 1 {
 		if err := c.pdStore(addr, 4, c.R[bits.TrailingZeros32(l)&15], pc); err != nil {
@@ -655,8 +622,7 @@ func (c *CPU) storeMulti(addr, list, pc uint32) (uint32, error) {
 // (bit i = R[i]; a PC bit leaves the raw popped value in R[PC] for the
 // caller to turn into the next pc) and returns the address after the last
 // word. Every load happens before any register is written, so a failing
-// load leaves the register file unchanged. Shared by execDecoded and the
-// fused engine's POP/LDM micro-ops.
+// load leaves the register file unchanged. The POP/LDM micro-ops' body.
 func (c *CPU) loadMulti(addr, list, pc uint32) (uint32, error) {
 	var vals [16]uint32
 	for l := list; l != 0; l &= l - 1 {
@@ -674,368 +640,10 @@ func (c *CPU) loadMulti(addr, list, pc uint32) (uint32, error) {
 	return addr, nil
 }
 
-// execDecoded executes one predecoded instruction at pc, returning its
-// cycle cost and next PC. The reference interpreter in the package tests is
-// its model; predecode_test.go proves the equivalence over all 65536
-// encodings. On error, no architectural state has changed.
-func (c *CPU) execDecoded(d *DecodedInsn, pc uint32) (cycles int, next uint32, err error) {
-	next = pc + 2
-
-	switch d.Kind {
-	case kindLSLImm:
-		v := c.R[d.Rm]
-		if d.Imm != 0 {
-			c.C = v&(1<<(32-d.Imm)) != 0
-			v <<= d.Imm
-		}
-		c.R[d.Rd] = v
-		c.setNZ(v)
-		return cycALU, next, nil
-	case kindLSRImm:
-		v := c.R[d.Rm]
-		if d.Imm == 0 {
-			c.C = v&0x80000000 != 0
-			v = 0
-		} else {
-			c.C = v&(1<<(d.Imm-1)) != 0
-			v >>= d.Imm
-		}
-		c.R[d.Rd] = v
-		c.setNZ(v)
-		return cycALU, next, nil
-	case kindASRImm:
-		v := int32(c.R[d.Rm])
-		if d.Imm == 0 {
-			c.C = v < 0
-			v >>= 31
-		} else {
-			c.C = v&(1<<(d.Imm-1)) != 0
-			v >>= d.Imm
-		}
-		c.R[d.Rd] = uint32(v)
-		c.setNZ(uint32(v))
-		return cycALU, next, nil
-	case kindADDReg:
-		c.R[d.Rd] = c.addFlags(c.R[d.Rn], c.R[d.Rm], false)
-		return cycALU, next, nil
-	case kindSUBReg:
-		c.R[d.Rd] = c.addFlags(c.R[d.Rn], ^c.R[d.Rm], true)
-		return cycALU, next, nil
-	case kindADDImm3:
-		c.R[d.Rd] = c.addFlags(c.R[d.Rn], d.Imm, false)
-		return cycALU, next, nil
-	case kindSUBImm3:
-		c.R[d.Rd] = c.addFlags(c.R[d.Rn], ^d.Imm, true)
-		return cycALU, next, nil
-	case kindMOVImm:
-		c.R[d.Rd] = d.Imm
-		c.setNZ(d.Imm)
-		return cycALU, next, nil
-	case kindCMPImm:
-		c.addFlags(c.R[d.Rd], ^d.Imm, true)
-		return cycALU, next, nil
-	case kindADDImm8:
-		c.R[d.Rd] = c.addFlags(c.R[d.Rd], d.Imm, false)
-		return cycALU, next, nil
-	case kindSUBImm8:
-		c.R[d.Rd] = c.addFlags(c.R[d.Rd], ^d.Imm, true)
-		return cycALU, next, nil
-
-	case kindAND:
-		c.R[d.Rd] &= c.R[d.Rm]
-		c.setNZ(c.R[d.Rd])
-		return cycALU, next, nil
-	case kindEOR:
-		c.R[d.Rd] ^= c.R[d.Rm]
-		c.setNZ(c.R[d.Rd])
-		return cycALU, next, nil
-	case kindLSLReg:
-		sh := c.R[d.Rm] & 0xFF
-		v := c.R[d.Rd]
-		switch {
-		case sh == 0:
-		case sh < 32:
-			c.C = v&(1<<(32-sh)) != 0
-			v <<= sh
-		case sh == 32:
-			c.C = v&1 != 0
-			v = 0
-		default:
-			c.C = false
-			v = 0
-		}
-		c.R[d.Rd] = v
-		c.setNZ(v)
-		return cycALU, next, nil
-	case kindLSRReg:
-		sh := c.R[d.Rm] & 0xFF
-		v := c.R[d.Rd]
-		switch {
-		case sh == 0:
-		case sh < 32:
-			c.C = v&(1<<(sh-1)) != 0
-			v >>= sh
-		case sh == 32:
-			c.C = v&0x80000000 != 0
-			v = 0
-		default:
-			c.C = false
-			v = 0
-		}
-		c.R[d.Rd] = v
-		c.setNZ(v)
-		return cycALU, next, nil
-	case kindASRReg:
-		sh := c.R[d.Rm] & 0xFF
-		v := int32(c.R[d.Rd])
-		switch {
-		case sh == 0:
-		case sh < 32:
-			c.C = v&(1<<(sh-1)) != 0
-			v >>= sh
-		default:
-			c.C = v < 0
-			v >>= 31
-		}
-		c.R[d.Rd] = uint32(v)
-		c.setNZ(uint32(v))
-		return cycALU, next, nil
-	case kindADC:
-		c.R[d.Rd] = c.addFlags(c.R[d.Rd], c.R[d.Rm], c.C)
-		return cycALU, next, nil
-	case kindSBC:
-		c.R[d.Rd] = c.addFlags(c.R[d.Rd], ^c.R[d.Rm], c.C)
-		return cycALU, next, nil
-	case kindROR:
-		sh := c.R[d.Rm] & 0xFF
-		v := c.R[d.Rd]
-		if sh != 0 {
-			r := sh & 31
-			if r == 0 {
-				c.C = v&0x80000000 != 0
-			} else {
-				v = v>>r | v<<(32-r)
-				c.C = v&0x80000000 != 0
-			}
-		}
-		c.R[d.Rd] = v
-		c.setNZ(v)
-		return cycALU, next, nil
-	case kindTST:
-		c.setNZ(c.R[d.Rd] & c.R[d.Rm])
-		return cycALU, next, nil
-	case kindNEG:
-		c.R[d.Rd] = c.addFlags(^c.R[d.Rm], 0, true)
-		return cycALU, next, nil
-	case kindCMPReg:
-		c.addFlags(c.R[d.Rd], ^c.R[d.Rm], true)
-		return cycALU, next, nil
-	case kindCMN:
-		c.addFlags(c.R[d.Rd], c.R[d.Rm], false)
-		return cycALU, next, nil
-	case kindORR:
-		c.R[d.Rd] |= c.R[d.Rm]
-		c.setNZ(c.R[d.Rd])
-		return cycALU, next, nil
-	case kindMUL:
-		c.R[d.Rd] = c.R[d.Rd] * c.R[d.Rm]
-		c.setNZ(c.R[d.Rd])
-		return cycMul, next, nil
-	case kindBIC:
-		c.R[d.Rd] &^= c.R[d.Rm]
-		c.setNZ(c.R[d.Rd])
-		return cycALU, next, nil
-	case kindMVN:
-		c.R[d.Rd] = ^c.R[d.Rm]
-		c.setNZ(c.R[d.Rd])
-		return cycALU, next, nil
-
-	case kindADDHi:
-		rd := int(d.Rd)
-		v := c.readRegPC(rd, pc) + c.readRegPC(int(d.Rm), pc)
-		if rd == PC {
-			return cycBX, v &^ 1, nil
-		}
-		c.R[rd] = v
-		return cycALU, next, nil
-	case kindCMPHi:
-		c.addFlags(c.readRegPC(int(d.Rd), pc), ^c.readRegPC(int(d.Rm), pc), true)
-		return cycALU, next, nil
-	case kindMOVHi:
-		rd := int(d.Rd)
-		v := c.readRegPC(int(d.Rm), pc)
-		if rd == PC {
-			return cycBX, v &^ 1, nil
-		}
-		c.R[rd] = v
-		return cycALU, next, nil
-	case kindBXBLX:
-		target := c.readRegPC(int(d.Rm), pc)
-		if d.Raw&0x80 != 0 { // BLX
-			c.R[LR] = (pc + 2) | 1
-		}
-		return cycBX, target &^ 1, nil
-
-	case kindLDRLit:
-		addr := ((pc + 4) &^ 3) + d.Imm
-		v, err := c.pdLoad(addr, 4, pc)
-		if err != nil {
-			return 0, 0, err
-		}
-		c.R[d.Rd] = v
-		return cycLoad, next, nil
-	case kindLDRLitText:
-		v, err := c.loadTextLit(d.Imm, pc)
-		if err != nil {
-			return 0, 0, err
-		}
-		c.R[d.Rd] = v
-		return cycLoad, next, nil
-	case kindSTRReg:
-		return c.storeD(c.R[d.Rn]+c.R[d.Rm], 4, c.R[d.Rd], pc, next)
-	case kindSTRHReg:
-		return c.storeD(c.R[d.Rn]+c.R[d.Rm], 2, c.R[d.Rd], pc, next)
-	case kindSTRBReg:
-		return c.storeD(c.R[d.Rn]+c.R[d.Rm], 1, c.R[d.Rd], pc, next)
-	case kindLDRSBReg:
-		return c.loadD(c.R[d.Rn]+c.R[d.Rm], 1, int(d.Rd), signExt8, pc, next)
-	case kindLDRReg:
-		return c.loadD(c.R[d.Rn]+c.R[d.Rm], 4, int(d.Rd), nil, pc, next)
-	case kindLDRHReg:
-		return c.loadD(c.R[d.Rn]+c.R[d.Rm], 2, int(d.Rd), nil, pc, next)
-	case kindLDRBReg:
-		return c.loadD(c.R[d.Rn]+c.R[d.Rm], 1, int(d.Rd), nil, pc, next)
-	case kindLDRSHReg:
-		return c.loadD(c.R[d.Rn]+c.R[d.Rm], 2, int(d.Rd), signExt16, pc, next)
-	case kindSTRImm:
-		return c.storeD(c.R[d.Rn]+d.Imm, 4, c.R[d.Rd], pc, next)
-	case kindLDRImm:
-		return c.loadD(c.R[d.Rn]+d.Imm, 4, int(d.Rd), nil, pc, next)
-	case kindSTRBImm:
-		return c.storeD(c.R[d.Rn]+d.Imm, 1, c.R[d.Rd], pc, next)
-	case kindLDRBImm:
-		return c.loadD(c.R[d.Rn]+d.Imm, 1, int(d.Rd), nil, pc, next)
-	case kindSTRHImm:
-		return c.storeD(c.R[d.Rn]+d.Imm, 2, c.R[d.Rd], pc, next)
-	case kindLDRHImm:
-		return c.loadD(c.R[d.Rn]+d.Imm, 2, int(d.Rd), nil, pc, next)
-	case kindSTRSP:
-		return c.storeD(c.R[SP]+d.Imm, 4, c.R[d.Rd], pc, next)
-	case kindLDRSP:
-		return c.loadD(c.R[SP]+d.Imm, 4, int(d.Rd), nil, pc, next)
-
-	case kindADR:
-		c.R[d.Rd] = ((pc + 4) &^ 3) + d.Imm
-		return cycALU, next, nil
-	case kindADDSPImm:
-		c.R[d.Rd] = c.R[SP] + d.Imm
-		return cycALU, next, nil
-
-	case kindADDSP7:
-		c.R[SP] += d.Imm
-		return cycALU, next, nil
-	case kindSUBSP7:
-		c.R[SP] -= d.Imm
-		return cycALU, next, nil
-	case kindSXTH:
-		c.R[d.Rd] = signExt16(c.R[d.Rm])
-		return cycALU, next, nil
-	case kindSXTB:
-		c.R[d.Rd] = signExt8(c.R[d.Rm])
-		return cycALU, next, nil
-	case kindUXTH:
-		c.R[d.Rd] = c.R[d.Rm] & 0xFFFF
-		return cycALU, next, nil
-	case kindUXTB:
-		c.R[d.Rd] = c.R[d.Rm] & 0xFF
-		return cycALU, next, nil
-
-	case kindPUSH:
-		base := c.R[SP] - 4*uint32(d.Rn)
-		if _, err := c.storeMulti(base, uint32(d.Raw), pc); err != nil {
-			return 0, 0, err
-		}
-		c.R[SP] = base
-		return 1 + int(d.Rn), next, nil
-	case kindPOP:
-		list := uint32(d.Raw)
-		end, err := c.loadMulti(c.R[SP], list, pc)
-		if err != nil {
-			return 0, 0, err
-		}
-		c.R[SP] = end
-		if list&(1<<PC) != 0 {
-			return 1 + int(d.Rn) + cycPopPC, c.R[PC] &^ 1, nil
-		}
-		return 1 + int(d.Rn), next, nil
-
-	case kindREV:
-		v := c.R[d.Rm]
-		c.R[d.Rd] = v<<24 | v>>24 | (v&0xFF00)<<8 | (v>>8)&0xFF00
-		return cycALU, next, nil
-	case kindREV16:
-		v := c.R[d.Rm]
-		c.R[d.Rd] = (v&0x00FF00FF)<<8 | (v>>8)&0x00FF00FF
-		return cycALU, next, nil
-	case kindREVSH:
-		v := c.R[d.Rm]
-		c.R[d.Rd] = uint32(int32(int16(v<<8 | (v>>8)&0xFF)))
-		return cycALU, next, nil
-	case kindBKPT:
-		c.Halt = true
-		return cycALU, pc, ErrHalted
-	case kindNOPHint:
-		return cycALU, next, nil
-	case kindCPS:
-		c.Prim = d.Imm != 0
-		return cycALU, next, nil
-
-	case kindLDM:
-		list, rn := uint32(d.Raw), d.Rd&7
-		end, err := c.loadMulti(c.R[rn], list, pc)
-		if err != nil {
-			return 0, 0, err
-		}
-		// Writeback unless Rn is in the list (ARMv6-M behavior).
-		if list&(1<<rn) == 0 {
-			c.R[rn] = end
-		}
-		return 1 + int(d.Rn), next, nil
-	case kindSTM:
-		rn := d.Rd & 7
-		end, err := c.storeMulti(c.R[rn], uint32(d.Raw), pc)
-		if err != nil {
-			return 0, 0, err
-		}
-		c.R[rn] = end
-		return 1 + int(d.Rn), next, nil
-
-	case kindBCond:
-		if c.condPasses(int(d.Rd)) {
-			return cycBranchTaken, uint32(int32(pc+4) + int32(d.Imm)), nil
-		}
-		return cycBranchNot, next, nil
-	case kindSVC:
-		return cycSys, next, nil
-	case kindB:
-		return cycBranchTaken, uint32(int32(pc+4) + int32(d.Imm)), nil
-	case kindBL:
-		c.R[LR] = (pc + 4) | 1
-		return cycBL, uint32(int32(pc+4) + int32(d.Imm)), nil
-	case kindSYS32:
-		return cycSys, pc + 4, nil
-	}
-
-	// kindUndef. Step and RunTo decode a slot before executing it, so
-	// kindNone never gets here.
-	return 0, 0, undefined(d, pc)
-}
-
-// undefined is the error a kindUndef record raises, worded by encoding
-// class: the UDF opcode, an empty register list, a 32-bit pair (its second
-// halfword as fetched at decode time), or any other halfword.
-func undefined(d *DecodedInsn, pc uint32) error {
-	op := d.Raw
+// undefined is the error a kindUndef record raises at pc, worded by
+// encoding class: the UDF opcode, an empty register list, a 32-bit pair (op2
+// is its second halfword as fetched at decode time), or any other halfword.
+func undefined(op, op2 uint16, pc uint32) error {
 	switch {
 	case op>>12 == 0b1101:
 		return fmt.Errorf("%w: UDF %#04x at %#x", ErrUndefined, op, pc)
@@ -1046,7 +654,7 @@ func undefined(d *DecodedInsn, pc uint32) error {
 	case op>>12 == 0b1100:
 		return fmt.Errorf("%w: empty LDM/STM at %#x", ErrUndefined, pc)
 	case is32(op):
-		return fmt.Errorf("%w: 32-bit %#04x %#04x at %#x", ErrUndefined, op, uint16(d.Imm), pc)
+		return fmt.Errorf("%w: 32-bit %#04x %#04x at %#x", ErrUndefined, op, op2, pc)
 	}
 	return fmt.Errorf("%w: %#04x at %#x", ErrUndefined, op, pc)
 }

@@ -155,8 +155,7 @@ func TestPushPopNoAllocs(t *testing.T) {
 // every function: BL into a callee whose prologue is PUSH {r4-r7,lr}, a
 // short body with a stack spill and reload, and a POP {r4-r7,pc} epilogue
 // (12 instructions and 12 data accesses per trip, 10 of them in the two
-// multi-register transfers). Every block is at least two instructions, so
-// the whole loop runs fused.
+// multi-register transfers). The whole loop runs fused.
 func callReturnOps() []uint16 {
 	bl1, bl2 := encodeBL(18 - (10 + 4))
 	return []uint16{

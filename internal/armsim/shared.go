@@ -15,9 +15,9 @@ package armsim
 //
 //  1. A frozen cache is never written. Every lazy mutation point checks
 //     pd.frozen: the miss path (decode) decodes an undecoded slot into the
-//     CPU's own scratch record and executes it from there, StepFused,
-//     RunTo and execRun skip buildRun for unexamined heads, and
-//     Invalidate panics (it is unreachable: see 2 and 3).
+//     CPU's own scratch record, Step translates into its own scratch
+//     micro-op, StepFused and execRun skip buildRun for unexamined heads,
+//     and Invalidate panics (it is unreachable: see 2 and 3).
 //
 //  2. Data writes cannot require invalidation. During the build, limitB
 //     bounds every cached encoding to lie strictly below the text end

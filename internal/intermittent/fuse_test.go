@@ -12,8 +12,8 @@ import (
 
 // The superinstruction engine must be invisible to the whole intermittent
 // stack: identical checkpoints, rollbacks, watchdog firings, commit
-// protocol traffic, outputs, and final NV memory as the unfused predecode
-// path. These tests run the same image under the same deterministic supply
+// protocol traffic, outputs, and final NV memory as runs of length one
+// (DisableFusion). These tests run the same image under the same deterministic supply
 // in three modes and require deep-equal Stats — any divergence in when a
 // monitored access is seen, when a budget boundary lands, or what flags a
 // checkpoint captures shows up as a counter, reason-map, or output
@@ -106,7 +106,7 @@ func TestFusedIntermittentDifferentialAlways(t *testing.T) {
 // checkpointed PC is frequently inside a fused block, so resumption builds
 // and enters suffix runs), rollbacks re-execute fused work, and the
 // watchdogs interleave with budget-gated block entry. Identical Stats
-// means every one of those boundaries matched the unfused path
+// means every one of those boundaries matched runs of length one
 // cycle-for-cycle.
 func TestFusedIntermittentDifferentialFailures(t *testing.T) {
 	for _, seed := range []int64{3, 44} {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestFusedContinuousDifferential runs every kernel to completion on both
-// production engines — fused superinstructions (the NewMachine default) and
-// the unfused predecode cache — and requires bit-identical final
+// fusion tiers — fused superinstructions (the NewMachine default) and runs
+// of length one (DisableFusion) — and requires bit-identical final
 // architectural state: cycle count, retired instructions, registers, flags,
 // the entire memory image, and the output log. The armsim package's
 // external test of the same name adds the reference interpreter as a third
@@ -44,7 +44,7 @@ func TestFusedContinuousDifferential(t *testing.T) {
 				}
 				machines[i] = m
 			}
-			ref := machines[len(machines)-1] // the unfused path: the baseline
+			ref := machines[len(machines)-1] // runs of length one: the baseline
 			for i, m := range machines[:len(machines)-1] {
 				name := engines[i].name
 				if m.CPU.Cycle != ref.CPU.Cycle {

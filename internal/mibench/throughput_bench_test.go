@@ -12,8 +12,8 @@ import (
 )
 
 // End-to-end simulator throughput on MiBench-scale programs: compile once,
-// then run the image to completion per iteration on the fused engine and on
-// the unfused predecode path. The ns/insn and MIPS metrics are the numbers
+// then run the image to completion per iteration on the fused engine and
+// with fusion disabled (runs of length one). The ns/insn and MIPS metrics are the numbers
 // BENCH_armsim.json records; the fused/predecode ratio is the fusion
 // speedup.
 

@@ -122,7 +122,10 @@ func (h *DiffHarness) Check(p Pattern, words int, cfg clank.Config, sched Schedu
 		return fmt.Errorf("full-stack config %s sched %v: run did not complete", cfg, sched)
 	}
 
-	return compareAgainstOracle(fmt.Sprintf("full-stack config %s sched %v", cfg, sched), stats, m, p, words)
+	if err := compareAgainstOracle(stats, m, p, words); err != nil {
+		return fmt.Errorf("full-stack config %s sched %v: %w", cfg, sched, err)
+	}
+	return nil
 }
 
 // compareAgainstOracle checks a completed pipeline run against the
@@ -130,20 +133,21 @@ func (h *DiffHarness) Check(p Pattern, words int, cfg clank.Config, sched Schedu
 // read history exactly (the output-commit bracketing permits no stuttering
 // on these programs), and every pattern word of the final NV image must
 // match the oracle's final store. Shared by the differential and
-// crash-consistency harnesses.
-func compareAgainstOracle(desc string, stats intermittent.Stats, m *intermittent.Machine, p Pattern, words int) error {
+// crash-consistency harnesses, which prefix a failure with the run's
+// description.
+func compareAgainstOracle(stats intermittent.Stats, m *intermittent.Machine, p Pattern, words int) error {
 	oracleReads, oracleFinal := Oracle(p, words)
 	if len(stats.Outputs) != len(oracleReads) {
-		return fmt.Errorf("%s: %d outputs, oracle has %d reads", desc, len(stats.Outputs), len(oracleReads))
+		return fmt.Errorf("%d outputs, oracle has %d reads", len(stats.Outputs), len(oracleReads))
 	}
 	for j, want := range oracleReads {
 		if stats.Outputs[j] != want {
-			return fmt.Errorf("%s: output %d = %d, oracle read is %d", desc, j, stats.Outputs[j], want)
+			return fmt.Errorf("output %d = %d, oracle read is %d", j, stats.Outputs[j], want)
 		}
 	}
 	for w, want := range oracleFinal {
 		if got := m.MemWord(diffDataBase + uint32(w)*4); got != want {
-			return fmt.Errorf("%s: final mem[%d] = %d, oracle says %d", desc, w, got, want)
+			return fmt.Errorf("final mem[%d] = %d, oracle says %d", w, got, want)
 		}
 	}
 	return nil
