@@ -797,8 +797,12 @@ func TestStepFusedNoAllocs(t *testing.T) {
 		rd, wr := accfilter.Empty, accfilter.Empty
 		const word = 0x80 >> 2
 		rd[word&accfilter.Mask], wr[word&accfilter.Mask] = word, word
-		var accesses int
-		mm.CPU.SetAccessPort(accfilter.Port{Read: &rd, Write: &wr, Accesses: &accesses}, mm.Mem)
+		var (
+			accesses int
+			idx      accfilter.Index
+			epoch    = accfilter.Tag(1)
+		)
+		mm.CPU.SetAccessPort(accfilter.Port{Read: &rd, Write: &wr, Accesses: &accesses, Index: &idx, Epoch: &epoch}, mm.Mem)
 		step := func() {
 			if err := mm.CPU.StepFused(1000); err != nil {
 				t.Fatal(err)

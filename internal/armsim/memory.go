@@ -189,6 +189,22 @@ func WordLane(word, addr uint32, size uint8) uint32 {
 	}
 }
 
+// MergeLane is word with a store's lane replaced: the low byte or
+// halfword of value at addr's byte offset, or the whole of value for a word
+// store (aligned or not) — the word a word-granular monitored bus sees a
+// sub-word store write.
+func MergeLane(word, addr uint32, size uint8, value uint32) uint32 {
+	sh := (addr & 3) * 8
+	switch size {
+	case 1:
+		return word&^(0xFF<<sh) | (value&0xFF)<<sh
+	case 2:
+		return word&^(0xFFFF<<sh) | (value&0xFFFF)<<sh
+	default:
+		return value
+	}
+}
+
 // storeRAM is Store for an address the caller proved lies below MemSize-3
 // (an access port's certified store): it writes the low size bytes of v at
 // addr and fires the write hook.

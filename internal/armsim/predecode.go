@@ -512,18 +512,28 @@ func predecode32(op, op2 uint16) DecodedInsn {
 	return DecodedInsn{Kind: kindUndef, Raw: op, Imm: uint32(op2)}
 }
 
-// SetAccessPort installs a detector's access filter on the memory path.
-// While installed, the executor completes three kinds of access in the
-// loop instead of calling the Bus: a load whose word p.Read certifies and a store whose
-// word p.Write certifies each count one access in *p.Accesses and then read
-// or write mem exactly as the bus would, and a TEXT literal load (the
-// TextLitLoader path) counts one access and reads the word. Every other
-// access — filter misses, addresses outside main memory, stores straddling
-// its top — still takes the Bus.
+// SetAccessPort installs a detector's access port on the memory path.
+// While installed, the executor completes these accesses in the loop
+// instead of calling the Bus, each counting one access in *p.Accesses:
 //
-// Installing a port is the bus owner's promise that for those three
-// kinds the Bus would do exactly that and nothing else: no veto, no Yield,
-// no monitor or failure hook, with mem its backing store. The intermittent
+//   - a load whose word p.Read certifies, and a store whose word p.Write
+//     certifies, then read or write mem exactly as the bus would;
+//   - a load or store of a word p's index places in a dirty Write-back slot
+//     (p.WriteBack): the load returns the slot's lane (WordLane of Val), the
+//     store merges its lane into Val (MergeLane) — mem is not touched and
+//     its write hook does not fire;
+//   - a store of a word in a clean Write-back slot whose merged word (mem's
+//     word with the stored lane replaced) equals the slot's Val — a false
+//     write — then writes mem exactly as the bus would;
+//   - a TEXT literal load (the TextLitLoader path) reads the word.
+//
+// Every other access — filter and index misses, loads of clean slots,
+// clean-slot stores that change the word, addresses outside main memory,
+// stores straddling its top — still takes the Bus.
+//
+// Installing a port is the bus owner's promise that for those kinds the
+// Bus would do exactly that and nothing else: no veto, no Yield, no
+// monitor or failure hook, with mem its backing store. The intermittent
 // machine installs its Clank detector's port (clank.Clank.Port) only when
 // no reference monitor and no FailAfterAccess hook observe accesses.
 func (c *CPU) SetAccessPort(p accfilter.Port, mem *Memory) { c.port, c.portMem = p, mem }
@@ -535,7 +545,8 @@ func (c *CPU) AccessPort() accfilter.Port { return c.port }
 // bare Memory it reads the backing store directly — no interface dispatch —
 // with the near-top-of-memory and output/fault cases deferring to
 // Memory.Load for identical semantics. Monitored buses take the interface,
-// except for loads an installed access port certifies (SetAccessPort).
+// except for loads an installed access port certifies (SetAccessPort): a
+// filter hit reads memory, a dirty Write-back word its slot.
 func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
 	if m := c.mem; m != nil {
 		if addr < MemSize-3 {
@@ -551,17 +562,25 @@ func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
 		}
 		return m.Load(addr, size, pc)
 	}
-	if t := c.port.Read; t != nil && addr < MemSize && t.Hit(addr>>2) {
-		*c.port.Accesses++
-		return WordLane(c.portMem.ReadWord(addr), addr, size), nil
+	if t := c.port.Read; t != nil && addr < MemSize {
+		if t.Hit(addr >> 2) {
+			*c.port.Accesses++
+			return WordLane(c.portMem.ReadWord(addr), addr, size), nil
+		}
+		if s := c.port.WriteBack(addr >> 2); s != nil && s.Dirty {
+			*c.port.Accesses++
+			return WordLane(s.Val, addr, size), nil
+		}
 	}
 	return c.Bus.Load(addr, size, pc)
 }
 
-// pdStore is pdLoad's store counterpart. Both direct paths (the bare
-// Memory's, and an access port's storeRAM) perform exactly what
+// pdStore is pdLoad's store counterpart. Every direct path that writes
+// memory (the bare Memory's, and an access port's storeRAM for a filter
+// hit or a clean Write-back false write) performs exactly what
 // Memory.Store would — including firing the write hook, so text-region
-// stores still invalidate the decode cache.
+// stores still invalidate the decode cache. A store to a dirty Write-back
+// word only merges into its slot, as the bus's buffered store does.
 func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
 	if m := c.mem; m != nil {
 		if addr < MemSize-3 {
@@ -584,12 +603,37 @@ func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
 		}
 		return m.Store(addr, size, v, pc)
 	}
-	if t := c.port.Write; t != nil && addr < MemSize-3 && t.Hit(addr>>2) {
-		*c.port.Accesses++
-		c.portMem.storeRAM(addr, size, v)
-		return nil
+	if t := c.port.Write; t != nil && addr < MemSize-3 {
+		if t.Hit(addr >> 2) {
+			*c.port.Accesses++
+			c.portMem.storeRAM(addr, size, v)
+			return nil
+		}
+		if c.portStoreWB(addr, size, v) {
+			return nil
+		}
 	}
 	return c.Bus.Store(addr, size, v, pc)
+}
+
+// portStoreWB completes a store the access port's Write-back slots
+// certify (SetAccessPort): a dirty word's lane merges into its slot, and a
+// false write to a clean word stores to memory. It reports false, having
+// done nothing, for every other store.
+func (c *CPU) portStoreWB(addr uint32, size uint8, v uint32) bool {
+	s := c.port.WriteBack(addr >> 2)
+	switch {
+	case s == nil:
+		return false
+	case s.Dirty:
+		s.Val = MergeLane(s.Val, addr, size, v)
+	case MergeLane(c.portMem.ReadWord(addr), addr, size, v) == s.Val:
+		c.portMem.storeRAM(addr, size, v)
+	default:
+		return false
+	}
+	*c.port.Accesses++
+	return true
 }
 
 // loadTextLit serves a literal-pool load the predecoder proved lies inside

@@ -1,5 +1,7 @@
 package clank
 
+import "repro/internal/accfilter"
+
 // NewArena builds one detector per configuration with all linear-scan CAM
 // backing carved from two shared allocations, so a batch of detectors is a
 // flat []Clank whose buffer storage is contiguous in memory — the batched
@@ -23,7 +25,7 @@ func NewArena(cfgs []Config) ([]Clank, error) {
 		}
 	}
 	wordPool := make([]uint32, words)
-	slotPool := make([]wbSlot, slots)
+	slotPool := make([]accfilter.Slot, slots)
 	ks := make([]Clank, len(cfgs))
 	for i, cfg := range cfgs {
 		ks[i].initInto(cfg, &wordPool, &slotPool)

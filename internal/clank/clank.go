@@ -109,34 +109,28 @@ func (c *addrCAM) reset() {
 	c.words = c.words[:0]
 }
 
-// wbSlot is one Write-back Buffer entry: a buffered violating write
-// (dirty) or a saved read value for false-write detection (clean,
-// section 3.2.1).
-type wbSlot struct {
-	word  uint32
-	val   uint32
-	dirty bool
-}
-
-// wbCAM is the fixed-capacity Write-back Buffer.
+// wbCAM is the fixed-capacity Write-back Buffer. Its entries are
+// accfilter.Slot values — a buffered violating write (Dirty) or a saved
+// read value for false-write detection (clean, section 3.2.1) — so an
+// access port can serve them (Port).
 type wbCAM struct {
 	capacity int
-	slots    []wbSlot
+	slots    []accfilter.Slot
 	idx      map[uint32]int // word -> slot position, beyond camLinearMax
 }
 
 // newWBCAM mirrors newAddrCAM's pool-carving contract.
-func newWBCAM(capacity int, pool *[]wbSlot) wbCAM {
+func newWBCAM(capacity int, pool *[]accfilter.Slot) wbCAM {
 	c := wbCAM{capacity: capacity}
 	if capacity > camLinearMax {
 		c.idx = make(map[uint32]int)
-		c.slots = make([]wbSlot, 0, camLinearMax)
+		c.slots = make([]accfilter.Slot, 0, camLinearMax)
 	} else if pool != nil {
 		p := *pool
 		c.slots = p[:0:capacity]
 		*pool = p[capacity:]
 	} else {
-		c.slots = make([]wbSlot, 0, capacity)
+		c.slots = make([]accfilter.Slot, 0, capacity)
 	}
 	return c
 }
@@ -150,7 +144,7 @@ func (c *wbCAM) find(word uint32) int {
 		return -1
 	}
 	for i := range c.slots {
-		if c.slots[i].word == word {
+		if c.slots[i].Word == word {
 			return i
 		}
 	}
@@ -165,15 +159,15 @@ func (c *wbCAM) insert(word, val uint32, dirty bool) {
 	if c.idx != nil {
 		c.idx[word] = len(c.slots)
 	}
-	c.slots = append(c.slots, wbSlot{word: word, val: val, dirty: dirty})
+	c.slots = append(c.slots, accfilter.Slot{Word: word, Val: val, Dirty: dirty})
 }
 
 func (c *wbCAM) removeAt(i int) {
 	last := len(c.slots) - 1
 	if c.idx != nil {
-		delete(c.idx, c.slots[i].word)
+		delete(c.idx, c.slots[i].Word)
 		if i != last {
-			c.idx[c.slots[last].word] = i
+			c.idx[c.slots[last].Word] = i
 		}
 	}
 	c.slots[i] = c.slots[last]
@@ -259,37 +253,20 @@ var fltEmpty = accfilter.Empty
 // table in front of the scans answering the full question "where is this
 // word tracked" in one load: each entry packs the word, its tracking kind
 // (Read-first / Write-first / clean or dirty Write-back, plus the
-// Write-back slot position), and the epoch it was written in.
-//
-//	bits  0-31  word address
-//	bits 32-39  Write-back slot (kinds idxWBC/idxWBD only)
-//	bits 40-41  kind
-//	bits 43-63  epoch
+// Write-back slot position), and the epoch it was written in. The entry
+// encoding is internal/accfilter's (accfilter.Index), so an access port
+// can serve Write-back words through these very entries.
 //
 // Reset bumps the epoch, instantly invalidating every entry without
 // touching the table (it wraps every ~2M sections, forcing one real
-// clear). A hash collision never evicts: the incumbent stays and the
-// sticky idxIncomplete flag records that a probe miss is no longer
-// authoritative — lookups then fall back to the scans until the next
-// Reset. Sections touch far fewer distinct words than idxEntries, so in
-// steady state the index is complete and a miss proves the word untracked,
-// skipping all three CAM probes. The index mirrors buffer state; it never
-// defines it, so a bug here is a divergence the differential suites
-// (FuzzCAMvsMap, the bounded sweeps, the batch-vs-scalar tests) catch.
-const (
-	idxEntries    = 512
-	idxMask       = idxEntries - 1
-	idxSlotShift  = 32
-	idxKindShift  = 40
-	idxEpochShift = 43
-	idxEpochMax   = 1<<(64-idxEpochShift) - 1
-	idxMetaMask   = uint64(0x7FF) << idxSlotShift // slot + kind + spare bit
-
-	idxRF  = 0 // in the Read-first Buffer only
-	idxWF  = 1 // in the Write-first Buffer
-	idxWBC = 2 // clean (saved-read) Write-back entry; word also in RF
-	idxWBD = 3 // dirty Write-back entry
-)
+// clear). A hash collision never evicts: the incumbent stays and
+// idxComplete drops until the next Reset, recording that a probe miss is
+// no longer authoritative — lookups then fall back to the scans. Sections touch far fewer distinct words than the index has
+// entries, so in steady state the index is complete and a miss proves the
+// word untracked, skipping all three CAM probes. The index mirrors buffer
+// state; it never defines it, so a bug here is a divergence the
+// differential suites (FuzzCAMvsMap, the bounded sweeps, the
+// batch-vs-scalar tests) catch.
 
 // FilterBug selects a deliberately broken access-filter invalidation mode.
 // It exists only for meta-tests proving the differential and bounded-sweep
@@ -355,13 +332,13 @@ type Clank struct {
 	fltOn      bool
 	fltBug     FilterBug
 
-	// Word-state index (see the block comment above idxEntries). The
+	// Word-state index (see the block comment above FilterBug). The
 	// epoch is shared with the filter arrays above.
-	idx           [idxEntries]uint64
-	idxEpochTag   uint64 // current epoch, pre-shifted to its bit position
-	idxEpoch      uint32
-	idxOn         bool // all of RF/WF/WB linear-scan sized
-	idxIncomplete bool // an insert collided; misses are not authoritative
+	idx         accfilter.Index
+	idxEpochTag uint64 // accfilter.Tag(idxEpoch)
+	idxEpoch    uint32
+	idxOn       bool // all of RF/WF/WB linear-scan sized
+	idxComplete bool // idxOn and no insert collided: misses are authoritative
 }
 
 // New builds the hardware model for cfg. It panics on an invalid
@@ -386,14 +363,14 @@ func (k *Clank) Footprint() uint64 {
 	const mapEntry = 48 // measured Go map overhead per small entry, roughly
 	f := uint64(unsafe.Sizeof(*k))
 	f += uint64(cap(k.rf.words)+cap(k.wf.words)+cap(k.apb.words)) * 4
-	f += uint64(cap(k.wb.slots)) * uint64(unsafe.Sizeof(wbSlot{}))
+	f += uint64(cap(k.wb.slots)) * uint64(unsafe.Sizeof(accfilter.Slot{}))
 	f += uint64(len(k.rf.idx)+len(k.wf.idx)+len(k.apb.idx)+len(k.wb.idx)) * mapEntry
 	return f
 }
 
 // initInto initializes *k for cfg, carving linear CAM backing from the
 // pools when they are non-nil (see NewArena).
-func (k *Clank) initInto(cfg Config, wordPool *[]uint32, slotPool *[]wbSlot) {
+func (k *Clank) initInto(cfg Config, wordPool *[]uint32, slotPool *[]accfilter.Slot) {
 	textLo, textHi, _ := cfg.TextWords()
 	*k = Clank{
 		cfg:        cfg,
@@ -412,8 +389,9 @@ func (k *Clank) initInto(cfg Config, wordPool *[]uint32, slotPool *[]wbSlot) {
 	// O(1). Unlimited configurations simply leave it off.
 	k.idxOn = cfg.ReadFirst <= camLinearMax && cfg.WriteFirst <= camLinearMax &&
 		cfg.WriteBack <= camLinearMax
+	k.idxComplete = k.idxOn
 	k.idxEpoch = 1
-	k.idxEpochTag = 1 << idxEpochShift
+	k.idxEpochTag = accfilter.Tag(1)
 }
 
 // SetFilterBug installs a deliberately broken filter-invalidation mode.
@@ -512,16 +490,14 @@ func (k *Clank) fltWipeWrites() {
 // reported false even when the word also sits in RF: both decision trees
 // consume wbIdx (and its dirty bit) before ever looking at inRF.
 func (k *Clank) idxProbe(word uint32) (wbIdx int, inRF, inWF, ok bool) {
-	e := k.idx[word&idxMask]
-	if e&^idxMetaMask != uint64(word)|k.idxEpochTag {
-		return -1, false, false, k.idxOn && !k.idxIncomplete
+	kind, slot, live := k.idx.Lookup(word, k.idxEpochTag)
+	if !live {
+		return -1, false, false, k.idxComplete
 	}
-	kind := (e >> idxKindShift) & 3
-	wbIdx = -1
-	if kind >= idxWBC {
-		wbIdx = int(e>>idxSlotShift) & 0xff
+	if kind < accfilter.KindWBC {
+		return -1, kind == accfilter.KindRF, kind == accfilter.KindWF, true
 	}
-	return wbIdx, kind == idxRF || kind == idxWBC, kind == idxWF, true
+	return slot, kind == accfilter.KindWBC, false, true
 }
 
 // idxPut records word's tracking state. A collision with a live entry for
@@ -529,16 +505,9 @@ func (k *Clank) idxProbe(word uint32) (wbIdx int, inRF, inWF, ok bool) {
 // incomplete: dropping either word from the index silently would turn a
 // later authoritative miss into a wrong "untracked" verdict.
 func (k *Clank) idxPut(word uint32, kind, slot int) {
-	if !k.idxOn {
-		return
+	if k.idxOn && !k.idx.Put(word, kind, slot, k.idxEpochTag) {
+		k.idxComplete = false
 	}
-	h := word & idxMask
-	if e := k.idx[h]; e>>idxEpochShift == uint64(k.idxEpoch) && uint32(e) != word {
-		k.idxIncomplete = true
-		return
-	}
-	k.idx[h] = uint64(word) | uint64(slot)<<idxSlotShift |
-		uint64(kind)<<idxKindShift | k.idxEpochTag
 }
 
 // Config returns the configuration the hardware was built with.
@@ -573,13 +542,13 @@ func (k *Clank) Reset() {
 	// Bumping the epoch invalidates every word-state index entry without
 	// touching the table; the wrap forces the one real clear per ~2M
 	// sections.
-	k.idxIncomplete = false
+	k.idxComplete = k.idxOn
 	k.idxEpoch++
-	if k.idxEpoch > idxEpochMax {
+	if k.idxEpoch > accfilter.EpochMax {
 		k.idxEpoch = 1
-		k.idx = [idxEntries]uint64{}
+		k.idx = accfilter.Index{}
 	}
-	k.idxEpochTag = uint64(k.idxEpoch) << idxEpochShift
+	k.idxEpochTag = accfilter.Tag(k.idxEpoch)
 }
 
 // SectionAccesses reports how many accesses the current section has
@@ -623,15 +592,22 @@ func (k *Clank) FilterHitWrite(word uint32) bool { return k.fltWrite[word&fltMas
 // filter probes above.
 func (k *Clank) AddAccesses(n int) { k.accesses += n }
 
-// Port exposes the filter probes above to code outside this package —
-// the CPU's fused executor, which completes certified accesses without a
-// bus call. It aliases the detector's own tag arrays and access counter,
-// so a port hit is by construction the first probe Read and Write make,
-// and the port stays valid across Reset and for the detector's lifetime.
-// A port credits its hits to the counter directly, so the AddAccesses
-// obligation is settled per access.
+// Port exposes the filter probes above, and the word-state index and
+// Write-back slots behind them, to code outside this package — the CPU's
+// fused executor, which completes certified accesses without a bus call.
+// It aliases the detector's own tag arrays, access counter, index, epoch
+// tag and slot storage (the Write-back Buffer's full capacity: the index
+// is live only for linear-scan sizes, whose backing never moves, and its
+// live entries name only occupied slots), so a
+// port hit is by construction what Read and Write would decide, and the
+// port stays valid across Reset and for the detector's lifetime. A port
+// credits its hits to the counter directly, so the AddAccesses obligation
+// is settled per access.
 func (k *Clank) Port() accfilter.Port {
-	return accfilter.Port{Read: &k.fltRead, Write: &k.fltWrite, Accesses: &k.accesses}
+	return accfilter.Port{
+		Read: &k.fltRead, Write: &k.fltWrite, Accesses: &k.accesses,
+		Index: &k.idx, Epoch: &k.idxEpochTag, Slots: k.wb.slots[:cap(k.wb.slots)],
+	}
 }
 
 // IdxMiss reports authoritatively that word is tracked by no buffer: the
@@ -644,8 +620,8 @@ func (k *Clank) Port() accfilter.Port {
 // insert), and under WriteFirst == 0 a plain write of an untracked word
 // in tracked mode is the passthrough Outcome{}.
 func (k *Clank) IdxMiss(word uint32) bool {
-	e := k.idx[word&idxMask]
-	return e&^idxMetaMask != uint64(word)|k.idxEpochTag && k.idxOn && !k.idxIncomplete
+	_, _, live := k.idx.Lookup(word, k.idxEpochTag)
+	return !live && k.idxComplete
 }
 
 // BufferedRead reports whether a read of word is answered by a dirty
@@ -657,9 +633,8 @@ func (k *Clank) IdxMiss(word uint32) bool {
 // nothing, and the caller falls back to the normal entry point. The
 // caller owes one AddAccesses credit per hit.
 func (k *Clank) BufferedRead(word uint32) bool {
-	e := k.idx[word&idxMask]
-	return e&^idxMetaMask == uint64(word)|k.idxEpochTag &&
-		(e>>idxKindShift)&3 == idxWBD
+	kind, _, live := k.idx.Lookup(word, k.idxEpochTag)
+	return live && kind == accfilter.KindWBD
 }
 
 // BufferedWrite absorbs a write to a word holding a dirty Write-back
@@ -671,12 +646,11 @@ func (k *Clank) BufferedRead(word uint32) bool {
 // (Reset), so a hit is authoritative. The caller owes one AddAccesses
 // credit per hit.
 func (k *Clank) BufferedWrite(word, value uint32) bool {
-	e := k.idx[word&idxMask]
-	if e&^idxMetaMask != uint64(word)|k.idxEpochTag ||
-		(e>>idxKindShift)&3 != idxWBD {
+	kind, slot, live := k.idx.Lookup(word, k.idxEpochTag)
+	if !live || kind != accfilter.KindWBD {
 		return false
 	}
-	k.wb.slots[(e>>idxSlotShift)&0xff].val = value
+	k.wb.slots[slot].Val = value
 	return true
 }
 
@@ -711,8 +685,8 @@ type WBEntry struct {
 func (k *Clank) DirtyEntries(dst []WBEntry) []WBEntry {
 	for i := range k.wb.slots {
 		e := &k.wb.slots[i]
-		if e.dirty {
-			dst = append(dst, WBEntry{Word: e.word, Value: e.val})
+		if e.Dirty {
+			dst = append(dst, WBEntry{Word: e.Word, Value: e.Val})
 		}
 	}
 	return sortWBEntries(dst)
@@ -750,8 +724,8 @@ func sortWBEntries(dst []WBEntry) []WBEntry {
 // Lookup returns the Write-back Buffer's view of a word, if it holds one.
 // Drivers use it to service loads when the buffer shadows memory.
 func (k *Clank) Lookup(word uint32) (uint32, bool) {
-	if i := k.wb.find(word); i >= 0 && k.wb.slots[i].dirty {
-		return k.wb.slots[i].val, true
+	if i := k.wb.find(word); i >= 0 && k.wb.slots[i].Dirty {
+		return k.wb.slots[i].Val, true
 	}
 	return 0, false
 }
@@ -826,15 +800,13 @@ func (k *Clank) readSlowPre(word, memValue uint32, exempt, inText bool) Outcome 
 	// subsequent reads), a clean saved-read entry implies the word is
 	// already tracked.
 	if wbIdx >= 0 {
-		if k.wb.slots[wbIdx].dirty {
-			return Outcome{FromWB: true, ReadValue: k.wb.slots[wbIdx].val}
+		if k.wb.slots[wbIdx].Dirty {
+			return Outcome{FromWB: true, ReadValue: k.wb.slots[wbIdx].Val}
 		}
 		k.fltSetRead(word)
 		return Outcome{}
 	}
 	if exempt || inText || k.untracked {
-		if exempt {
-		}
 		// TEXT and untracked-mode read verdicts are cacheable: both are
 		// pc-independent (any read of the word returns Outcome{}), both
 		// mutate nothing, and both outlive every filter entry — TEXT
@@ -879,9 +851,9 @@ func (k *Clank) readSlowPre(word, memValue uint32, exempt, inText bool) Outcome 
 	// Write-back capacity (section 3.2.1).
 	if k.cfg.Opts&OptIgnoreFalseWrites != 0 && k.cfg.WriteBack > 0 && !k.wb.full() {
 		k.wb.insert(word, memValue, false)
-		k.idxPut(word, idxWBC, len(k.wb.slots)-1)
+		k.idxPut(word, accfilter.KindWBC, len(k.wb.slots)-1)
 	} else {
-		k.idxPut(word, idxRF, 0)
+		k.idxPut(word, accfilter.KindRF, 0)
 	}
 	k.fltSetRead(word)
 	return Outcome{}
@@ -929,9 +901,9 @@ func (k *Clank) writeSlowPre(word, value, memValue uint32, exempt, inText bool) 
 	if !ok {
 		wbIdx, inRF, inWF = k.wb.find(word), k.rf.contains(word), k.wf.contains(word)
 	}
-	if wbIdx >= 0 && k.wb.slots[wbIdx].dirty {
+	if wbIdx >= 0 && k.wb.slots[wbIdx].Dirty {
 		// Already buffered: update in place, never touches memory.
-		k.wb.slots[wbIdx].val = value
+		k.wb.slots[wbIdx].Val = value
 		return Outcome{Buffered: true}
 	}
 	if exempt {
@@ -998,7 +970,7 @@ func (k *Clank) writeSlowPre(word, value, memValue uint32, exempt, inText bool) 
 		return k.fillOnWrite(ReasonAPOverflow)
 	}
 	k.wf.insert(word)
-	k.idxPut(word, idxWF, 0)
+	k.idxPut(word, accfilter.KindWF, 0)
 	k.fltSetWrite(word)
 	return Outcome{}
 }
@@ -1013,7 +985,7 @@ func (k *Clank) fillOnWrite(r Reason) Outcome {
 // Write-back slot (clean, from the saved-read optimization) or -1.
 func (k *Clank) violation(word, value, memValue uint32, wbIdx int) Outcome {
 	if k.cfg.Opts&OptIgnoreFalseWrites != 0 {
-		if wbIdx >= 0 && k.wb.slots[wbIdx].val == value {
+		if wbIdx >= 0 && k.wb.slots[wbIdx].Val == value {
 			// The write does not change the stored value: let it
 			// through (section 3.2.1).
 			return Outcome{}
@@ -1036,10 +1008,10 @@ func (k *Clank) violation(word, value, memValue uint32, wbIdx int) Outcome {
 	}
 	if wbIdx >= 0 {
 		// Upgrade the saved-read entry in place.
-		k.wb.slots[wbIdx].val = value
-		k.wb.slots[wbIdx].dirty = true
+		k.wb.slots[wbIdx].Val = value
+		k.wb.slots[wbIdx].Dirty = true
 		k.wbDirty++
-		k.idxPut(word, idxWBD, wbIdx)
+		k.idxPut(word, accfilter.KindWBD, wbIdx)
 	} else {
 		if k.wb.full() {
 			if !k.evictClean() {
@@ -1048,12 +1020,12 @@ func (k *Clank) violation(word, value, memValue uint32, wbIdx int) Outcome {
 		}
 		k.wb.insert(word, value, true)
 		k.wbDirty++
-		k.idxPut(word, idxWBD, len(k.wb.slots)-1)
+		k.idxPut(word, accfilter.KindWBD, len(k.wb.slots)-1)
 	}
 	if k.cfg.Opts&OptRemoveDuplicates != 0 {
 		// The dirty Write-back entry now answers all future accesses to
 		// this address; free the Read-first slot (section 3.2.2). The index
-		// entry stays idxWBD either way — the dirty Write-back entry, not
+		// entry stays accfilter.KindWBD either way — the dirty Write-back entry, not
 		// RF membership, decides every later verdict for this word.
 		k.rf.remove(word)
 	}
@@ -1066,8 +1038,8 @@ func (k *Clank) violation(word, value, memValue uint32, wbIdx int) Outcome {
 func (k *Clank) evictClean() bool {
 	victim := -1
 	for i := range k.wb.slots {
-		if !k.wb.slots[i].dirty &&
-			(victim < 0 || k.wb.slots[i].word < k.wb.slots[victim].word) {
+		if !k.wb.slots[i].Dirty &&
+			(victim < 0 || k.wb.slots[i].Word < k.wb.slots[victim].Word) {
 			victim = i
 		}
 	}
@@ -1078,20 +1050,20 @@ func (k *Clank) evictClean() bool {
 	// still in RF and reads of it return Outcome{}), but dropping it keeps
 	// the invariant simple — a word's entry never outlives any Write-back
 	// transition involving it.
-	vword := k.wb.slots[victim].word
+	vword := k.wb.slots[victim].Word
 	k.fltDropRead(vword)
 	k.wb.removeAt(victim)
 	// Index maintenance: the victim falls back to plain RF tracking (clean
 	// entries only ever shadow saved reads, so the word is still in RF),
 	// and removeAt slid the tail slot into the vacated position.
-	k.idxPut(vword, idxRF, 0)
+	k.idxPut(vword, accfilter.KindRF, 0)
 	if victim < len(k.wb.slots) {
 		moved := k.wb.slots[victim]
-		kind := idxWBC
-		if moved.dirty {
-			kind = idxWBD
+		kind := accfilter.KindWBC
+		if moved.Dirty {
+			kind = accfilter.KindWBD
 		}
-		k.idxPut(moved.word, kind, victim)
+		k.idxPut(moved.Word, kind, victim)
 	}
 	return true
 }

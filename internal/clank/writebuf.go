@@ -1,6 +1,10 @@
 package clank
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/accfilter"
+)
 
 // WriteBuf is a standalone Write-back CAM for runtime schemes that
 // privatize stores instead of detecting idempotency violations: an
@@ -26,7 +30,7 @@ func NewWriteBuf(capacity int) *WriteBuf {
 // Get returns the buffered value for word, if present.
 func (b *WriteBuf) Get(word uint32) (uint32, bool) {
 	if i := b.cam.find(word); i >= 0 {
-		return b.cam.slots[i].val, true
+		return b.cam.slots[i].Val, true
 	}
 	return 0, false
 }
@@ -37,7 +41,7 @@ func (b *WriteBuf) Get(word uint32) (uint32, bool) {
 // before retrying.
 func (b *WriteBuf) Put(word, val uint32) bool {
 	if i := b.cam.find(word); i >= 0 {
-		b.cam.slots[i].val = val
+		b.cam.slots[i].Val = val
 		return true
 	}
 	if b.cam.full() {
@@ -61,7 +65,7 @@ func (b *WriteBuf) Cap() int { return b.cam.capacity }
 func (b *WriteBuf) DirtyEntries(dst []WBEntry) []WBEntry {
 	for i := range b.cam.slots {
 		e := &b.cam.slots[i]
-		dst = append(dst, WBEntry{Word: e.word, Value: e.val})
+		dst = append(dst, WBEntry{Word: e.Word, Value: e.Val})
 	}
 	return sortWBEntries(dst)
 }
@@ -74,7 +78,7 @@ func (b *WriteBuf) Reset() { b.cam.reset() }
 func (b *WriteBuf) Footprint() uint64 {
 	const mapEntry = 48
 	f := uint64(unsafe.Sizeof(*b))
-	f += uint64(cap(b.cam.slots)) * uint64(unsafe.Sizeof(wbSlot{}))
+	f += uint64(cap(b.cam.slots)) * uint64(unsafe.Sizeof(accfilter.Slot{}))
 	f += uint64(len(b.cam.idx)) * mapEntry
 	return f
 }

@@ -350,12 +350,16 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 		}
 	}
 	// The access port: with nothing but the detector watching the memory
-	// path, an access the detector's filter certifies is, on this bus,
-	// exactly "count it and touch memory" (load's and store's filter-hit
-	// branches, and LoadTextLit), so the CPU completes it in the loop. A
-	// reference monitor or a FailAfterAccess hook must see every access,
-	// and a boxed or non-Clank scheme has no filter to share; all of those
-	// keep the whole Bus path.
+	// path, the accesses the detector certifies have fixed effects on this
+	// bus, so the CPU completes them in the loop. A filter hit is "count it
+	// and touch memory" (load's and store's filter-hit branches, and
+	// LoadTextLit). A word the index places in a dirty Write-back slot is
+	// "count it and use the slot": load's FromWB branch and store's
+	// Buffered branch, memory untouched. A store to a word in a clean slot
+	// whose merged word equals the saved read value is the false write
+	// Write lets through: "count it and store". A reference monitor or a
+	// FailAfterAccess hook must see every access, and a boxed or non-Clank
+	// scheme has no filter to share; all of those keep the whole Bus path.
 	if m.k != nil && m.mon == nil && opts.FailAfterAccess == nil {
 		m.cpu.SetAccessPort(m.k.Port(), m.mem)
 	}
@@ -618,7 +622,7 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 		if v, ok := m.k.Lookup(word); ok {
 			cur = v
 		}
-		newWord = merge(cur, addr, size, value)
+		newWord = armsim.MergeLane(cur, addr, size, value)
 	}
 	out := m.k.Write(word, newWord, memWord, pc)
 	if out.NeedCheckpoint {
@@ -713,7 +717,7 @@ func (m *Machine) storeGeneric(addr uint32, size uint8, value uint32, pc uint32)
 		if v, ok := m.sch.Lookup(word); ok {
 			cur = v
 		}
-		newWord = merge(cur, addr, size, value)
+		newWord = armsim.MergeLane(cur, addr, size, value)
 	}
 	out := m.sch.Write(word, newWord, memWord, pc)
 	if out.NeedCheckpoint {
@@ -738,16 +742,4 @@ func (m *Machine) storeGeneric(addr uint32, size uint8, value uint32, pc uint32)
 		m.cutAfterAccess()
 	}
 	return nil
-}
-
-func merge(word, addr uint32, size uint8, value uint32) uint32 {
-	sh := (addr & 3) * 8
-	switch size {
-	case 1:
-		return word&^(0xFF<<sh) | (value&0xFF)<<sh
-	case 2:
-		return word&^(0xFFFF<<sh) | (value&0xFFFF)<<sh
-	default:
-		return value
-	}
 }
