@@ -85,19 +85,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var meta *armsim.TraceMeta
+		var meta armsim.TraceMeta
 		trace, cycles, meta, err = armsim.ReadTraceMeta(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
 		// A trace replays faithfully only against the program it was
-		// captured from; v2 traces carry the binding, v1 traces cannot be
-		// checked.
-		if meta == nil {
-			fmt.Fprintf(os.Stderr, "clank-explore: warning: %s is a legacy v1 trace with no program binding; "+
-				"results are garbage if it was captured from a different program\n", *loadTrace)
-		} else if err := meta.Check(img.Bytes, img.TextStart, img.TextEnd); err != nil {
+		// captured from.
+		if err := meta.Check(img.Bytes, img.TextStart, img.TextEnd); err != nil {
 			if errors.Is(err, armsim.ErrTraceMismatch) {
 				fatal(fmt.Errorf("%s was captured from a different program: %w (re-run with -save-trace to recapture)",
 					*loadTrace, err))

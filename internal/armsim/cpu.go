@@ -34,6 +34,9 @@ var (
 	ErrHalted = errors.New("armsim: halted")
 	// ErrUndefined is returned for instructions outside ARMv6-M.
 	ErrUndefined = errors.New("armsim: undefined instruction")
+	// ErrUnaligned is returned for a halfword or word data access whose
+	// address is not a multiple of its size: ARMv6-M raises a HardFault.
+	ErrUnaligned = errors.New("armsim: unaligned access")
 )
 
 // CPU models the ARMv6-M integer core: 16 registers plus the APSR condition

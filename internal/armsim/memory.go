@@ -124,21 +124,6 @@ func (m *Memory) ResetTo(img []byte) {
 	m.Outputs = m.Outputs[:0]
 }
 
-// Snapshot returns a copy of the full memory contents.
-func (m *Memory) Snapshot() []byte {
-	s := make([]byte, len(m.data))
-	copy(s, m.data)
-	return s
-}
-
-// Restore overwrites memory contents from a snapshot taken with Snapshot.
-func (m *Memory) Restore(s []byte) {
-	copy(m.data, s)
-	if m.onWrite != nil {
-		m.onWrite(0, MemSize)
-	}
-}
-
 // Bytes exposes the raw backing store (for checkpoint slots and loaders).
 func (m *Memory) Bytes() []byte { return m.data }
 

@@ -1,6 +1,7 @@
 package armsim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -69,26 +70,45 @@ type snap struct{ accesses, loads, stores, hooks int }
 
 func (r *wbRig) snap() snap { return snap{r.accesses, r.bus.loads, r.bus.stores, r.hooks} }
 
+// rigState is everything an access can move: the counts, the slots and
+// the two memory words from addr.
+type rigState struct {
+	snap
+	slots  [4]accfilter.Slot
+	w0, w1 uint32
+}
+
+func (r *wbRig) state(addr uint32) rigState {
+	return rigState{r.snap(), r.slots, r.mem.ReadWord(addr), r.mem.ReadWord(addr + 4)}
+}
+
+// checkUnaligned asserts that an access at a misaligned address in the
+// word at addr failed with ErrUnaligned and moved nothing: no access
+// counted, no bus access, no write hook, slots and memory unchanged.
+func (r *wbRig) checkUnaligned(t *testing.T, name string, err error, addr uint32, before rigState) {
+	t.Helper()
+	if !errors.Is(err, ErrUnaligned) {
+		t.Errorf("%s: err = %v, want ErrUnaligned", name, err)
+	}
+	if got := r.state(addr); got != before {
+		t.Errorf("%s: faulting access moved %+v to %+v", name, before, got)
+	}
+}
+
 // laneRef and mergeRef are the reference lane arithmetic, written byte by
 // byte: the size-byte lane of word at addr's offset (a load's value), and
 // word with that lane replaced by value's low bytes (a store's merged
-// word). A word access, aligned or not, is the whole word.
+// word). addr is size-aligned: a misaligned access faults before either.
 func laneRef(word, addr uint32, size uint8) uint32 {
-	if size == 4 {
-		return word
-	}
 	var v uint32
-	for i := uint32(0); i < uint32(size) && addr&3+i < 4; i++ {
+	for i := uint32(0); i < uint32(size); i++ {
 		v |= (word >> (8 * (addr&3 + i)) & 0xFF) << (8 * i)
 	}
 	return v
 }
 
 func mergeRef(word, addr uint32, size uint8, value uint32) uint32 {
-	if size == 4 {
-		return value
-	}
-	for i := uint32(0); i < uint32(size) && addr&3+i < 4; i++ {
+	for i := uint32(0); i < uint32(size); i++ {
 		sh := 8 * (addr&3 + i)
 		word = word&^(0xFF<<sh) | (value>>(8*i)&0xFF)<<sh
 	}
@@ -102,6 +122,8 @@ func mergeRef(word, addr uint32, size uint8, value uint32) uint32 {
 // slot's saved value. Each served access counts exactly one access and
 // reaches neither the Bus nor — for dirty stores — memory or its write
 // hook. Everything the index does not certify reaches the Bus uncounted.
+// A halfword or word access at a misaligned offset faults before the port
+// sees it.
 func TestAccessPortWriteBack(t *testing.T) {
 	const (
 		base   = 0x8000
@@ -116,8 +138,12 @@ func TestAccessPortWriteBack(t *testing.T) {
 				r := newWBRig()
 				r.mem.WriteWord(base, memVal)
 				r.put(base>>2, 2, wbVal, true)
-				before := r.snap()
+				before, st := r.snap(), r.state(base)
 				v, err := r.cpu.pdLoad(base+off, size, 0)
+				if off%uint32(size) != 0 {
+					r.checkUnaligned(t, fmt.Sprintf("load%d at +%d", size*8, off), err, base, st)
+					continue
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,9 +163,14 @@ func TestAccessPortWriteBack(t *testing.T) {
 				r := newWBRig()
 				r.mem.WriteWord(base, memVal)
 				r.put(base>>2, 1, wbVal, true)
-				before := r.snap()
+				before, st := r.snap(), r.state(base)
 				const v = 0x9E8F7061
-				if err := r.cpu.pdStore(base+off, size, v, 0); err != nil {
+				err := r.cpu.pdStore(base+off, size, v, 0)
+				if off%uint32(size) != 0 {
+					r.checkUnaligned(t, fmt.Sprintf("store%d at +%d", size*8, off), err, base, st)
+					continue
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				if got, want := r.slots[1].Val, mergeRef(wbVal, base+off, size, v); got != want {
@@ -162,6 +193,16 @@ func TestAccessPortWriteBack(t *testing.T) {
 		for _, size := range sizes {
 			for off := uint32(0); off < 4; off++ {
 				name := fmt.Sprintf("store%d at +%d", size*8, off)
+				if off%uint32(size) != 0 {
+					// Misaligned: faults even when it rewrites the lane it
+					// covers with memory's own bytes, a false write.
+					r := newWBRig()
+					r.mem.WriteWord(base, memVal)
+					r.put(base>>2, 3, memVal, false)
+					st := r.state(base)
+					r.checkUnaligned(t, name, r.cpu.pdStore(base+off, size, laneRef(memVal, base+off, size), 0), base, st)
+					continue
+				}
 				// Equal: the stored lane rewrites what the slot saved. The
 				// slot's lane differs from memory's, so only a compare of
 				// the merged word — not of memory, nor of the bare value —
@@ -175,8 +216,7 @@ func TestAccessPortWriteBack(t *testing.T) {
 				if err := r.cpu.pdStore(base+off, size, v, 0); err != nil {
 					t.Fatal(err)
 				}
-				// Memory as the Bus's store leaves it (an unaligned word
-				// store spills into the next word there too).
+				// Memory as the Bus's store leaves it.
 				ref := NewMemory()
 				ref.WriteWord(base, memVal)
 				if err := ref.Store(base+off, size, v, 0); err != nil {

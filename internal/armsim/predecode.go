@@ -546,8 +546,12 @@ func (c *CPU) AccessPort() accfilter.Port { return c.port }
 // with the near-top-of-memory and output/fault cases deferring to
 // Memory.Load for identical semantics. Monitored buses take the interface,
 // except for loads an installed access port certifies (SetAccessPort): a
-// filter hit reads memory, a dirty Write-back word its slot.
+// filter hit reads memory, a dirty Write-back word its slot. An unaligned
+// address faults first, before any path reads memory or counts an access.
 func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
+	if addr&(uint32(size)-1) != 0 {
+		return 0, unaligned("load", addr, size, pc)
+	}
 	if m := c.mem; m != nil {
 		if addr < MemSize-3 {
 			switch size {
@@ -580,8 +584,12 @@ func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
 // hit or a clean Write-back false write) performs exactly what
 // Memory.Store would — including firing the write hook, so text-region
 // stores still invalidate the decode cache. A store to a dirty Write-back
-// word only merges into its slot, as the bus's buffered store does.
+// word only merges into its slot, as the bus's buffered store does. An
+// unaligned address faults first, as in pdLoad.
 func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
+	if addr&(uint32(size)-1) != 0 {
+		return unaligned("store", addr, size, pc)
+	}
 	if m := c.mem; m != nil {
 		if addr < MemSize-3 {
 			switch size {
@@ -682,6 +690,16 @@ func (c *CPU) loadMulti(addr, list, pc uint32) (uint32, error) {
 		c.R[r] = vals[r]
 	}
 	return addr, nil
+}
+
+// unaligned is the error a data access of size bytes at a misaligned addr
+// raises. No engine lets it touch memory, the bus or the detector, so a
+// halfword or word never straddles two words. It stays out of line so
+// that the error's construction does not weigh on pdLoad/pdStore.
+//
+//go:noinline
+func unaligned(op string, addr uint32, size uint8, pc uint32) error {
+	return fmt.Errorf("%w: %s%d at %#x (pc %#x)", ErrUnaligned, op, size*8, addr, pc)
 }
 
 // undefined is the error a kindUndef record raises at pc, worded by

@@ -99,17 +99,6 @@ func TestPSRRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	mem := NewMemory()
-	mem.WriteWord(0x100, 0xCAFE)
-	snap := mem.Snapshot()
-	mem.WriteWord(0x100, 0xDEAD)
-	mem.Restore(snap)
-	if v := mem.ReadWord(0x100); v != 0xCAFE {
-		t.Errorf("restored word = %#x", v)
-	}
-}
-
 func TestUndefinedInstructionReported(t *testing.T) {
 	m := NewMachine()
 	if err := m.Boot(asmImage(0xDE00 /* UDF */)); err != nil {

@@ -8,7 +8,8 @@ import "fmt"
 // decode switches; it never consults the predecode cache or the fused runs,
 // so the all-encodings sweeps, the random streams, FuzzFusedBlocks and the
 // whole-kernel differential compare predecode and fusion against an
-// independent decoder. Every data access goes through the Bus interface.
+// independent decoder. Every data access goes through the Bus interface,
+// after refLoad/refStore's alignment check.
 
 // stepRef executes one instruction through the reference decoder with Step's
 // contract: ErrHalted after BKPT, and a Bus error leaves every architectural
@@ -76,7 +77,7 @@ func (c *CPU) exec(op uint16, pc uint32) (cycles int, next uint32, err error) {
 		rt := int(op>>8) & 7
 		imm := uint32(op&0xFF) * 4
 		addr := (c.pcRead() &^ 3) + imm
-		v, err := c.Bus.Load(addr, 4, pc)
+		v, err := c.refLoad(addr, 4, pc)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -416,8 +417,25 @@ func (c *CPU) execLoadStore(op uint16, pc, next uint32) (int, uint32, error) {
 	return 0, 0, fmt.Errorf("%w: %#04x", ErrUndefined, op)
 }
 
+// refLoad and refStore are the reference's data accesses: ARMv6-M faults a
+// halfword or word access at an address that is not a multiple of its
+// size before it reaches the bus.
+func (c *CPU) refLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
+	if addr%uint32(size) != 0 {
+		return 0, fmt.Errorf("%w: load%d at %#x (pc %#x)", ErrUnaligned, size*8, addr, pc)
+	}
+	return c.Bus.Load(addr, size, pc)
+}
+
+func (c *CPU) refStore(addr uint32, size uint8, v uint32, pc uint32) error {
+	if addr%uint32(size) != 0 {
+		return fmt.Errorf("%w: store%d at %#x (pc %#x)", ErrUnaligned, size*8, addr, pc)
+	}
+	return c.Bus.Store(addr, size, v, pc)
+}
+
 func (c *CPU) load(addr uint32, size uint8, rt int, ext func(uint32) uint32, pc, next uint32) (int, uint32, error) {
-	v, err := c.Bus.Load(addr, size, pc)
+	v, err := c.refLoad(addr, size, pc)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -429,7 +447,7 @@ func (c *CPU) load(addr uint32, size uint8, rt int, ext func(uint32) uint32, pc,
 }
 
 func (c *CPU) store(addr uint32, size uint8, v uint32, pc, next uint32) (int, uint32, error) {
-	if err := c.Bus.Store(addr, size, v, pc); err != nil {
+	if err := c.refStore(addr, size, v, pc); err != nil {
 		return 0, 0, err
 	}
 	return cycStore, next, nil
@@ -499,14 +517,14 @@ func (c *CPU) execPush(op uint16, pc, next uint32) (int, uint32, error) {
 	addr := base
 	for i := 0; i < 8; i++ {
 		if list&(1<<i) != 0 {
-			if err := c.Bus.Store(addr, 4, c.R[i], pc); err != nil {
+			if err := c.refStore(addr, 4, c.R[i], pc); err != nil {
 				return 0, 0, err
 			}
 			addr += 4
 		}
 	}
 	if lrBit {
-		if err := c.Bus.Store(addr, 4, c.R[LR], pc); err != nil {
+		if err := c.refStore(addr, 4, c.R[LR], pc); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -530,7 +548,7 @@ func (c *CPU) execPop(op uint16, pc, next uint32) (int, uint32, error) {
 	addr := c.R[SP]
 	for i := 0; i < 8; i++ {
 		if list&(1<<i) != 0 {
-			v, err := c.Bus.Load(addr, 4, pc)
+			v, err := c.refLoad(addr, 4, pc)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -540,7 +558,7 @@ func (c *CPU) execPop(op uint16, pc, next uint32) (int, uint32, error) {
 	}
 	var newPC uint32
 	if pcBit {
-		v, err := c.Bus.Load(addr, 4, pc)
+		v, err := c.refLoad(addr, 4, pc)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -574,7 +592,7 @@ func (c *CPU) execLdmStm(op uint16, pc, next uint32) (int, uint32, error) {
 		a := addr
 		for i := 0; i < 8; i++ {
 			if list&(1<<i) != 0 {
-				v, err := c.Bus.Load(a, 4, pc)
+				v, err := c.refLoad(a, 4, pc)
 				if err != nil {
 					return 0, 0, err
 				}
@@ -600,7 +618,7 @@ func (c *CPU) execLdmStm(op uint16, pc, next uint32) (int, uint32, error) {
 	a := addr
 	for i := 0; i < 8; i++ {
 		if list&(1<<i) != 0 {
-			if err := c.Bus.Store(a, 4, c.R[i], pc); err != nil {
+			if err := c.refStore(a, 4, c.R[i], pc); err != nil {
 				return 0, 0, err
 			}
 			a += 4

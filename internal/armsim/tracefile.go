@@ -26,16 +26,13 @@ import (
 // produces garbage results (the detector classifies the wrong addresses,
 // the monitor verifies the wrong values), so loaders refuse mismatches.
 //
-// Version 1 lacks the binding header (magic "CLNKTRC1", records follow
-// the count immediately) and is still readable; ReadTraceMeta reports a
-// nil TraceMeta so callers can warn that the trace is unverifiable.
+// Version 1 (magic "CLNKTRC1") lacked the binding header and is no longer
+// read: such a trace cannot be checked against any program, so it must be
+// recaptured.
 //
 // Each record is 25 bytes: flags(1) addr(4) value(4) prev(4) pc(4) cycle(8).
 
-var (
-	traceMagic   = [8]byte{'C', 'L', 'N', 'K', 'T', 'R', 'C', '1'}
-	traceMagicV2 = [8]byte{'C', 'L', 'N', 'K', 'T', 'R', 'C', '2'}
-)
+var traceMagicV2 = [8]byte{'C', 'L', 'N', 'K', 'T', 'R', 'C', '2'}
 
 // ErrBadTrace reports a malformed trace stream.
 var ErrBadTrace = errors.New("armsim: malformed trace file")
@@ -44,7 +41,10 @@ var ErrBadTrace = errors.New("armsim: malformed trace file")
 // match the program it is being replayed against.
 var ErrTraceMismatch = errors.New("armsim: trace does not match program")
 
-const traceRecordSize = 1 + 4 + 4 + 4 + 4 + 8
+const (
+	traceHeaderSize = 8 + 8 + 8 + 32 + 4 + 4 // magic, total, count, digest, TEXT bounds
+	traceRecordSize = 1 + 4 + 4 + 4 + 4 + 8
+)
 
 // TraceMeta binds a trace to the program image it was captured from.
 type TraceMeta struct {
@@ -70,7 +70,20 @@ func (m TraceMeta) Check(image []byte, textStart, textEnd uint32) error {
 	return nil
 }
 
-func writeTraceRecords(bw *bufio.Writer, trace []Access) error {
+// WriteTraceMeta serializes a trace in the v2 format, binding it to the
+// program it was captured from.
+func WriteTraceMeta(w io.Writer, trace []Access, totalCycles uint64, meta TraceMeta) error {
+	bw := bufio.NewWriter(w)
+	var hdr [traceHeaderSize]byte
+	copy(hdr[:], traceMagicV2[:])
+	binary.LittleEndian.PutUint64(hdr[8:], totalCycles)
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(trace)))
+	copy(hdr[24:], meta.ImageDigest[:])
+	binary.LittleEndian.PutUint32(hdr[56:], meta.TextStart)
+	binary.LittleEndian.PutUint32(hdr[60:], meta.TextEnd)
+	if _, err := bw.Write(hdr[:]); err != nil {
+		return err
+	}
 	var rec [traceRecordSize]byte
 	for _, a := range trace {
 		rec[0] = 0
@@ -89,84 +102,36 @@ func writeTraceRecords(bw *bufio.Writer, trace []Access) error {
 	return bw.Flush()
 }
 
-// WriteTrace serializes a trace in the legacy unverifiable v1 format.
-// New captures should use WriteTraceMeta.
-func WriteTrace(w io.Writer, trace []Access, totalCycles uint64) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(traceMagic[:]); err != nil {
-		return err
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], totalCycles)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(trace)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	return writeTraceRecords(bw, trace)
-}
-
-// WriteTraceMeta serializes a trace in the v2 format, binding it to the
-// program it was captured from.
-func WriteTraceMeta(w io.Writer, trace []Access, totalCycles uint64, meta TraceMeta) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(traceMagicV2[:]); err != nil {
-		return err
-	}
-	var hdr [16 + 32 + 8]byte
-	binary.LittleEndian.PutUint64(hdr[0:], totalCycles)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(trace)))
-	copy(hdr[16:], meta.ImageDigest[:])
-	binary.LittleEndian.PutUint32(hdr[48:], meta.TextStart)
-	binary.LittleEndian.PutUint32(hdr[52:], meta.TextEnd)
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	return writeTraceRecords(bw, trace)
-}
-
-// ReadTrace deserializes a trace of either version, discarding any
-// provenance metadata. Callers that replay against a specific program
-// should prefer ReadTraceMeta and Check.
-func ReadTrace(r io.Reader) ([]Access, uint64, error) {
-	trace, total, _, err := ReadTraceMeta(r)
-	return trace, total, err
-}
-
-// ReadTraceMeta deserializes a trace written by WriteTrace or
-// WriteTraceMeta. For v2 traces meta identifies the source program; for
-// legacy v1 traces meta is nil (the trace cannot be verified).
-func ReadTraceMeta(r io.Reader) ([]Access, uint64, *TraceMeta, error) {
+// ReadTraceMeta deserializes a trace written by WriteTraceMeta; meta
+// identifies the program it was captured from. A legacy v1 stream is
+// rejected with ErrBadTrace.
+func ReadTraceMeta(r io.Reader) ([]Access, uint64, TraceMeta, error) {
 	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, 0, nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+	var hdr [traceHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:8]); err != nil {
+		return nil, 0, TraceMeta{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
-	var meta *TraceMeta
-	switch magic {
-	case traceMagic:
-	case traceMagicV2:
-		meta = &TraceMeta{}
+	switch magic := string(hdr[:8]); magic {
+	case string(traceMagicV2[:]):
+	case "CLNKTRC1":
+		return nil, 0, TraceMeta{}, fmt.Errorf("%w: legacy v1 trace has no program binding; recapture it with -save-trace",
+			ErrBadTrace)
 	default:
-		return nil, 0, nil, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic[:])
+		return nil, 0, TraceMeta{}, fmt.Errorf("%w: bad magic %q", ErrBadTrace, magic)
 	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, 0, nil, fmt.Errorf("%w: truncated header", ErrBadTrace)
+	if _, err := io.ReadFull(br, hdr[8:]); err != nil {
+		return nil, 0, TraceMeta{}, fmt.Errorf("%w: truncated header", ErrBadTrace)
 	}
-	total := binary.LittleEndian.Uint64(hdr[0:])
-	count := binary.LittleEndian.Uint64(hdr[8:])
-	if meta != nil {
-		var ext [32 + 8]byte
-		if _, err := io.ReadFull(br, ext[:]); err != nil {
-			return nil, 0, nil, fmt.Errorf("%w: truncated v2 header", ErrBadTrace)
-		}
-		copy(meta.ImageDigest[:], ext[:32])
-		meta.TextStart = binary.LittleEndian.Uint32(ext[32:])
-		meta.TextEnd = binary.LittleEndian.Uint32(ext[36:])
+	total := binary.LittleEndian.Uint64(hdr[8:])
+	count := binary.LittleEndian.Uint64(hdr[16:])
+	meta := TraceMeta{
+		ImageDigest: [32]byte(hdr[24:56]),
+		TextStart:   binary.LittleEndian.Uint32(hdr[56:]),
+		TextEnd:     binary.LittleEndian.Uint32(hdr[60:]),
 	}
 	const maxRecords = 1 << 31
 	if count > maxRecords {
-		return nil, 0, nil, fmt.Errorf("%w: implausible record count %d", ErrBadTrace, count)
+		return nil, 0, TraceMeta{}, fmt.Errorf("%w: implausible record count %d", ErrBadTrace, count)
 	}
 	// The header is untrusted: preallocate at most 1<<16 records (2 MB)
 	// and let append grow the slice as records actually arrive, so a
@@ -176,7 +141,7 @@ func ReadTraceMeta(r io.Reader) ([]Access, uint64, *TraceMeta, error) {
 	var prevCycle uint64
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, 0, nil, fmt.Errorf("%w: truncated at record %d", ErrBadTrace, i)
+			return nil, 0, TraceMeta{}, fmt.Errorf("%w: truncated at record %d", ErrBadTrace, i)
 		}
 		a := Access{
 			Write: rec[0]&1 != 0,
@@ -188,13 +153,13 @@ func ReadTraceMeta(r io.Reader) ([]Access, uint64, *TraceMeta, error) {
 			Cycle: binary.LittleEndian.Uint64(rec[17:]),
 		}
 		if a.Cycle < prevCycle {
-			return nil, 0, nil, fmt.Errorf("%w: cycle stamps not monotonic at record %d", ErrBadTrace, i)
+			return nil, 0, TraceMeta{}, fmt.Errorf("%w: cycle stamps not monotonic at record %d", ErrBadTrace, i)
 		}
 		prevCycle = a.Cycle
 		trace = append(trace, a)
 	}
 	if prevCycle > total {
-		return nil, 0, nil, fmt.Errorf("%w: last stamp %d beyond total %d", ErrBadTrace, prevCycle, total)
+		return nil, 0, TraceMeta{}, fmt.Errorf("%w: last stamp %d beyond total %d", ErrBadTrace, prevCycle, total)
 	}
 	return trace, total, meta, nil
 }

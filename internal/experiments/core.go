@@ -44,9 +44,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Default returns the paper's evaluation settings.
-func Default() Options { return Options{Verify: true}.withDefaults() }
-
 // OptimalPerfWatchdog computes the Performance Watchdog load value that
 // balances checkpoint and re-execution overhead in the ideal
 // no-program-checkpoints case (paper section 3.1.4/7.4): checkpoint

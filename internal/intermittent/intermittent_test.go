@@ -1,6 +1,7 @@
 package intermittent
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/armsim"
@@ -56,7 +57,7 @@ func continuousRun(t *testing.T, img *ccc.Image) (outputs []uint32, cycles uint6
 	if err != nil {
 		t.Fatalf("continuous run: %v", err)
 	}
-	snap := m.Mem.Snapshot()
+	snap := bytes.Clone(m.Mem.Bytes())
 	return append([]uint32(nil), m.Mem.Outputs...), cyc, snap[img.DataStart:img.DataEnd]
 }
 
@@ -102,7 +103,7 @@ func runIntermittent(t *testing.T, img *ccc.Image, cfg clank.Config, supply powe
 }
 
 func (m *Machine) dataSnapshot(img *ccc.Image) []byte {
-	s := m.mem.Snapshot()
+	s := bytes.Clone(m.mem.Bytes())
 	return s[img.DataStart:img.DataEnd]
 }
 

@@ -499,11 +499,19 @@ type busAdapter struct{ m *Machine }
 func (b busAdapter) Fetch16(addr uint32) (uint16, error) { return b.m.mem.Fetch16(addr) }
 
 func (b busAdapter) Load(addr uint32, size uint8, pc uint32) (uint32, error) {
-	return b.m.load(addr, size, pc)
+	v, err := b.m.load(addr, size, pc)
+	if b.m.opts.FailAfterAccess != nil && err == nil && addr < armsim.MemSize {
+		b.m.afterAccess(addr, false)
+	}
+	return v, err
 }
 
 func (b busAdapter) Store(addr uint32, size uint8, value uint32, pc uint32) error {
-	return b.m.store(addr, size, value, pc)
+	err := b.m.store(addr, size, value, pc)
+	if b.m.opts.FailAfterAccess != nil && err == nil && addr < armsim.MemSize {
+		b.m.afterAccess(addr, true)
+	}
+	return err
 }
 
 // LoadTextLit serves a literal-pool load the predecoder proved lies inside
@@ -525,8 +533,8 @@ func (b busAdapter) LoadTextLit(addr, pc uint32) (uint32, error) {
 	if m.mon != nil {
 		m.mon.ReadNV(addr>>2, memWord)
 	}
-	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-		m.cutAfterAccess()
+	if m.opts.FailAfterAccess != nil {
+		m.afterAccess(addr, false)
 	}
 	return memWord, nil
 }
@@ -550,9 +558,6 @@ func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 		if m.mon != nil {
 			m.mon.ReadNV(word, memWord)
 		}
-		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-			m.cutAfterAccess()
-		}
 		return armsim.WordLane(memWord, addr, size), nil
 	}
 	memWord := m.mem.ReadWord(addr)
@@ -566,9 +571,6 @@ func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 		wordVal = out.ReadValue
 	} else if m.mon != nil {
 		m.mon.ReadNV(word, memWord)
-	}
-	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-		m.cutAfterAccess()
 	}
 	return armsim.WordLane(wordVal, addr, size), nil
 }
@@ -630,9 +632,6 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 		return errCheckpoint
 	}
 	if out.Buffered {
-		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, true) {
-			m.cutAfterAccess()
-		}
 		return nil // absorbed by the Write-back Buffer
 	}
 	if m.mon != nil {
@@ -640,21 +639,19 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 			return fmt.Errorf("dynamic verification failed: %w", v)
 		}
 	}
-	if err := m.mem.Store(addr, size, value, pc); err != nil {
-		return err
-	}
-	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, true) {
-		m.cutAfterAccess()
-	}
-	return nil
+	return m.mem.Store(addr, size, value, pc)
 }
 
-// cutAfterAccess records a FailAfterAccess cut: the outage takes effect at
-// the boundary after the current instruction, so the fused engine is asked
-// to return there.
-func (m *Machine) cutAfterAccess() {
-	m.cutPower = true
-	m.cpu.Yield()
+// afterAccess consults the installed FailAfterAccess hook for a committed
+// tracked access — a load or store below MemSize that neither vetoed nor
+// failed. busAdapter is its only caller, so every such access reaches it
+// exactly once. A cut takes effect at the boundary after the current
+// instruction, so the fused engine is asked to return there.
+func (m *Machine) afterAccess(addr uint32, write bool) {
+	if m.opts.FailAfterAccess(addr, write) {
+		m.cutPower = true
+		m.cpu.Yield()
+	}
 }
 
 // sectionAccesses reads the access-since-commit count through the fast
@@ -681,9 +678,6 @@ func (m *Machine) loadGeneric(addr uint32, size uint8, pc uint32) (uint32, error
 		if m.mon != nil {
 			m.mon.ReadNV(word, memWord)
 		}
-		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-			m.cutAfterAccess()
-		}
 		return armsim.WordLane(memWord, addr, size), nil
 	}
 	memWord := m.mem.ReadWord(addr)
@@ -697,9 +691,6 @@ func (m *Machine) loadGeneric(addr uint32, size uint8, pc uint32) (uint32, error
 		wordVal = out.ReadValue
 	} else if m.mon != nil {
 		m.mon.ReadNV(word, memWord)
-	}
-	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, false) {
-		m.cutAfterAccess()
 	}
 	return armsim.WordLane(wordVal, addr, size), nil
 }
@@ -725,9 +716,6 @@ func (m *Machine) storeGeneric(addr uint32, size uint8, value uint32, pc uint32)
 		return errCheckpoint
 	}
 	if out.Buffered {
-		if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, true) {
-			m.cutAfterAccess()
-		}
 		return nil // absorbed by the scheme's buffer
 	}
 	if m.mon != nil {
@@ -735,11 +723,5 @@ func (m *Machine) storeGeneric(addr uint32, size uint8, value uint32, pc uint32)
 			return fmt.Errorf("dynamic verification failed: %w", v)
 		}
 	}
-	if err := m.mem.Store(addr, size, value, pc); err != nil {
-		return err
-	}
-	if m.opts.FailAfterAccess != nil && m.opts.FailAfterAccess(addr, true) {
-		m.cutAfterAccess()
-	}
-	return nil
+	return m.mem.Store(addr, size, value, pc)
 }

@@ -162,37 +162,6 @@ func NewBatchTrace(trace []armsim.Access, totalCycles uint64, textStart, textEnd
 	return tr
 }
 
-// NewBatchTraceCols builds a BatchTrace from an armsim columnar capture
-// without materializing rows.
-func NewBatchTraceCols(tc *armsim.TraceCols, textStart, textEnd uint32) *BatchTrace {
-	tr := &BatchTrace{
-		addr:      append([]uint32(nil), tc.Addr...),
-		value:     append([]uint32(nil), tc.Value...),
-		prev:      append([]uint32(nil), tc.Prev...),
-		pc:        append([]uint32(nil), tc.PC...),
-		cycle:     append([]uint64(nil), tc.Cycle...),
-		flags:     make([]uint8, len(tc.Addr)),
-		total:     tc.Total,
-		textStart: textStart,
-		textEnd:   textEnd,
-	}
-	loW, hiW := textStart>>2, (textEnd+3)>>2
-	for i, addr := range tc.Addr {
-		var f uint8
-		if tc.Write[i] {
-			f |= faWrite
-		}
-		if addr >= armsim.MemSize {
-			f |= faOutput
-		} else if w := addr >> 2; w >= loW && w < hiW {
-			f |= faText
-		}
-		tr.flags[i] = f
-	}
-	tr.setDerived()
-	return tr
-}
-
 // setDerived computes what the decoded columns imply. It sets faNoWrite
 // on every memory load whose word no store in the trace touches (a
 // bitset over the MemSize/4 words; sub-word stores count for their whole
@@ -250,12 +219,6 @@ func (tr *BatchTrace) setDerived() {
 
 // Len returns the number of accesses.
 func (tr *BatchTrace) Len() int { return len(tr.addr) }
-
-// TotalCycles returns the continuous-execution cycle count.
-func (tr *BatchTrace) TotalCycles() uint64 { return tr.total }
-
-// TextBounds returns the byte bounds baked into the faText column.
-func (tr *BatchTrace) TextBounds() (start, end uint32) { return tr.textStart, tr.textEnd }
 
 func exemptIdentity(m map[uint32]bool) uintptr {
 	if m == nil {

@@ -14,7 +14,7 @@ import (
 
 // TestClassificationMatchesPredicates pins the classification columns to
 // the per-access predicates they replace: for every diffCases config, the
-// flags NewBatchTrace, NewBatchTraceCols and classFor bake in must equal,
+// flags NewBatchTrace and classFor bake in must equal,
 // access for access, the tests a row-by-row replay would evaluate inline —
 // faOutput is Addr >= MemSize, faText (when the detector's TEXT window is
 // active) is membership in clank.TextWords, faNoWrite and faShadowed are
@@ -39,7 +39,6 @@ func TestClassificationMatchesPredicates(t *testing.T) {
 			trace = append(trace, armsim.Access{Write: write, Addr: addr, Size: 4, Cycle: total})
 		}
 	}
-	tc := armsim.ColsFromRows(trace, total)
 	// A TEXT end inside a word: the detector rounds it up to cover the
 	// whole word, and so must the faText column.
 	unaligned := diffCase{"text-unaligned",
@@ -57,26 +56,13 @@ func TestClassificationMatchesPredicates(t *testing.T) {
 	for _, c := range append(diffCases(img, exempt), unaligned) {
 		cfg, mixed := c.cfg, c.mkOpts().Mixed
 		lo, hi, textOn := clank.New(cfg).TextWords()
-		rows := NewBatchTrace(trace, total, cfg.TextStart, cfg.TextEnd)
-		cols := NewBatchTraceCols(tc, cfg.TextStart, cfg.TextEnd)
-		rowG, colG := rows.classFor(cfg.ExemptPCs, mixed), cols.classFor(cfg.ExemptPCs, mixed)
-		rowFlags, colFlags := rowG.flags, colG.flags
-		if len(rowFlags) != len(trace) || len(colFlags) != len(trace) {
-			t.Fatalf("%s: flag columns hold %d and %d entries for %d accesses",
-				c.name, len(rowFlags), len(colFlags), len(trace))
-		}
-		var rowSkip, colSkip [2][]uint8
-		for m, monitored := range []bool{false, true} {
-			rowSkip[m], colSkip[m] = rows.skipFor(rowG, monitored), cols.skipFor(colG, monitored)
+		tr := NewBatchTrace(trace, total, cfg.TextStart, cfg.TextEnd)
+		flags := tr.classFor(cfg.ExemptPCs, mixed).flags
+		if len(flags) != len(trace) {
+			t.Fatalf("%s: flag column holds %d entries for %d accesses", c.name, len(flags), len(trace))
 		}
 		for i, a := range trace {
-			f := rowFlags[i]
-			for m := range rowSkip {
-				if colFlags[i] != f || colSkip[m][i] != rowSkip[m][i] {
-					t.Fatalf("%s: access %d: NewBatchTraceCols flags %07b skip[%d] %d, NewBatchTrace %07b skip %d",
-						c.name, i, colFlags[i], m, colSkip[m][i], f, rowSkip[m][i])
-				}
-			}
+			f := flags[i]
 			output := a.Addr >= armsim.MemSize
 			w := a.Addr >> 2
 			nr := noReportModel(trace, written, i)
@@ -120,7 +106,7 @@ func TestClassificationMatchesPredicates(t *testing.T) {
 	}
 }
 
-// noWriteTrace decodes fuzz bytes into a trace, three bytes per access:
+// noReportTrace decodes fuzz bytes into a trace, three bytes per access:
 // op picks load or store (bit 3), the access size (op%3), an
 // inconsistent load value (bit 4) and, through the PC, exemption; w picks
 // a region and a word in it; x the byte offset and the value. The
@@ -129,7 +115,7 @@ func TestClassificationMatchesPredicates(t *testing.T) {
 // region, so word, halfword and byte stores, output stores and TEXT
 // writes all collide with loads. A load observes the word's last stored
 // value, as a recorded trace does, unless bit 4 asks for a stray one.
-func noWriteTrace(data []byte) []armsim.Access {
+func noReportTrace(data []byte) []armsim.Access {
 	var trace []armsim.Access
 	mem := map[uint32]uint32{}
 	for i := 0; i+2 < len(data) && len(trace) < 1024; i += 3 {
@@ -227,7 +213,7 @@ func runNoReportJobs(t *testing.T, tr *BatchTrace) ([]Result, []string) {
 }
 
 // checkNoWriteColumn asserts the faNoReport soundness contract on one
-// trace. Built both from rows and from columns, the trace carries exactly
+// trace. The trace carries exactly
 // the model's faNoWrite and faShadowed bits (so every load of a
 // never-stored word is flagged, and a faNoWrite access is a load whose
 // word no store touches), and every access a monitored skip run covers is
@@ -236,7 +222,7 @@ func runNoReportJobs(t *testing.T, tr *BatchTrace) ([]Result, []string) {
 // errors. It returns the trace's faNoWrite loads, faShadowed loads and
 // unflagged memory loads, and the number of jobs that failed.
 func checkNoWriteColumn(t *testing.T, data []byte) (noWrite, shadowed, unflagged, failed int) {
-	trace := noWriteTrace(data)
+	trace := noReportTrace(data)
 	stored := map[uint32]bool{}
 	for _, a := range trace {
 		if a.Write && a.Addr < armsim.MemSize {
@@ -244,35 +230,33 @@ func checkNoWriteColumn(t *testing.T, data []byte) (noWrite, shadowed, unflagged
 		}
 	}
 	total := uint64(3*len(trace) + 1)
-	rows := NewBatchTrace(trace, total, 0, 0x100)
-	for _, tr := range []*BatchTrace{rows, NewBatchTraceCols(armsim.ColsFromRows(trace, total), 0, 0x100)} {
-		for i, a := range trace {
-			got, want := tr.flags[i]&faNoReport, noReportModel(trace, stored, i)
-			if got != want {
-				t.Fatalf("access %d (%+v): faNoReport bits %07b, want %07b", i, a, got, want)
-			}
-			if tr == rows && !a.Write && a.Addr < armsim.MemSize {
-				switch got {
-				case faNoWrite:
-					noWrite++
-				case faShadowed:
-					shadowed++
-				default:
-					unflagged++
-				}
+	tr := NewBatchTrace(trace, total, 0, 0x100)
+	for i, a := range trace {
+		got, want := tr.flags[i]&faNoReport, noReportModel(trace, stored, i)
+		if got != want {
+			t.Fatalf("access %d (%+v): faNoReport bits %07b, want %07b", i, a, got, want)
+		}
+		if !a.Write && a.Addr < armsim.MemSize {
+			switch got {
+			case faNoWrite:
+				noWrite++
+			case faShadowed:
+				shadowed++
+			default:
+				unflagged++
 			}
 		}
-		skip := tr.skipFor(&tr.base, true)
-		for i, n := range skip {
-			for j := i; j < i+int(n); j++ {
-				if tr.flags[j]&faNoReport == 0 {
-					t.Fatalf("monitored skip run at %d (length %d) covers reported access %d (%+v)", i, n, j, trace[j])
-				}
+	}
+	skip := tr.skipFor(&tr.base, true)
+	for i, n := range skip {
+		for j := i; j < i+int(n); j++ {
+			if tr.flags[j]&faNoReport == 0 {
+				t.Fatalf("monitored skip run at %d (length %d) covers reported access %d (%+v)", i, n, j, trace[j])
 			}
 		}
 	}
 
-	res, msgs := runNoReportJobs(t, rows)
+	res, msgs := runNoReportJobs(t, tr)
 	all := NewBatchTrace(trace, total, 0, 0x100)
 	for i := range all.flags {
 		all.flags[i] &^= faNoReport

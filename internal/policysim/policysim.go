@@ -74,14 +74,6 @@ func (r Result) CheckpointOverhead() float64 {
 	return float64(r.CkptCycles+r.RestartCycles) / float64(r.UsefulCycles)
 }
 
-// ReexecOverhead is the fraction of useful time spent re-executing.
-func (r Result) ReexecOverhead() float64 {
-	if r.UsefulCycles == 0 {
-		return 0
-	}
-	return float64(r.ReexecCycles) / float64(r.UsefulCycles)
-}
-
 // normalized fills in the option defaults the Options fields document.
 // NewBatch applies it to every job, so both replay cores see the same
 // derived bounds.
