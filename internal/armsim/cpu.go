@@ -66,13 +66,6 @@ type CPU struct {
 	// miss, they are CPU-local, so a frozen shared cache is never written.
 	step   fusedRun
 	stepOp [1]fusedOp
-	// mem, when non-nil, is the Bus's concrete Memory: the executor then
-	// bypasses interface dispatch on data accesses. Set only
-	// when the bus IS that memory (plain continuous machines); monitored
-	// buses (trace recorder, the intermittent Clank adapter) leave it nil
-	// so every access stays visible to them.
-	mem *Memory
-
 	// TEXT window for predecode-time literal-load classification
 	// (SetTextWindow): word-address bounds [textLoW, textHiW) and the
 	// bus's TextLitLoader implementation, nil when the bus has none.

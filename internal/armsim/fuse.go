@@ -31,9 +31,7 @@ package armsim
 //   - True superinstructions. Adjacent idiom pairs collapse into single
 //     micro-ops: compare+branch (fopCmpImmB/fopCmpRegB), the loop
 //     decrement subs+branch (fopSubsImmB), and shift+accumulate
-//     (fopShlAdd/fopShlAddF, the ccc indexed-addressing idiom). On
-//     unmonitored buses, MOV/ADD/SUB/LSL/MVN-immediate constant chains
-//     fold into one constant load (ccc's loadConst emits exactly these).
+//     (fopShlAdd/fopShlAddF, the ccc indexed-addressing idiom).
 //   - No per-instruction loop bookkeeping: PC writeback, the Cycle/Insns
 //     counters, and the budget check happen per micro-op inside one tight
 //     loop over a contiguous []fusedOp slice. Every instruction has its own
@@ -46,8 +44,8 @@ package armsim
 //
 //   - Monitored buses see every load/store exactly once, in order, with
 //     c.Cycle flushed to the precise pre-instruction value first (the
-//     trace recorder stamps accesses with it). Runs span accesses in
-//     either mode; what keeps a monitored driver's decisions at the same
+//     trace recorder stamps accesses with it). Runs span accesses on
+//     every bus; what keeps a monitoring caller's decisions at the same
 //     instruction boundaries as stepping one instruction at a time is the
 //     next two rules.
 //   - An error at micro-op k — a bus veto (the intermittent machine's
@@ -112,7 +110,7 @@ const (
 	fopNop uint8 = iota // cycle/count charge only (dead CMP/TST/CMN, hints, SVC, barriers)
 
 	// Unflagged ALU.
-	fopMovImm // R[rd] = imm (MOV, ADR, folded constant chains, pc-reads)
+	fopMovImm // R[rd] = imm (MOV, ADR, pc-reads)
 	fopMovReg // R[rd] = R[rm] (LSL #0, MOV high)
 	fopAddImm // R[rd] = R[rn] + imm (ADD imm3/imm8/SP-relative forms)
 	fopSubImm // R[rd] = R[rn] - imm
@@ -250,9 +248,8 @@ type fusedRun struct {
 }
 
 // EnableFusion attaches the superinstruction layer to an already-predecoded
-// CPU. Strict mode (any bus that is not the bare Memory — the trace
-// recorder, the intermittent Clank adapter) routes every access through the
-// bus and keeps constant chains unfolded. Runs span monitored accesses; a
+// CPU. Every access goes through the bus, except those an installed access
+// port certifies (SetAccessPort). Runs span monitored accesses; a
 // veto or fault stops the run at the access with the preceding
 // instructions committed, and a bus that calls Yield during an access stops
 // it at the boundary right after that instruction, so vetoes, failure
@@ -270,7 +267,6 @@ func (c *CPU) EnableFusion() {
 	c.pd.runs = make([]fusedRun, 0, 1024)
 	c.pd.ops = make([]fusedOp, 0, 8192)
 	c.pd.fuse = true
-	c.pd.strict = c.mem == nil
 }
 
 // DisableFusion turns block discovery off: every instruction then runs as a
@@ -425,17 +421,13 @@ func (c *CPU) buildRun(pc uint32) int32 {
 		live = live&^kill | use
 	}
 
-	// Translate forward, applying the loose-mode peepholes.
+	// Translate forward, then merge idiom pairs.
 	off := uint32(len(pd.ops))
 	for i := 0; i < n; i++ {
 		pd.ops = append(pd.ops, fusedOp{})
 		translate(&pd.ops[len(pd.ops)-1], &ds[i], pcs[i], needF[i])
 	}
-	ops := pd.ops[off:]
-	if !pd.strict {
-		ops = foldConstChains(ops)
-	}
-	ops = mergePairs(ops)
+	ops := mergePairs(pd.ops[off:])
 	pd.ops = pd.ops[:int(off)+len(ops)]
 
 	pd.runs = append(pd.runs, fusedRun{
@@ -728,52 +720,9 @@ func pick(flagged bool, f, u uint8) uint8 {
 	return u
 }
 
-// foldConstChains merges unflagged constant-build sequences targeting one
-// register (MOVS a; LSLS a,#n; ADDS a,#m — ccc's loadConst) into a single
-// fopMovImm carrying the combined cycle and instruction counts. Loose mode
-// only: the folded intermediate register values are unobservable there
-// (no budget stops inside a run, no monitored accesses between the halves).
-func foldConstChains(ops []fusedOp) []fusedOp {
-	w := 0
-	for i := range ops {
-		op := ops[i]
-		if w > 0 {
-			p := &ops[w-1]
-			if p.code == fopMovImm && op.rd == p.rd && p.cnt < maxFuseInsns {
-				folded := true
-				switch {
-				case op.code == fopLslImm && op.rm == p.rd:
-					p.imm <<= op.imm
-				case op.code == fopLsrImm && op.rm == p.rd:
-					p.imm >>= op.imm
-				case op.code == fopAddImm && op.rn == p.rd:
-					p.imm += op.imm
-				case op.code == fopSubImm && op.rn == p.rd:
-					p.imm -= op.imm
-				case op.code == fopMvn && op.rm == p.rd:
-					p.imm = ^p.imm
-				case op.code == fopMovImm:
-					p.imm = op.imm
-				default:
-					folded = false
-				}
-				if folded {
-					p.cyc += op.cyc
-					p.cnt += op.cnt
-					continue
-				}
-			}
-		}
-		ops[w] = op
-		w++
-	}
-	return ops[:w]
-}
-
 // mergePairs collapses the idiom pairs into single superinstruction
-// micro-ops. These merges are mode-independent: the merged handlers check
-// the cycle budget between their two halves, so strict-mode budget stops
-// still land on every instruction boundary.
+// micro-ops. The merged handlers check the cycle budget between their two
+// halves, so budget stops still land on every instruction boundary.
 func mergePairs(ops []fusedOp) []fusedOp {
 	w := 0
 	for i := range ops {

@@ -15,8 +15,8 @@ import (
 // every program at every budget. These tests drive StepFused against the
 // reference's stepRef with
 // resynchronization on retired-instruction count: one StepFused call may
-// retire a whole block — or several instructions even at budget 1, when a
-// folded constant chain retires as a single micro-op — so the reference
+// retire a whole block — and a merged pair retires two instructions as one
+// micro-op, stopping only at instruction boundaries — so the reference
 // catches up to the same Insns and the full state is compared at every
 // synchronization point. This extends the differential methodology of
 // predecode_test.go (which pins Step, a run of length one) to whole fused
@@ -28,7 +28,7 @@ type fusedPair struct {
 	ref *Machine // reference fetch+decode switch: the ground truth
 	fus *Machine // predecode + fusion, the default NewMachine configuration
 
-	// Monitored (strict-mode) pairs only: each machine's bus, plus counts
+	// Monitored pairs only: each machine's bus, plus counts
 	// proving the monitored run exercised what it claims to — accesses
 	// retired before the end of a StepFused call, yields that stopped a
 	// call after more than one instruction, and vetoes that landed after
@@ -47,14 +47,14 @@ func newFusedPair(t testing.TB) *fusedPair {
 }
 
 // newMonitoredPair is newFusedPair with both machines behind a monitorBus,
-// which puts the fused engine in strict mode.
+// which sees every access and vetoes or yields mid-run.
 func newMonitoredPair(t testing.TB) *fusedPair {
 	t.Helper()
 	p := &fusedPair{}
 	p.ref, p.refBus = newMonitoredMachine(false)
 	p.fus, p.fusBus = newMonitoredMachine(true)
-	if !p.fus.CPU.FusionEnabled() || !p.fus.CPU.pd.strict {
-		t.Fatal("monitored machine is not fusing in strict mode")
+	if !p.fus.CPU.FusionEnabled() {
+		t.Fatal("monitored machine is not fusing")
 	}
 	return p
 }
@@ -355,11 +355,11 @@ func TestFusedDifferentialAllEncodings(t *testing.T) {
 // TestFusedDifferentialRandomStreams runs randomized instruction streams
 // through the fused engine with cycling budgets (mid-run boundary stops,
 // chained whole-block execution, and everything between), resynchronizing
-// with the reference interpreter after every StepFused call. The monitored mode
-// repeats the streams on a strict-mode bus whose vetoes and yields land
+// with the reference interpreter after every StepFused call: once on the
+// bare Memory bus, and once on a monitored bus whose vetoes and yields land
 // mid-run.
 func TestFusedDifferentialRandomStreams(t *testing.T) {
-	t.Run("loose", func(t *testing.T) { randomStreams(t, newFusedPair(t)) })
+	t.Run("bare", func(t *testing.T) { randomStreams(t, newFusedPair(t)) })
 	t.Run("monitored", func(t *testing.T) {
 		p := newMonitoredPair(t)
 		randomStreams(t, p)
@@ -399,7 +399,7 @@ func randomStreams(t *testing.T, p *fusedPair) {
 	}
 }
 
-// TestFusedMonitoredYieldAndVeto walks one strict-mode run access by
+// TestFusedMonitoredYieldAndVeto walks one monitored run access by
 // access: a run headed by a load fuses, a yield on the second load returns
 // right after it, and a veto on a later store leaves PC on the store with
 // the ALU work before it committed; the retried store then runs on to the
@@ -449,7 +449,7 @@ func TestFusedMonitoredYieldAndVeto(t *testing.T) {
 }
 
 // TestFusedMonitoredYieldAndVetoMultiTransfer runs each multi-register
-// transfer mid-run on a strict-mode bus and vetoes, then yields, at every
+// transfer mid-run on a monitored bus and vetoes, then yields, at every
 // access ordinal k of the transfer. After every StepFused the full state —
 // registers (SP and PC included), flags, Cycle, Insns, the bus log with its
 // cycle stamps, and all of memory — must equal the reference's at the
@@ -717,7 +717,7 @@ func TestFusedRunInvalidationTwoSided(t *testing.T) {
 
 // TestStepFusedNoAllocs pins the steady-state fused execution paths — both
 // the single-instruction budget and whole-block chaining, plus the RunTo
-// driver loop and a monitored (strict-mode) bus whose runs span accesses
+// loop and a monitored bus whose runs span accesses
 // and stop on yields and vetoes — to zero heap allocations, matching
 // TestStepNoAllocs for Step.
 func TestStepFusedNoAllocs(t *testing.T) {

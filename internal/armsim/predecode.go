@@ -170,12 +170,6 @@ type DecodeCache struct {
 	ops      []fusedOp
 	runCover []uint64
 	fuse     bool
-	// strict marks a monitored bus: no constant folding, and every access
-	// goes through the Bus, which stops a run with an error (before the
-	// access) or a Yield (after its instruction) wherever its driver must
-	// act, so every decision point the driver could observe stays
-	// observable.
-	strict bool
 
 	// Shared-image freeze state (shared.go). A frozen cache is immutable —
 	// safe for any number of concurrently executing CPUs — so every lazy
@@ -269,12 +263,8 @@ func (pd *DecodeCache) Invalidate(addr, size uint32) {
 // unchanged by them) and invalidating itself on any write that could alter
 // instruction bytes.
 func (c *CPU) EnablePredecode(mem *Memory) {
-	pd := NewDecodeCache()
-	c.pd = pd
-	if b, ok := c.Bus.(*Memory); ok && b == mem {
-		c.mem = mem
-	}
-	mem.SetWriteHook(pd.Invalidate)
+	c.pd = NewDecodeCache()
+	mem.SetWriteHook(c.pd.Invalidate)
 	c.EnableFusion()
 }
 
@@ -541,30 +531,13 @@ func (c *CPU) SetAccessPort(p accfilter.Port, mem *Memory) { c.port, c.portMem =
 // AccessPort returns the installed access port (zero when none).
 func (c *CPU) AccessPort() accfilter.Port { return c.port }
 
-// pdLoad is the executor's data-load path. When the bus is the
-// bare Memory it reads the backing store directly — no interface dispatch —
-// with the near-top-of-memory and output/fault cases deferring to
-// Memory.Load for identical semantics. Monitored buses take the interface,
-// except for loads an installed access port certifies (SetAccessPort): a
-// filter hit reads memory, a dirty Write-back word its slot. An unaligned
-// address faults first, before any path reads memory or counts an access.
+// pdLoad is the executor's data-load path. Every load takes the Bus except
+// those an installed access port certifies (SetAccessPort): a filter hit
+// reads memory, a dirty Write-back word its slot. An unaligned address
+// faults first, before any path reads memory or counts an access.
 func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
 	if addr&(uint32(size)-1) != 0 {
 		return 0, unaligned("load", addr, size, pc)
-	}
-	if m := c.mem; m != nil {
-		if addr < MemSize-3 {
-			switch size {
-			case 4:
-				return uint32(m.data[addr]) | uint32(m.data[addr+1])<<8 |
-					uint32(m.data[addr+2])<<16 | uint32(m.data[addr+3])<<24, nil
-			case 2:
-				return uint32(m.data[addr]) | uint32(m.data[addr+1])<<8, nil
-			default:
-				return uint32(m.data[addr]), nil
-			}
-		}
-		return m.Load(addr, size, pc)
 	}
 	if t := c.port.Read; t != nil && addr < MemSize {
 		if t.Hit(addr >> 2) {
@@ -579,37 +552,15 @@ func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
 	return c.Bus.Load(addr, size, pc)
 }
 
-// pdStore is pdLoad's store counterpart. Every direct path that writes
-// memory (the bare Memory's, and an access port's storeRAM for a filter
-// hit or a clean Write-back false write) performs exactly what
-// Memory.Store would — including firing the write hook, so text-region
-// stores still invalidate the decode cache. A store to a dirty Write-back
-// word only merges into its slot, as the bus's buffered store does. An
-// unaligned address faults first, as in pdLoad.
+// pdStore is pdLoad's store counterpart. The access port's direct writes
+// (storeRAM, for a filter hit or a clean Write-back false write) perform
+// exactly what Memory.Store would — including firing the write hook, so
+// text-region stores still invalidate the decode cache. A store to a dirty
+// Write-back word only merges into its slot, as the bus's buffered store
+// does. An unaligned address faults first, as in pdLoad.
 func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
 	if addr&(uint32(size)-1) != 0 {
 		return unaligned("store", addr, size, pc)
-	}
-	if m := c.mem; m != nil {
-		if addr < MemSize-3 {
-			switch size {
-			case 4:
-				m.data[addr] = byte(v)
-				m.data[addr+1] = byte(v >> 8)
-				m.data[addr+2] = byte(v >> 16)
-				m.data[addr+3] = byte(v >> 24)
-			case 2:
-				m.data[addr] = byte(v)
-				m.data[addr+1] = byte(v >> 8)
-			default:
-				m.data[addr] = byte(v)
-			}
-			if m.onWrite != nil {
-				m.onWrite(addr, uint32(size))
-			}
-			return nil
-		}
-		return m.Store(addr, size, v, pc)
 	}
 	if t := c.port.Write; t != nil && addr < MemSize-3 {
 		if t.Hit(addr >> 2) {

@@ -177,9 +177,9 @@ func callReturnOps() []uint16 {
 }
 
 // BenchmarkStepLoopCallReturn measures the fused engine's ns per executed
-// instruction on callReturnOps, on the bare Memory bus (loose mode, direct
-// memory access) and on a monitored bus that neither vetoes nor yields
-// (strict mode, every access through the Bus interface).
+// instruction on callReturnOps, on the bare Memory bus and on a monitored
+// bus that neither vetoes nor yields; both legs take every access through
+// the Bus interface.
 func BenchmarkStepLoopCallReturn(b *testing.B) {
 	for _, sub := range []struct {
 		name      string

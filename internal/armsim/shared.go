@@ -32,12 +32,11 @@ package armsim
 //     invalidating — semantics identical to a private machine from that
 //     instruction on, at the cost of one ~1.6 MB copy.
 //
-// The build executes through a monitored-style bus (freezeBus is not the
-// bare *Memory), so the cache is built in strict mode: runs span accesses,
-// no constant folding. That matches the intermittent machine's busAdapter
-// exactly — the frozen runs cover the same blocks a per-device build
-// would, and each device's bus ends a run early through a veto or a
-// Yield where its own driver must act.
+// The build executes through freezeBus, which classifies TEXT literal
+// loads as the intermittent machine's busAdapter does, so the frozen runs
+// cover the same blocks a per-device build would, and each device's bus
+// ends a run early through a veto or a Yield where its own machine must
+// act.
 
 import (
 	"slices"
@@ -63,9 +62,9 @@ type SharedProgram struct {
 	outputs []uint32
 }
 
-// freezeBus is the build-time bus: a monitored-bus stand-in (it is not the
-// bare *Memory, so the cache builds in strict mode) that routes everything
-// to the backing memory. Stores fire the memory's write hook, keeping the
+// freezeBus is the build-time bus: a monitored-bus stand-in (it implements
+// TextLitLoader, which the bare *Memory does not) that routes everything to
+// the backing memory. Stores fire the memory's write hook, keeping the
 // cache coherent during the warm-up execution.
 type freezeBus struct{ mem *Memory }
 
@@ -203,7 +202,6 @@ func (sp *SharedProgram) FootprintBytes() uint64 { return sp.pd.footprintBytes()
 // copy-on-write discards the private clone.
 func (c *CPU) AttachShared(sp *SharedProgram, mem *Memory) {
 	c.pd = sp.pd
-	c.mem = nil // the bus stays monitored; never bypass it
 	c.SetTextWindow(sp.textLoW, sp.textHiW)
 	mem.SetWriteHook(func(addr, size uint32) {
 		pd := c.pd
@@ -255,7 +253,6 @@ func (pd *DecodeCache) clone() *DecodeCache {
 		ops:      append([]fusedOp(nil), pd.ops...),
 		runCover: append([]uint64(nil), pd.runCover...),
 		fuse:     pd.fuse,
-		strict:   pd.strict,
 	}
 }
 

@@ -169,7 +169,11 @@ type Machine struct {
 	// clank.Read/Write inline (the io.Copy idiom — interface callers get
 	// correctness, the dominant concrete type keeps its speed). For every
 	// other scheme k is nil and the bus routes through loadGeneric/
-	// storeGeneric on sch.
+	// storeGeneric on sch. Measured worth of the seam: with k left nil for
+	// Clank (the access port still installed from Detector().Port()),
+	// perfbench harsh ops_per_s read 0.940–0.948 and fleet 0.961–0.964 of
+	// the devirtualized build (2-vCPU VM, 12 s runs, alternating pairs,
+	// main.calibrate 64-byte aligned in both binaries).
 	sch scheme.Scheme
 	k   *clank.Clank
 
@@ -397,16 +401,32 @@ func (m *Machine) seedCheckpointZero() {
 // the machine must share the constructor image's layout.
 // On a shared-program machine, loading a different image triggers the
 // copy-on-write hook: this machine silently becomes a private one (correct,
-// but it stops amortizing the shared cache). Fleets rebooting the SAME
-// image should use ResetDevice, which keeps the frozen cache attached.
+// but it stops amortizing the shared cache). Rebooting the same image keeps
+// the frozen cache while the machine has not diverged from it; fleets use
+// ResetDevice, which is alloc-free and also rejoins the cache after a
+// divergence.
 func (m *Machine) Reboot(img *ccc.Image) error {
-	m.mem.Reset()
-	if err := m.mem.LoadImage(0, img.Bytes); err != nil {
+	if err := m.loadImage(img); err != nil {
 		return err
 	}
 	m.img = img
 	m.resetRuntime()
 	return nil
+}
+
+// loadImage restores main memory to exactly img loaded at address 0. While
+// the CPU executes the frozen shared cache and img is the machine's own
+// image, it takes the hook-free Memory.ResetTo path: the cache was built
+// from exactly these bytes, so the restore cannot stale a cached entry.
+// Otherwise it resets and reloads through the write hook, which keeps a
+// private cache coherent (and on a shared machine copies on write).
+func (m *Machine) loadImage(img *ccc.Image) error {
+	if img == m.img && m.cpu.Frozen() {
+		m.mem.ResetTo(img.Bytes)
+		return nil
+	}
+	m.mem.Reset()
+	return m.mem.LoadImage(0, img.Bytes)
 }
 
 // ResetDevice re-arms the machine as a factory-fresh device running its
@@ -420,21 +440,13 @@ func (m *Machine) ResetDevice(supply power.Source) {
 	if supply != nil {
 		m.opts.Supply = supply
 	}
-	if m.shared != nil {
-		if !m.cpu.Frozen() {
-			// The previous device wrote its own text and diverged onto a
-			// private clone; discard it and rejoin the shared cache.
-			m.cpu.AttachShared(m.shared, m.mem)
-		}
-		// The frozen cache was built from exactly these bytes, so the
-		// restore cannot stale any cached entry and legally skips the write
-		// hook (see Memory.ResetTo).
-		m.mem.ResetTo(m.img.Bytes)
-	} else {
-		m.mem.Reset()
-		// Reloading the constructor image cannot fail: it fit at build time.
-		_ = m.mem.LoadImage(0, m.img.Bytes)
+	if m.shared != nil && !m.cpu.Frozen() {
+		// The previous device wrote its own text and diverged onto a
+		// private clone; discard it and rejoin the shared cache.
+		m.cpu.AttachShared(m.shared, m.mem)
 	}
+	// Reloading the constructor image cannot fail: it fit at build time.
+	_ = m.loadImage(m.img)
 	m.resetRuntime()
 	m.cpu.Insns = 0
 }

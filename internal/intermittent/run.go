@@ -420,12 +420,7 @@ func (m *Machine) decodeJournal() (count int, seq uint32, st clank.RecStatus) {
 func (m *Machine) degradedRestore() {
 	m.stats.DegradedBoots++
 	outs := m.mem.Outputs
-	if m.shared != nil && m.cpu.Frozen() {
-		m.mem.ResetTo(m.img.Bytes)
-	} else {
-		m.mem.Reset()
-		_ = m.mem.LoadImage(0, m.img.Bytes)
-	}
+	_ = m.loadImage(m.img)
 	m.mem.Outputs = outs
 	m.outSuppress = len(outs)
 	m.cpu.ResetInto(m.img.InitialSP, m.img.Entry)

@@ -2,6 +2,7 @@ package mibench
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/armsim"
@@ -11,7 +12,9 @@ import (
 // fusion tiers — fused superinstructions (the NewMachine default) and runs
 // of length one (DisableFusion) — and requires bit-identical final
 // architectural state: cycle count, retired instructions, registers, flags,
-// the entire memory image, and the output log. The armsim package's
+// the entire memory image, and the output log. Build's Outputs and Cycles,
+// which it derives from its single traced run, must equal the baseline
+// machine's. The armsim package's
 // external test of the same name adds the reference interpreter as a third
 // leg, which only armsim's own tests can reach.
 func TestFusedContinuousDifferential(t *testing.T) {
@@ -74,6 +77,12 @@ func TestFusedContinuousDifferential(t *testing.T) {
 						break
 					}
 				}
+			}
+			if !slices.Equal(c.Outputs, ref.Mem.Outputs) {
+				t.Errorf("Build outputs %#x != continuous run %#x", c.Outputs, ref.Mem.Outputs)
+			}
+			if c.Cycles != ref.CPU.Cycle {
+				t.Errorf("Build cycles %d != continuous run %d", c.Cycles, ref.CPU.Cycle)
 			}
 		})
 	}

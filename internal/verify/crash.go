@@ -82,7 +82,7 @@ func (h *CrashHarness) masks() []uint32 {
 // The schedule argument exists to satisfy CheckFunc and is ignored: the
 // harness generates its own failure placements.
 func (h *CrashHarness) Check(p Pattern, words int, cfg clank.Config, _ Schedule) error {
-	if err := h.lowerable(p, words); err != nil {
+	if err := lowerable(p, words, h.maxOps); err != nil {
 		return err
 	}
 	img := buildDiffImage(p, h.maxOps)
@@ -118,7 +118,7 @@ func (h *CrashHarness) CheckCut(p Pattern, words int, cfg clank.Config, cut int)
 // point, where both the position and the landed-bits mask come from the
 // fuzzer rather than an exhaustive loop.
 func (h *CrashHarness) CheckTear(p Pattern, words int, cfg clank.Config, cut int, mask uint32) error {
-	if err := h.lowerable(p, words); err != nil {
+	if err := lowerable(p, words, h.maxOps); err != nil {
 		return err
 	}
 	img := buildDiffImage(p, h.maxOps)
@@ -128,21 +128,6 @@ func (h *CrashHarness) CheckTear(p Pattern, words int, cfg clank.Config, cut int
 	}
 	_, err = h.runCut(m, img, p, words, cfg, cut, mask)
 	return err
-}
-
-func (h *CrashHarness) lowerable(p Pattern, words int) error {
-	if len(p) > h.maxOps {
-		return fmt.Errorf("verify: pattern of %d ops exceeds harness budget %d", len(p), h.maxOps)
-	}
-	if words > diffMaxWords {
-		return fmt.Errorf("verify: %d words exceeds the %d-word lowering limit", words, diffMaxWords)
-	}
-	for _, op := range p {
-		if op.Write && op.Val > 0xFF {
-			return fmt.Errorf("verify: value %d exceeds the MOV imm8 lowering limit", op.Val)
-		}
-	}
-	return nil
 }
 
 // runCut executes one pipeline run with the fault injector tearing commit

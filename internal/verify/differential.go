@@ -90,13 +90,12 @@ func (h *DiffHarness) hook(addr uint32, write bool) bool {
 	return fire
 }
 
-// Check verifies one triple on the mini-machine, then on the real pipeline.
-func (h *DiffHarness) Check(p Pattern, words int, cfg clank.Config, sched Schedule) error {
-	if err := h.Checker.Check(p, words, cfg, sched); err != nil {
-		return err
-	}
-	if len(p) > h.maxOps {
-		return fmt.Errorf("verify: pattern of %d ops exceeds harness budget %d", len(p), h.maxOps)
+// lowerable reports whether buildDiffImage can lower p over words for a
+// harness built for patterns of up to maxOps ops: the op budget, the
+// LDR/STR offset range and MOV's 8-bit immediate.
+func lowerable(p Pattern, words, maxOps int) error {
+	if len(p) > maxOps {
+		return fmt.Errorf("verify: pattern of %d ops exceeds harness budget %d", len(p), maxOps)
 	}
 	if words > diffMaxWords {
 		return fmt.Errorf("verify: %d words exceeds the %d-word lowering limit", words, diffMaxWords)
@@ -105,6 +104,17 @@ func (h *DiffHarness) Check(p Pattern, words int, cfg clank.Config, sched Schedu
 		if op.Write && op.Val > 0xFF {
 			return fmt.Errorf("verify: value %d exceeds the MOV imm8 lowering limit", op.Val)
 		}
+	}
+	return nil
+}
+
+// Check verifies one triple on the mini-machine, then on the real pipeline.
+func (h *DiffHarness) Check(p Pattern, words int, cfg clank.Config, sched Schedule) error {
+	if err := h.Checker.Check(p, words, cfg, sched); err != nil {
+		return err
+	}
+	if err := lowerable(p, words, h.maxOps); err != nil {
+		return err
 	}
 
 	img := buildDiffImage(p, h.maxOps)
