@@ -25,8 +25,7 @@ func NewMachine() *Machine {
 // Boot loads an image at address 0 and resets the CPU using the ARM vector
 // table convention: word 0 holds the initial SP, word 1 the reset vector.
 func (m *Machine) Boot(image []byte) error {
-	m.Mem.Reset()
-	if err := m.Mem.LoadImage(0, image); err != nil {
+	if err := m.Mem.ResetTo(image); err != nil {
 		return err
 	}
 	sp := m.Mem.ReadWord(0)

@@ -7,8 +7,10 @@
 package armsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Memory geometry. The modeled device mirrors the paper's target: a 256 KB
@@ -23,7 +25,13 @@ const (
 	// this region is an externally visible output.
 	OutputBase = 0x40000000
 	OutputSize = 0x100
+
+	// ResetTo restores 4 KB pages: main memory's 64 fit one uint64 bitmap.
+	pageShift = 12
+	pageSize  = 1 << pageShift
 )
+
+var zeroPage [pageSize]byte // ResetTo's source beyond an image's end
 
 // ErrBusFault reports an access outside every mapped region.
 var ErrBusFault = errors.New("armsim: bus fault")
@@ -63,6 +71,10 @@ type Bus interface {
 type Memory struct {
 	data []byte
 
+	// dirty marks each page that may hold a non-zero byte (the last ResetTo
+	// image's pages, and any written since); ResetTo skips the zero rest.
+	dirty uint64
+
 	// Outputs accumulates every word written to the output port, in order.
 	Outputs []uint32
 
@@ -73,7 +85,7 @@ type Memory struct {
 	// (byte range addr..addr+size). The predecode cache registers its
 	// invalidation here so cached instructions never go stale — Memory is
 	// the single choke point for all content changes: data stores,
-	// checkpoint drains (WriteWord), image loads, resets, and restores.
+	// checkpoint drains (WriteWord), image loads, and restores.
 	onWrite func(addr, size uint32)
 }
 
@@ -87,14 +99,12 @@ func NewMemory() *Memory {
 	return &Memory{data: make([]byte, MemSize)}
 }
 
-// Reset zeroes memory contents and clears recorded outputs.
-func (m *Memory) Reset() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-	m.Outputs = m.Outputs[:0]
+// wrote records a write of size <= pageSize bytes at addr: it marks addr's
+// page and the next, which the bytes may reach, dirty and fires the hook.
+func (m *Memory) wrote(addr, size uint32) {
+	m.dirty |= 3 << (addr >> pageShift)
 	if m.onWrite != nil {
-		m.onWrite(0, MemSize)
+		m.onWrite(addr, size)
 	}
 }
 
@@ -104,27 +114,66 @@ func (m *Memory) LoadImage(addr uint32, img []byte) error {
 		return fmt.Errorf("armsim: image of %d bytes at %#x exceeds memory", len(img), addr)
 	}
 	copy(m.data[addr:], img)
-	if m.onWrite != nil && len(img) > 0 {
-		m.onWrite(addr, uint32(len(img)))
+	for a, end := addr, addr+uint32(len(img)); a < end; a += pageSize {
+		m.wrote(a, min(pageSize, end-a))
 	}
 	return nil
 }
 
 // ResetTo restores memory to exactly the state of a freshly loaded image —
-// img at address 0, zeros beyond it — and clears recorded outputs, WITHOUT
-// firing the write hook. It exists for the fleet engine's per-device reset:
-// when the attached decode cache is a frozen SharedProgram cache built from
-// this very image, the restored bytes match every cached entry by
-// construction, so invalidation would be both unnecessary and illegal (a
-// frozen cache must never mutate). Callers for whom that precondition does
-// not hold must use Reset + LoadImage instead.
-func (m *Memory) ResetTo(img []byte) {
-	n := copy(m.data, img)
-	clear(m.data[n:])
+// img at address 0, zeros beyond it — and clears recorded outputs. It is
+// the one image restore, and it keeps an attached decode cache coherent by
+// itself: it visits only the pages img covers or that may still hold
+// non-zero bytes (the previous image's pages and any a write touched since),
+// and fires the write hook once per page that differs,
+// from that page's first changed byte. Restoring the bytes memory already
+// holds fires nothing, so a frozen shared cache survives it.
+func (m *Memory) ResetTo(img []byte) error {
+	if len(img) > len(m.data) {
+		return fmt.Errorf("armsim: image of %d bytes exceeds memory", len(img))
+	}
 	m.Outputs = m.Outputs[:0]
+	imgPages := uint64(1)<<((len(img)+pageSize-1)>>pageShift) - 1
+	pages := m.dirty | imgPages
+	for m.dirty = imgPages; pages != 0; pages &= pages - 1 {
+		base := bits.TrailingZeros64(pages) << pageShift
+		page, src := m.data[base:base+pageSize], img[min(base, len(img)):min(base+pageSize, len(img))]
+		n := len(src)
+		f := firstDiff(page[:n], src)
+		if f == n {
+			f += firstDiff(page[n:], zeroPage[n:])
+		}
+		if f == pageSize {
+			continue
+		}
+		copy(page[f:], src[min(f, n):])
+		clear(page[max(f, n):])
+		if m.onWrite != nil {
+			m.onWrite(uint32(base+f), uint32(pageSize-f))
+		}
+	}
+	return nil
 }
 
-// Bytes exposes the raw backing store (for checkpoint slots and loaders).
+// firstDiff returns the index of the first byte at which a and b (of equal
+// length) differ, or len(a). It skips equal slices and 64-byte chunks whole.
+func firstDiff(a, b []byte) int {
+	if bytes.Equal(a, b) {
+		return len(a)
+	}
+	i := 0
+	for i+64 <= len(a) && bytes.Equal(a[i:i+64], b[i:i+64]) {
+		i += 64
+	}
+	for i < len(a) && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// Bytes exposes the raw backing store for inspection. It is read-only: a
+// write through it would bypass both the write hook and the dirty-page
+// bitmap, leaving decode caches stale and ResetTo incomplete.
 func (m *Memory) Bytes() []byte { return m.data }
 
 func (m *Memory) inRAM(addr uint32, size uint8) bool {
@@ -154,9 +203,7 @@ func (m *Memory) WriteWord(addr uint32, v uint32) {
 	m.data[a+1] = byte(v >> 8)
 	m.data[a+2] = byte(v >> 16)
 	m.data[a+3] = byte(v >> 24)
-	if m.onWrite != nil {
-		m.onWrite(a, 4)
-	}
+	m.wrote(a, 4)
 }
 
 // WordLane is a load's value as a word-granular monitored bus serves it
@@ -206,9 +253,7 @@ func (m *Memory) storeRAM(addr uint32, size uint8, v uint32) {
 	default:
 		m.data[addr] = byte(v)
 	}
-	if m.onWrite != nil {
-		m.onWrite(addr, uint32(size))
-	}
+	m.wrote(addr, uint32(size))
 }
 
 // Load implements Bus.
@@ -257,9 +302,7 @@ func (m *Memory) Store(addr uint32, size uint8, value uint32, pc uint32) error {
 	default:
 		return fmt.Errorf("%w: bad size %d", ErrBusFault, size)
 	}
-	if m.onWrite != nil {
-		m.onWrite(addr, uint32(size))
-	}
+	m.wrote(addr, uint32(size))
 	return nil
 }
 

@@ -145,12 +145,11 @@ func NewSharedProgram(img []byte, initialSP, entry, textEnd uint32, litLoW, litH
 		outputs:    slices.Clone(mem.Outputs),
 	}
 	if textWritten {
-		// The executed text diverged from the pristine image: drop
-		// everything the warm-up cached and rebuild decode-only below.
-		mem.Reset()
-		if err := mem.LoadImage(0, img); err != nil {
-			return nil, err
-		}
+		// The executed text diverged from the pristine image: restore it
+		// and drop everything the warm-up cached, runs over unpatched text
+		// included, so the eager pass below rebuilds decode-only.
+		_ = mem.ResetTo(img) // cannot fail: img fit the LoadImage above
+		pd.Invalidate(0, MemSize)
 	}
 	// Eager pass: decode every remaining slot below the limit so frozen
 	// execution rarely misses. A slot the cache refuses (a 32-bit encoding

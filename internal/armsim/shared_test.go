@@ -166,9 +166,10 @@ func TestSharedProgramMatchesPrivate(t *testing.T) {
 }
 
 // TestSharedProgramConcurrentReboots runs several devices against one
-// frozen cache simultaneously, each rebooting many times via the hook-free
-// ResetTo path. Under -race (CI) this is the proof that frozen execution
-// never writes the shared cache.
+// frozen cache simultaneously, each rebooting many times through ResetTo,
+// whose restore of data-only changes fires the copy-on-write hook only
+// above the frozen bound. Under -race (CI) this is the proof that frozen
+// execution never writes the shared cache.
 func TestSharedProgramConcurrentReboots(t *testing.T) {
 	img := loopImage()
 	sp, err := NewSharedProgram(img, readImgWord(img, 0), readImgWord(img, 4), loopImageTextEnd, 0, 0)
@@ -189,7 +190,10 @@ func TestSharedProgramConcurrentReboots(t *testing.T) {
 			cpu := NewCPU(mem)
 			cpu.AttachShared(sp, mem)
 			for boot := 0; boot < 50; boot++ {
-				mem.ResetTo(img)
+				if err := mem.ResetTo(img); err != nil {
+					errs <- err.Error()
+					return
+				}
 				cpu.ResetInto(readImgWord(img, 0), readImgWord(img, 4))
 				cpu.Cycle, cpu.Insns = 0, 0
 				if err := cpu.RunTo(1_000_000); err != ErrHalted {
@@ -251,9 +255,10 @@ func TestSharedProgramCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestResetToRestoresImageExactly pins the hook-free reset: after a run
+// TestResetToRestoresImageExactly pins the device reset: after a run
 // dirties globals, stack, and outputs, ResetTo must restore byte-exact
-// fresh-image memory without touching the frozen cache.
+// fresh-image memory without cloning the frozen cache, and refuse an image
+// larger than memory.
 func TestResetToRestoresImageExactly(t *testing.T) {
 	img := loopImage()
 	sp, err := NewSharedProgram(img, readImgWord(img, 0), readImgWord(img, 4), loopImageTextEnd, 0, 0)
@@ -266,7 +271,9 @@ func TestResetToRestoresImageExactly(t *testing.T) {
 		t.Fatalf("global = %d, want 30 before reset", mem.ReadWord(0x10000))
 	}
 
-	mem.ResetTo(img)
+	if err := mem.ResetTo(img); err != nil {
+		t.Fatal(err)
+	}
 
 	fresh := NewMemory()
 	if err := fresh.LoadImage(0, img); err != nil {
@@ -280,6 +287,9 @@ func TestResetToRestoresImageExactly(t *testing.T) {
 	}
 	if !cpu.Frozen() {
 		t.Error("ResetTo invalidated the frozen cache")
+	}
+	if err := mem.ResetTo(make([]byte, MemSize+1)); err == nil {
+		t.Error("ResetTo accepted an image larger than memory")
 	}
 
 	// And the device still runs correctly afterwards.

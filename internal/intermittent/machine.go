@@ -233,7 +233,8 @@ type Machine struct {
 	shared *armsim.SharedProgram
 
 	stats Stats
-	img   *ccc.Image
+	img   *ccc.Image // the image the current run executes
+	boot  *ccc.Image // the constructor image ResetDevice restores
 }
 
 // NewMachine boots the image on a fresh machine with a private decode
@@ -303,9 +304,8 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 		mem:    armsim.NewMemory(),
 		sch:    fac.New(cfg),
 		jnlNV:  armsim.NewNVRegion(clank.JournalHeaderWords),
-		led:    clank.NewLedger(opts.PerfWatchdog, opts.ProgressDefault),
 		opts:   opts,
-		img:    img,
+		boot:   img,
 		shared: prog,
 	}
 	// Devirtualize the Clank fast path: the scheme exposing its concrete
@@ -317,9 +317,6 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 	m.slotNV[1] = armsim.NewNVRegion(clank.SlotRecWords)
 	if opts.Verify {
 		m.mon = refmon.New()
-	}
-	if err := m.mem.LoadImage(0, img.Bytes); err != nil {
-		return nil, err
 	}
 	m.cpu = armsim.NewCPU(busAdapter{m})
 	// Both TEXT fast paths — the dynamic window in load and the predecode
@@ -338,9 +335,6 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 		if err := prog.Matches(img.Bytes, winLo, winHi); err != nil {
 			return nil, err
 		}
-		// AttachShared installs the copy-on-write hook and copies the
-		// build's TEXT window onto the CPU.
-		m.cpu.AttachShared(prog, m.mem)
 	} else {
 		// One CPU and one decode cache serve the whole run: power cycles
 		// roll back registers and Clank state, not non-volatile text, so the
@@ -367,101 +361,40 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 	if m.k != nil && m.mon == nil && opts.FailAfterAccess == nil {
 		m.cpu.SetAccessPort(m.k.Port(), m.mem)
 	}
-	m.cpu.ResetInto(img.InitialSP, img.Entry)
-	// The compiler pre-creates checkpoint 0: boot state entering main
-	// (paper section 4.2), so the start-up routine never special-cases
-	// the first boot.
-	m.seedCheckpointZero()
+	// The first boot is a Reboot of fresh memory; on a shared-program
+	// machine it attaches the frozen cache once memory holds the image.
+	if err := m.Reboot(img); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
-// seedCheckpointZero writes the compiler's pre-created checkpoint record
-// into slot A with sequence 1 (sequence 0 is reserved for "no valid slot").
-// These are image-load writes, not commit-protocol writes: the fault
-// injector never sees them.
-func (m *Machine) seedCheckpointZero() {
-	clank.EncodeSlot(m.slotEnc[:], clank.SlotRecord{
-		Regs: m.cpu.Regs(), PSR: m.cpu.PSR(), Cycle: m.cpu.Cycle, Seq: 1,
-	})
-	for i, v := range m.slotEnc {
-		m.slotNV[0].SetWord(i, v)
-	}
-	m.active = 0
-	m.activeSeq = 1
-	m.nextSeq = 2
-	m.outSuppress = 0
-}
-
-// Reboot re-arms the machine for a fresh run of a new image, reusing the
-// memory, CPU, predecode-cache, and detector allocations (NewMachine costs
-// ~1.8 MB per instance; the differential sweep reboots one cached machine
-// per configuration across hundreds of thousands of images). The Clank
+// Reboot re-arms the machine for a fresh run of img, reusing the memory,
+// CPU, predecode-cache, and detector allocations (NewMachine costs ~1.8 MB
+// per instance; the differential sweep reboots one cached machine per
+// configuration across hundreds of thousands of images). The Clank
 // configuration is the one fixed at construction — including text bounds, if
 // they were derived from the original image — so every image rebooted into
-// the machine must share the constructor image's layout.
-// On a shared-program machine, loading a different image triggers the
-// copy-on-write hook: this machine silently becomes a private one (correct,
-// but it stops amortizing the shared cache). Rebooting the same image keeps
-// the frozen cache while the machine has not diverged from it; fleets use
-// ResetDevice, which is alloc-free and also rejoins the cache after a
-// divergence.
+// the machine must share the constructor image's layout. Memory.ResetTo
+// restores and invalidates only what differs from img, so a reboot of the
+// image memory holds keeps every decoded run; on a shared-program machine
+// a different image copies the frozen cache on write, and the constructor
+// image rejoins it. All runtime state restarts, Insns included.
 func (m *Machine) Reboot(img *ccc.Image) error {
-	if err := m.loadImage(img); err != nil {
+	if err := m.mem.ResetTo(img.Bytes); err != nil {
 		return err
 	}
-	m.img = img
-	m.resetRuntime()
-	return nil
-}
-
-// loadImage restores main memory to exactly img loaded at address 0. While
-// the CPU executes the frozen shared cache and img is the machine's own
-// image, it takes the hook-free Memory.ResetTo path: the cache was built
-// from exactly these bytes, so the restore cannot stale a cached entry.
-// Otherwise it resets and reloads through the write hook, which keeps a
-// private cache coherent (and on a shared machine copies on write).
-func (m *Machine) loadImage(img *ccc.Image) error {
-	if img == m.img && m.cpu.Frozen() {
-		m.mem.ResetTo(img.Bytes)
-		return nil
-	}
-	m.mem.Reset()
-	return m.mem.LoadImage(0, img.Bytes)
-}
-
-// ResetDevice re-arms the machine as a factory-fresh device running its
-// constructor image, optionally swapping the power supply (nil keeps the
-// current one): the fleet engine's per-device reset. Unlike Reboot it is
-// alloc-free, and on a shared-program machine it restores memory through
-// the hook-free armsim.Memory.ResetTo path, re-attaching the frozen cache
-// if the previous device's self-modifying code forced a private clone. The
-// retired-instruction counter resets to zero so Insns is per-device.
-func (m *Machine) ResetDevice(supply power.Source) {
-	if supply != nil {
-		m.opts.Supply = supply
-	}
-	if m.shared != nil && !m.cpu.Frozen() {
-		// The previous device wrote its own text and diverged onto a
-		// private clone; discard it and rejoin the shared cache.
+	if img == m.boot && m.shared != nil && !m.cpu.Frozen() {
 		m.cpu.AttachShared(m.shared, m.mem)
 	}
-	// Reloading the constructor image cannot fail: it fit at build time.
-	_ = m.loadImage(m.img)
-	m.resetRuntime()
-	m.cpu.Insns = 0
-}
-
-// resetRuntime resets every piece of modeled runtime state for a fresh run
-// of m.img: CPU registers, detector, monitor, ledger, statistics, journal,
-// and the compiler-pre-created checkpoint 0. Memory is the caller's
-// responsibility (Reboot and ResetDevice restore it differently).
-func (m *Machine) resetRuntime() {
+	m.img = img
 	m.sch.Reboot(0)
 	if m.mon != nil {
 		m.mon.Reset()
 	}
-	m.cpu.ResetInto(m.img.InitialSP, m.img.Entry)
+	m.cpu.ResetInto(img.InitialSP, img.Entry)
 	m.cpu.Cycle = 0
+	m.cpu.Insns = 0
 	m.led = clank.NewLedger(m.opts.PerfWatchdog, m.opts.ProgressDefault)
 	m.stats = Stats{}
 	m.pendingReason = 0
@@ -470,7 +403,33 @@ func (m *Machine) resetRuntime() {
 	m.jnlNV.Reset()
 	m.slotNV[0].Reset()
 	m.slotNV[1].Reset()
-	m.seedCheckpointZero()
+	// The compiler pre-creates checkpoint 0, boot state entering main
+	// (paper section 4.2), in slot A with sequence 1 (0 means "no valid
+	// slot"), so the start-up routine never special-cases the first boot.
+	// These are image-load writes: the fault injector never sees them.
+	clank.EncodeSlot(m.slotEnc[:], clank.SlotRecord{
+		Regs: m.cpu.Regs(), PSR: m.cpu.PSR(), Seq: 1,
+	})
+	for i, v := range m.slotEnc {
+		m.slotNV[0].SetWord(i, v)
+	}
+	m.active, m.activeSeq, m.nextSeq = 0, 1, 2
+	m.outSuppress = 0
+	return nil
+}
+
+// ResetDevice re-arms the machine as a factory-fresh device running its
+// constructor image, optionally swapping the power supply (nil keeps the
+// current one): the fleet engine's per-device reset. It is Reboot of the
+// constructor image, so it is alloc-free, keeps a shared-program machine
+// on the frozen cache, and rejoins it after the previous device's
+// self-modifying code forced a private clone.
+func (m *Machine) ResetDevice(supply power.Source) {
+	if supply != nil {
+		m.opts.Supply = supply
+	}
+	// The constructor image cannot fail to restore: it fit at build time.
+	_ = m.Reboot(m.boot)
 }
 
 // Footprint estimates this machine's resident bytes: the per-device cost a

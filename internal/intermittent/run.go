@@ -420,7 +420,7 @@ func (m *Machine) decodeJournal() (count int, seq uint32, st clank.RecStatus) {
 func (m *Machine) degradedRestore() {
 	m.stats.DegradedBoots++
 	outs := m.mem.Outputs
-	_ = m.loadImage(m.img)
+	_ = m.mem.ResetTo(m.img.Bytes)
 	m.mem.Outputs = outs
 	m.outSuppress = len(outs)
 	m.cpu.ResetInto(m.img.InitialSP, m.img.Entry)

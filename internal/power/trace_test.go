@@ -1,6 +1,7 @@
 package power
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -201,4 +202,29 @@ func TestLoadTraceFile(t *testing.T) {
 	if _, err := LoadTraceFile("testdata/does-not-exist.trace"); err == nil {
 		t.Fatal("LoadTraceFile on a missing file did not error")
 	}
+}
+
+// FuzzParseTrace feeds arbitrary bytes to the trace parser (the committed
+// corpus holds a cycle count, a millisecond value, a comment, a zero, an
+// overflowing millisecond value and an empty file). It must never panic;
+// an accepted trace holds at least one on-duration and no zero ones, and a
+// rejected one comes back nil.
+func FuzzParseTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ParseTrace(bytes.NewReader(data))
+		if err != nil {
+			if tr != nil {
+				t.Fatalf("rejected trace (%v) came back non-nil", err)
+			}
+			return
+		}
+		if tr.Len() < 1 {
+			t.Fatalf("accepted trace holds %d on-durations", tr.Len())
+		}
+		for i := 0; i < tr.Len(); i++ {
+			if on := tr.NextOn(); on == 0 {
+				t.Fatalf("accepted trace has a zero on-duration at %d", i)
+			}
+		}
+	})
 }

@@ -46,8 +46,10 @@ const (
 // DiffHarness runs patterns through the full armsim+intermittent pipeline
 // and compares against the oracle and the mini-machine. One harness caches
 // one machine per configuration (a machine is ~1.8 MB of decode cache and
-// memory; Reboot reuses it across patterns), so a harness is not safe for
-// concurrent use — the sweep builds one per worker via Sweep.MakeCheck.
+// memory; Reboot reuses it across patterns, restoring only the bytes the
+// last run changed and keeping every decoded run over the shared code
+// layout), so a harness is not safe for concurrent use — the sweep builds
+// one per worker via Sweep.MakeCheck.
 type DiffHarness struct {
 	// Checker is the mini-machine the pipeline is compared against.
 	Checker Checker
