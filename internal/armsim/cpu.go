@@ -67,10 +67,8 @@ type CPU struct {
 	step   fusedRun
 	stepOp [1]fusedOp
 	// TEXT window for predecode-time literal-load classification
-	// (SetTextWindow): word-address bounds [textLoW, textHiW) and the
-	// bus's TextLitLoader implementation, nil when the bus has none.
+	// (SetTextWindow): word-address bounds [textLoW, textHiW).
 	textLoW, textHiW uint32
-	textLit          TextLitLoader
 
 	// port, when port.Read is non-nil, is a detector's access filter
 	// (SetAccessPort): the executor completes the accesses it
@@ -86,7 +84,7 @@ type CPU struct {
 
 // Yield asks the fused engine to return to its caller at the instruction
 // boundary after the instruction whose memory access is in progress. A
-// monitored bus calls it from inside Load/Store/LoadTextLit when its driver
+// monitored bus calls it from inside Load or Store when its driver
 // must act at that boundary — an output that needs a trailing checkpoint,
 // an injected power cut — so fused runs can otherwise span monitored
 // accesses without hiding the boundary. A Step already returns after one

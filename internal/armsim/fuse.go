@@ -179,7 +179,7 @@ const (
 	// cycles first and may stop the run: before itself on an error, after
 	// itself on a yield.
 	fopLdrLitC // literal pool load, absolute address precomputed into imm
-	fopLdrLitT // literal pool load inside the TEXT window (TextLitLoader)
+	fopLdrLitT // literal pool load inside the TEXT window (loadTextLit)
 	fopLdrRR   // addr = R[rn] + R[rm]
 	fopLdrhRR
 	fopLdrbRR

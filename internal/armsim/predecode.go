@@ -121,8 +121,7 @@ const (
 
 	// PC-relative literal load whose absolute address (precomputed into
 	// Imm at fill time — the cache is indexed by pc, so the record may be
-	// pc-specific) lies inside the CPU's TEXT window. Only produced when a
-	// TextLitLoader bus is attached; see SetTextWindow.
+	// pc-specific) lies inside the CPU's TEXT window; see SetTextWindow.
 	kindLDRLitText
 
 	// Anything else: its micro-op (fopUndef) raises ErrUndefined worded
@@ -268,29 +267,16 @@ func (c *CPU) EnablePredecode(mem *Memory) {
 	c.EnableFusion()
 }
 
-// TextLitLoader is an optional Bus extension for loads the predecoder
-// proved lie inside the TEXT window: monitored buses implement it to serve
-// the word without per-access classification (the detector's verdict for a
-// TEXT read is statically known). Only cached records use it — an
-// instruction decoded on the miss path, or on a CPU whose TEXT window is
-// cleared, reaches the same word through Load — so implementations must
-// keep it observably identical to Load: same value, same side effects on
-// monitors and failure hooks.
-type TextLitLoader interface {
-	LoadTextLit(addr, pc uint32) (uint32, error)
-}
-
 // SetTextWindow marks word addresses [lo, hi) as the TEXT region for
 // predecode-time load classification. The bounds are WORD addresses,
-// copied verbatim from the detector's own classification (for Clank,
-// Clank.TextWords) — deriving them independently from byte bounds risks
-// disagreeing at an unaligned TextEnd, where the detector rounds up to
-// cover the straddling word. The window takes effect for instructions
-// decoded after the call and only when the bus implements TextLitLoader.
-func (c *CPU) SetTextWindow(lo, hi uint32) {
-	c.textLoW, c.textHiW = lo, hi
-	c.textLit, _ = c.Bus.(TextLitLoader)
-}
+// copied verbatim from the detector's own classification
+// (clank.Config.TextWords) — deriving them independently from byte bounds
+// risks disagreeing at an unaligned TextEnd, where the detector rounds up
+// to cover the straddling word. The window takes effect for instructions
+// decoded after the call. A classified literal load still reaches the Bus
+// through Load (loadTextLit); only an installed access port serves it in
+// the loop.
+func (c *CPU) SetTextWindow(lo, hi uint32) { c.textLoW, c.textHiW = lo, hi }
 
 // predecode decodes one instruction into its flat record. op2 is the
 // following halfword, consulted only for 32-bit encodings. Any encoding
@@ -515,7 +501,7 @@ func predecode32(op, op2 uint16) DecodedInsn {
 //   - a store of a word in a clean Write-back slot whose merged word (mem's
 //     word with the stored lane replaced) equals the slot's Val — a false
 //     write — then writes mem exactly as the bus would;
-//   - a TEXT literal load (the TextLitLoader path) reads the word.
+//   - a TEXT literal load (kindLDRLitText) reads the word.
 //
 // Every other access — filter and index misses, loads of clean slots,
 // clean-slot stores that change the word, addresses outside main memory,
@@ -596,14 +582,15 @@ func (c *CPU) portStoreWB(addr uint32, size uint8, v uint32) bool {
 }
 
 // loadTextLit serves a literal-pool load the predecoder proved lies inside
-// the TEXT window: in the loop when an access port is installed, through
-// the bus's TextLitLoader otherwise.
+// the TEXT window: in the loop when an access port is installed (the
+// detector's verdict for a TEXT read is statically Outcome{}), through the
+// Bus otherwise.
 func (c *CPU) loadTextLit(addr, pc uint32) (uint32, error) {
 	if c.port.Read != nil {
 		*c.port.Accesses++
 		return c.portMem.ReadWord(addr), nil
 	}
-	return c.textLit.LoadTextLit(addr, pc)
+	return c.Bus.Load(addr, 4, pc)
 }
 
 // storeMulti stores the registers in list (bit i = R[i]) to consecutive
@@ -681,7 +668,10 @@ func is32(op uint16) bool { return op>>11 >= 0b11101 }
 // cache may hold it, and otherwise into the CPU-local scratch record
 // c.miss: no slot, a frozen shared cache, or an encoding crossing the
 // freeze-build bound limitB. A frozen cache is therefore never written. A
-// fetch fault on either halfword is returned unchanged; nothing is cached.
+// cached literal load whose word lies in the TEXT window (SetTextWindow)
+// becomes kindLDRLitText; the scratch record is never classified, and both
+// kinds read the same word through the same Bus.Load. A fetch fault on
+// either halfword is returned unchanged; nothing is cached.
 func (c *CPU) decode(slot *DecodedInsn, pc uint32) (*DecodedInsn, error) {
 	op, err := c.Bus.Fetch16(pc)
 	if err != nil {
@@ -710,7 +700,7 @@ func (c *CPU) decode(slot *DecodedInsn, pc uint32) (*DecodedInsn, error) {
 	// classification is as immutable as the decode itself. (Text-region
 	// stores invalidate the slot through the write hook like any other
 	// entry; the refill reclassifies to the same verdict.)
-	if slot.Kind == kindLDRLit && c.textLit != nil {
+	if slot.Kind == kindLDRLit {
 		if addr := ((pc + 4) &^ 3) + slot.Imm; addr>>2 >= c.textLoW && addr>>2 < c.textHiW {
 			*slot = DecodedInsn{Kind: kindLDRLitText, Rd: slot.Rd, Imm: addr}
 		}

@@ -32,11 +32,10 @@ package armsim
 //     invalidating — semantics identical to a private machine from that
 //     instruction on, at the cost of one ~1.6 MB copy.
 //
-// The build executes through freezeBus, which classifies TEXT literal
-// loads as the intermittent machine's busAdapter does, so the frozen runs
-// cover the same blocks a per-device build would, and each device's bus
-// ends a run early through a veto or a Yield where its own machine must
-// act.
+// The build executes over the bare Memory with the machines' TEXT window
+// set, so it classifies TEXT literal loads as they do and the frozen runs
+// cover the same blocks a per-device build would; each device's bus ends a
+// run early through a veto or a Yield where its own machine must act.
 
 import (
 	"slices"
@@ -60,28 +59,6 @@ type SharedProgram struct {
 	WarmCycles uint64
 	// outputs is the warm-up run's output-port words (Outputs).
 	outputs []uint32
-}
-
-// freezeBus is the build-time bus: a monitored-bus stand-in (it implements
-// TextLitLoader, which the bare *Memory does not) that routes everything to
-// the backing memory. Stores fire the memory's write hook, keeping the
-// cache coherent during the warm-up execution.
-type freezeBus struct{ mem *Memory }
-
-func (b freezeBus) Load(addr uint32, size uint8, pc uint32) (uint32, error) {
-	return b.mem.Load(addr, size, pc)
-}
-
-func (b freezeBus) Store(addr uint32, size uint8, v uint32, pc uint32) error {
-	return b.mem.Store(addr, size, v, pc)
-}
-
-func (b freezeBus) Fetch16(addr uint32) (uint16, error) { return b.mem.Fetch16(addr) }
-
-// LoadTextLit implements TextLitLoader so warm-up fills classify literal
-// loads exactly as a monitored machine bus would.
-func (b freezeBus) LoadTextLit(addr, pc uint32) (uint32, error) {
-	return b.mem.ReadWord(addr), nil
 }
 
 // warmUpMax bounds the throwaway warm-up execution.
@@ -109,13 +86,11 @@ func NewSharedProgram(img []byte, initialSP, entry, textEnd uint32, litLoW, litH
 	if err := mem.LoadImage(0, img); err != nil {
 		return nil, err
 	}
-	cpu := NewCPU(freezeBus{mem})
+	cpu := NewCPU(mem)
 	cpu.EnablePredecode(mem)
 	pd := cpu.pd
 	pd.limitB = lim
-	if litHiW > litLoW {
-		cpu.SetTextWindow(litLoW, litHiW)
-	}
+	cpu.SetTextWindow(litLoW, litHiW)
 	// Wrap the invalidation hook to detect self-modifying warm-ups.
 	textWritten := false
 	mem.SetWriteHook(func(addr, size uint32) {

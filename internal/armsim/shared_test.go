@@ -322,3 +322,82 @@ func TestSharedProgramMatches(t *testing.T) {
 		t.Error("FootprintBytes = 0 for a built cache")
 	}
 }
+
+// litCodes counts the literal-load micro-ops in sp's frozen runs.
+func litCodes(sp *SharedProgram) (inText, plain int) {
+	for _, r := range sp.pd.runs {
+		for _, op := range sp.pd.ops[r.off : r.off+uint32(r.n)] {
+			switch op.code {
+			case fopLdrLitT:
+				inText++
+			case fopLdrLitC:
+				plain++
+			}
+		}
+	}
+	return inText, plain
+}
+
+// addrBus is a Bus over a Memory that counts the loads of each address.
+type addrBus struct {
+	mem   *Memory
+	loads map[uint32]int
+}
+
+func (b *addrBus) Load(addr uint32, size uint8, pc uint32) (uint32, error) {
+	b.loads[addr]++
+	return b.mem.Load(addr, size, pc)
+}
+
+func (b *addrBus) Store(addr uint32, size uint8, v uint32, pc uint32) error {
+	return b.mem.Store(addr, size, v, pc)
+}
+
+func (b *addrBus) Fetch16(addr uint32) (uint16, error) { return b.mem.Fetch16(addr) }
+
+// TestFrozenTextLiteral pins decode-time TEXT-literal classification, whose
+// loss would change no counter, only fleet speed. The TEXT window alone
+// decides it: NewSharedProgram over the bare Memory freezes fopLdrLitT
+// micro-ops for the literal loads inside the window, and none without
+// one; and a CPU on an ordinary bus, with the window set and no access
+// port, reads a classified literal through Bus.Load exactly once.
+func TestFrozenTextLiteral(t *testing.T) {
+	img := loopImage()
+	initSP, entry := readImgWord(img, 0), readImgWord(img, 4)
+	lo, hi := uint32(0x40>>2), uint32(loopImageTextEnd>>2)
+
+	frozen, err := NewSharedProgram(img, initSP, entry, loopImageTextEnd, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inText, plain := litCodes(frozen); inText == 0 || plain != 0 {
+		t.Errorf("window [%d, %d): frozen runs hold %d fopLdrLitT and %d fopLdrLitC, want some and none", lo, hi, inText, plain)
+	}
+	bare, err := NewSharedProgram(img, initSP, entry, loopImageTextEnd, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inText, plain := litCodes(bare); inText != 0 || plain == 0 {
+		t.Errorf("no window: frozen runs hold %d fopLdrLitT and %d fopLdrLitC, want none and some", inText, plain)
+	}
+
+	mem := NewMemory()
+	if err := mem.LoadImage(0, img); err != nil {
+		t.Fatal(err)
+	}
+	bus := &addrBus{mem: mem, loads: map[uint32]int{}}
+	cpu := NewCPU(bus)
+	cpu.EnablePredecode(mem)
+	cpu.SetTextWindow(lo, hi)
+	cpu.ResetInto(initSP, entry)
+	runToHalt(t, cpu)
+	if k := cpu.pd.tab[0x4A>>1].Kind; k != kindLDRLitText {
+		t.Fatalf("LDR r2, [pc, #12] at 0x4A decoded as kind %d, want kindLDRLitText", k)
+	}
+	if n := bus.loads[0x58]; n != 1 {
+		t.Errorf("literal at 0x58 reached Bus.Load %d times, want 1", n)
+	}
+	if len(mem.Outputs) != 1 || mem.Outputs[0] != 30 {
+		t.Errorf("outputs = %v, want [30]", mem.Outputs)
+	}
+}

@@ -1,7 +1,9 @@
 package ccc
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/armsim"
 )
@@ -687,4 +689,36 @@ int main(void) {
 }
 `)
 	wantOutputs(t, out, 16, 22)
+}
+
+// TestNestingBound feeds source nested a million levels deep, in each shape
+// that grows the parse tree without bound: nested parentheses, nested
+// blocks, and a left-deep operator chain (built by a loop, not by parser
+// recursion). Each must fail promptly with a positioned error instead of
+// growing the goroutine stack toward Go's fatal limit; nesting well past
+// what real programs use still compiles and runs.
+func TestNestingBound(t *testing.T) {
+	const n = 1_000_000
+	for name, src := range map[string]string{
+		"parentheses": "int main(void) { __output(" + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + "); return 0; }",
+		"blocks":      "int main(void) {\n" + strings.Repeat("{", n) + strings.Repeat("}", n) + " return 0; }",
+		"chain":       "int main(void) {\n__output(1" + strings.Repeat("+1", n) + "); return 0; }",
+		"pointers":    "int main(void) { int " + strings.Repeat("*", n) + "p; return 0; }",
+	} {
+		start := time.Now()
+		_, err := Compile(src)
+		if err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+			t.Errorf("%s: Compile = %v, want a nesting error", name, err)
+		} else if !strings.HasPrefix(err.Error(), "line ") {
+			t.Errorf("%s: error %q carries no position", name, err)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("%s: rejected after %v", name, d)
+		}
+	}
+	const deep = 200
+	out := compileAndRun(t, "int main(void) { int x = 2; __output("+strings.Repeat("(", deep)+"x"+
+		strings.Repeat(")", deep)+strings.Repeat("+x", deep)+"); { "+strings.Repeat("{", deep)+"__output(-"+
+		strings.Repeat(" -", deep)+"x);"+strings.Repeat("}", deep)+" } return 0; }")
+	wantOutputs(t, out, 2*(deep+1), 0xFFFFFFFE)
 }

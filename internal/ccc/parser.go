@@ -5,6 +5,8 @@ import "fmt"
 type parser struct {
 	toks []token
 	pos  int
+	// depth is the nesting level of the node being parsed (see nest).
+	depth int
 	// structs maps defined struct names to their types (definition must
 	// precede use, as in C for complete types).
 	structs map[string]*Type
@@ -65,6 +67,29 @@ func (p *parser) errf(format string, args ...interface{}) error {
 	return &lexError{p.cur().line, fmt.Sprintf(format, args...)}
 }
 
+// maxNest bounds the depth of a parsed tree: statements inside statements,
+// operands inside expressions, and pointer and array levels inside a type.
+// The parser and every later pass recurse over these trees, so untrusted
+// source nested without bound would otherwise grow the goroutine stack to
+// Go's fatal limit. The MiBench programs nest at most 15 levels.
+const maxNest = 1000
+
+// nest enters one more level of nesting and fails past maxNest: once per
+// statement, parenthesis, operator and pointer or array level, so every
+// recursion of the parser passes through it. A function that nests
+// restores the level it was entered at on return (defer
+// p.unnest(p.depth)); a loop that builds a left-deep chain nests once per
+// link.
+func (p *parser) nest() error {
+	p.depth++
+	if p.depth > maxNest {
+		return p.errf("nesting deeper than %d levels", maxNest)
+	}
+	return nil
+}
+
+func (p *parser) unnest(depth int) { p.depth = depth }
+
 // atTypeStart reports whether the current token begins a type.
 func (p *parser) atTypeStart() bool {
 	if p.cur().kind != tokKeyword {
@@ -113,7 +138,11 @@ func (p *parser) parseBaseType() (ty *Type, isConst bool, err error) {
 	if !isConst {
 		isConst = p.acceptKeyword("const")
 	}
+	defer p.unnest(p.depth)
 	for p.acceptPunct("*") {
+		if err := p.nest(); err != nil {
+			return nil, false, err
+		}
 		ty = ptrTo(ty)
 	}
 	return ty, isConst, nil
@@ -121,8 +150,12 @@ func (p *parser) parseBaseType() (ty *Type, isConst bool, err error) {
 
 // parseArraySuffix parses trailing [N][M]... dimensions onto ty.
 func (p *parser) parseArraySuffix(ty *Type) (*Type, error) {
+	defer p.unnest(p.depth)
 	var dims []int
 	for p.acceptPunct("[") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		t := p.next()
 		if t.kind != tokNumber {
 			return nil, p.errf("array dimension must be a number literal")
@@ -359,6 +392,10 @@ func (p *parser) parseBlock() ([]*stmt, error) {
 }
 
 func (p *parser) parseStmt() (*stmt, error) {
+	defer p.unnest(p.depth)
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
 	line := p.cur().line
 	switch {
 	case p.atPunct("{"):
@@ -612,6 +649,7 @@ func (p *parser) parseDecl() (*stmt, error) {
 func (p *parser) parseExpr() (*expr, error) { return p.parseAssignExpr() }
 
 func (p *parser) parseAssignExpr() (*expr, error) {
+	defer p.unnest(p.depth)
 	lhs, err := p.parseCondExpr()
 	if err != nil {
 		return nil, err
@@ -622,6 +660,9 @@ func (p *parser) parseAssignExpr() (*expr, error) {
 		case "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=":
 			line := p.cur().line
 			p.pos++
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			rhs, err := p.parseAssignExpr()
 			if err != nil {
 				return nil, err
@@ -633,6 +674,7 @@ func (p *parser) parseAssignExpr() (*expr, error) {
 }
 
 func (p *parser) parseCondExpr() (*expr, error) {
+	defer p.unnest(p.depth)
 	cond, err := p.parseBinaryExpr(0)
 	if err != nil {
 		return nil, err
@@ -640,6 +682,9 @@ func (p *parser) parseCondExpr() (*expr, error) {
 	if p.atPunct("?") {
 		line := p.cur().line
 		p.pos++
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		thenE, err := p.parseAssignExpr()
 		if err != nil {
 			return nil, err
@@ -666,6 +711,7 @@ var binPrec = map[string]int{
 }
 
 func (p *parser) parseBinaryExpr(minPrec int) (*expr, error) {
+	defer p.unnest(p.depth)
 	lhs, err := p.parseUnaryExpr()
 	if err != nil {
 		return nil, err
@@ -681,6 +727,9 @@ func (p *parser) parseBinaryExpr(minPrec int) (*expr, error) {
 		}
 		line := p.cur().line
 		p.pos++
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.parseBinaryExpr(prec + 1)
 		if err != nil {
 			return nil, err
@@ -689,23 +738,33 @@ func (p *parser) parseBinaryExpr(minPrec int) (*expr, error) {
 	}
 }
 
+// nestedUnary parses the operand of a prefix operator or cast, one level
+// deeper; the calling parseUnaryExpr restores the level.
+func (p *parser) nestedUnary() (*expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	return p.parseUnaryExpr()
+}
+
 func (p *parser) parseUnaryExpr() (*expr, error) {
+	defer p.unnest(p.depth)
 	line := p.cur().line
 	if p.cur().kind == tokPunct {
 		switch op := p.cur().text; op {
 		case "-", "~", "!", "*", "&":
 			p.pos++
-			x, err := p.parseUnaryExpr()
+			x, err := p.nestedUnary()
 			if err != nil {
 				return nil, err
 			}
 			return &expr{kind: eUnary, op: op, x: x, line: line}, nil
 		case "+":
 			p.pos++
-			return p.parseUnaryExpr()
+			return p.nestedUnary()
 		case "++", "--":
 			p.pos++
-			x, err := p.parseUnaryExpr()
+			x, err := p.nestedUnary()
 			if err != nil {
 				return nil, err
 			}
@@ -723,7 +782,7 @@ func (p *parser) parseUnaryExpr() (*expr, error) {
 					if err := p.expectPunct(")"); err != nil {
 						return nil, err
 					}
-					x, err := p.parseUnaryExpr()
+					x, err := p.nestedUnary()
 					if err != nil {
 						return nil, err
 					}
@@ -754,6 +813,7 @@ func (p *parser) parseUnaryExpr() (*expr, error) {
 }
 
 func (p *parser) parsePostfixExpr() (*expr, error) {
+	defer p.unnest(p.depth)
 	e, err := p.parsePrimaryExpr()
 	if err != nil {
 		return nil, err
@@ -801,10 +861,14 @@ func (p *parser) parsePostfixExpr() (*expr, error) {
 		default:
 			return e, nil
 		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 	}
 }
 
 func (p *parser) parsePrimaryExpr() (*expr, error) {
+	defer p.unnest(p.depth)
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
@@ -819,6 +883,9 @@ func (p *parser) parsePrimaryExpr() (*expr, error) {
 	case tokPunct:
 		if t.text == "(" {
 			p.pos++
+			if err := p.nest(); err != nil {
+				return nil, err
+			}
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err

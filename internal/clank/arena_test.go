@@ -32,7 +32,7 @@ func driveBoth(t *testing.T, a, b *Clank, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := a.Config()
-	lo, hi, active := b.TextWords()
+	lo, hi, active := b.Config().TextWords()
 	for i := 0; i < 4000; i++ {
 		word := uint32(rng.Intn(24))
 		pc := uint32(rng.Intn(64)) * 4

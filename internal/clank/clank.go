@@ -555,15 +555,6 @@ func (k *Clank) Reset() {
 // classified (used by drivers for output- and TEXT-write bracketing).
 func (k *Clank) SectionAccesses() int { return k.accesses }
 
-// NoteIgnoredAccess records an access the driver classified outside the
-// detector — a TEXT-segment read pre-classified at predecode time under
-// OptIgnoreText. The detector's verdict for such an access is always
-// Outcome{} (TEXT words can never be buffer-resident while OptIgnoreText
-// is on, because the TEXT check precedes every insert), but the access
-// still counts toward SectionAccesses so output- and TEXT-write bracketing
-// sees the same access stream no matter where classification happened.
-func (k *Clank) NoteIgnoredAccess() { k.accesses++ }
-
 // Driver-owned filter probes. A batched replay loop that streams a
 // columnar trace can probe the access filter itself and skip the whole
 // Read/Write call on a hit: a hit certifies the verdict is Outcome{}
@@ -576,9 +567,9 @@ func (k *Clank) NoteIgnoredAccess() { k.accesses++ }
 // miss, two instructions) and counts that access itself.
 //
 // The contract: every probe hit must be credited via AddAccesses before
-// the driver next calls any counting entry point (Read/Write/*Pre,
-// NoteIgnoredAccess) or reads SectionAccesses — the count is part of the
-// detector's visible state (TEXT-write and output bracketing).
+// the driver next calls any counting entry point (Read/Write/*Pre) or
+// reads SectionAccesses — the count is part of the detector's visible
+// state (TEXT-write and output bracketing).
 
 // FilterHitRead reports whether a read of word is certified Outcome{} by
 // the access filter. The caller owes one AddAccesses credit per hit.
@@ -588,8 +579,12 @@ func (k *Clank) FilterHitRead(word uint32) bool { return k.fltRead[word&fltMask]
 // by the access filter. The caller owes one AddAccesses credit per hit.
 func (k *Clank) FilterHitWrite(word uint32) bool { return k.fltWrite[word&fltMask] == word }
 
-// AddAccesses credits n accesses the driver classified through the
-// filter probes above.
+// AddAccesses credits n accesses the driver classified outside the
+// detector: hits of the filter probes above, and TEXT-segment reads under
+// OptIgnoreText, whose verdict is always Outcome{} (the TEXT check precedes
+// every insert, so a TEXT word is never buffer-resident). The accesses
+// still count toward SectionAccesses, so output- and TEXT-write bracketing
+// sees the same access stream wherever classification happened.
 func (k *Clank) AddAccesses(n int) { k.accesses += n }
 
 // Port exposes the filter probes above, and the word-state index and
@@ -652,16 +647,6 @@ func (k *Clank) BufferedWrite(word, value uint32) bool {
 	}
 	k.wb.slots[slot].Val = value
 	return true
-}
-
-// TextWords returns the word-address bounds [lo, hi) of the TEXT segment
-// exactly as the detector classifies it (TextEnd rounds up to the next
-// word boundary) and whether OptIgnoreText is active. Drivers that
-// pre-classify TEXT reads must derive their window from these bounds:
-// recomputing from the byte bounds diverges for an access in the word
-// straddling an unaligned TextEnd.
-func (k *Clank) TextWords() (lo, hi uint32, active bool) {
-	return k.textStartW, k.textEndW, k.cfg.Opts&OptIgnoreText != 0
 }
 
 // Untracked reports whether the detector is in the post-fill untracked mode

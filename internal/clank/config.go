@@ -121,9 +121,11 @@ func (c Config) String() string {
 
 // TextWords returns the TEXT segment bounds as word addresses — lo
 // inclusive, hi exclusive — and whether TEXT-segment special-casing is
-// active (OptIgnoreText). Every runtime scheme derives its TEXT window
-// from this one formula so shared decode images see identical bounds
-// regardless of which scheme a device runs.
+// active (OptIgnoreText). TextEnd rounds up, so a word straddling an
+// unaligned TextEnd is TEXT. The detector, every runtime scheme and the
+// intermittent machine's TEXT fast paths derive their window from this one
+// formula, so they classify alike and shared decode images see identical
+// bounds whichever scheme a device runs.
 func (c Config) TextWords() (lo, hi uint32, active bool) {
 	return c.TextStart >> 2, (c.TextEnd + 3) >> 2, c.Opts&OptIgnoreText != 0
 }

@@ -184,15 +184,18 @@ func pass(words ...uint32) map[uint32]bool {
 }
 
 // TestTextWordsRoundsUp pins the word-address classification of an
-// unaligned TEXT end: the straddling word belongs to TEXT (clank rounds
-// TextEnd up), and TextWords exposes exactly the bounds inText uses, so
-// drivers that pre-classify fetches agree with the detector byte for byte.
+// unaligned TEXT end: the straddling word belongs to TEXT (Config.TextWords
+// rounds TextEnd up), and the detector classifies with exactly those
+// bounds, so drivers that pre-classify reads agree with it byte for byte.
 func TestTextWordsRoundsUp(t *testing.T) {
 	cfg := Config{ReadFirst: 4, Opts: OptIgnoreText, TextStart: 8, TextEnd: 65}
 	k := New(cfg)
-	lo, hi, active := k.TextWords()
+	lo, hi, active := cfg.TextWords()
 	if !active || lo != 2 || hi != 17 {
 		t.Fatalf("TextWords() = %d, %d, %v, want 2, 17, true", lo, hi, active)
+	}
+	if k.textStartW != lo || k.textEndW != hi {
+		t.Fatalf("detector window [%d, %d), want [%d, %d)", k.textStartW, k.textEndW, lo, hi)
 	}
 	// Word 16 holds bytes 64..67: byte 64 is past TextEnd-1? No — TextEnd
 	// is exclusive at byte 65, so byte 64 is TEXT and the whole word is

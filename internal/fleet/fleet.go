@@ -57,8 +57,6 @@ type Options struct {
 	// restores it to factory state between devices, so — like the supply —
 	// a device's scheme behavior is a pure function of the options.
 	Scheme scheme.Factory
-	// Costs is the runtime cost model (zero value = DefaultCosts).
-	Costs intermittent.CostModel
 
 	// MeanOn and MinOn parameterize the default per-device supply, an
 	// exponentially distributed on-time (the paper's harvesting
@@ -88,11 +86,10 @@ type Options struct {
 	NVFaultSeed uint64
 
 	// Intermittent-runtime knobs, forwarded per device (see
-	// intermittent.Options).
+	// intermittent.Options); the cost model and the wall-cycle and
+	// barren-boot bounds are the machine's defaults.
 	PerfWatchdog    uint64
 	ProgressDefault uint64
-	MaxWallCycles   uint64
-	MaxBarrenBoots  int
 	// Verify runs the reference monitor inside every device — exhaustive
 	// but slow; fleet-scale runs normally sample verification in separate
 	// smaller runs instead.
@@ -155,11 +152,8 @@ func (o *Options) intermittentOptions() intermittent.Options {
 	return intermittent.Options{
 		Config:          o.Config,
 		Scheme:          o.Scheme,
-		Costs:           o.Costs,
 		PerfWatchdog:    o.PerfWatchdog,
 		ProgressDefault: o.ProgressDefault,
-		MaxWallCycles:   o.MaxWallCycles,
-		MaxBarrenBoots:  o.MaxBarrenBoots,
 		Verify:          o.Verify,
 	}
 }

@@ -231,7 +231,10 @@ func TestSeedPerturbation(t *testing.T) {
 // else.
 func TestTraceReplayFleet(t *testing.T) {
 	img := fleetImage(t)
-	tr := power.NewTrace([]uint64{15_000, 40_000, 8_000, 25_000, 60_000})
+	tr, err := power.NewTrace([]uint64{15_000, 40_000, 8_000, 25_000, 60_000})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	runWith := func(workers int) (Aggregate, string) {
 		o := baseOptions(40, workers)

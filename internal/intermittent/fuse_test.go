@@ -17,9 +17,10 @@ import (
 // in three modes and require deep-equal Stats — any divergence in when a
 // monitored access is seen, when a budget boundary lands, or what flags a
 // checkpoint captures shows up as a counter, reason-map, or output
-// difference. The third mode also clears the CPU's TEXT window, so literal
-// loads reach the bus through Load instead of LoadTextLit: equal Stats pin
-// the TextLitLoader contract that the two are observably identical.
+// difference. The third mode also clears the CPU's TEXT window, so no
+// literal load is pre-classified at decode time: equal Stats pin that the
+// classification cannot be observed on the Bus path, where both kinds of
+// literal load reach the same Load.
 
 // fuseModeNames are the three engine configurations, strongest first; the
 // last is the baseline the others are compared against.

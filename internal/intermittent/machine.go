@@ -214,8 +214,8 @@ type Machine struct {
 	cutPower       bool         // FailAfterAccess fired: outage after this instruction
 	stepCycle      uint64       // cpu.Cycle when the current StepFused call began
 
-	// TEXT-read fast path (OptIgnoreText): word-address window copied
-	// from the detector's own classification (clank.TextWords). Reads of
+	// TEXT-read fast path (OptIgnoreText): the word-address window
+	// textWindow derives from the detector's configuration. Reads of
 	// words in [textLoW, textLoW+textSpanW) skip detector classification —
 	// the verdict is statically Outcome{} — and only bump the section
 	// access count. textSpanW stays 0 when OptIgnoreText is off, making
@@ -265,15 +265,24 @@ func BuildSharedProgram(img *ccc.Image, opts Options) (*armsim.SharedProgram, er
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := opts.Config
+	cfg, winLo, winHi := textWindow(opts.Config, img)
+	return armsim.NewSharedProgram(img.Bytes, img.InitialSP, img.Entry, cfg.TextEnd, winLo, winHi)
+}
+
+// textWindow completes cfg's TEXT bounds from img when cfg leaves them
+// unset and returns the TEXT word window [lo, hi) that the machine's
+// dynamic TEXT test, the CPU's literal pre-classifier and the shared
+// program all use: the detector's own word bounds (clank.Config.TextWords,
+// which round an unaligned TextEnd up to cover the straddling word) under
+// OptIgnoreText, empty otherwise.
+func textWindow(cfg clank.Config, img *ccc.Image) (clank.Config, uint32, uint32) {
 	if cfg.TextEnd == 0 {
 		cfg.TextStart, cfg.TextEnd = img.TextStart, img.TextEnd
 	}
-	var winLo, winHi uint32
-	if lo, hi, ok := cfg.TextWords(); ok && hi > lo {
-		winLo, winHi = lo, hi
+	if lo, hi, on := cfg.TextWords(); on && hi > lo {
+		return cfg, lo, hi
 	}
-	return armsim.NewSharedProgram(img.Bytes, img.InitialSP, img.Entry, cfg.TextEnd, winLo, winHi)
+	return cfg, 0, 0
 }
 
 func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Machine, error) {
@@ -292,21 +301,20 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 	if opts.MaxBarrenBoots == 0 {
 		opts.MaxBarrenBoots = 10000
 	}
-	cfg := opts.Config
-	if cfg.TextEnd == 0 {
-		cfg.TextStart, cfg.TextEnd = img.TextStart, img.TextEnd
-	}
+	cfg, winLo, winHi := textWindow(opts.Config, img)
 	fac := opts.Scheme
 	if fac == nil {
 		fac = scheme.ClankFactory{}
 	}
 	m := &Machine{
-		mem:    armsim.NewMemory(),
-		sch:    fac.New(cfg),
-		jnlNV:  armsim.NewNVRegion(clank.JournalHeaderWords),
-		opts:   opts,
-		boot:   img,
-		shared: prog,
+		mem:       armsim.NewMemory(),
+		sch:       fac.New(cfg),
+		jnlNV:     armsim.NewNVRegion(clank.JournalHeaderWords),
+		opts:      opts,
+		textLoW:   winLo,
+		textSpanW: winHi - winLo,
+		boot:      img,
+		shared:    prog,
 	}
 	// Devirtualize the Clank fast path: the scheme exposing its concrete
 	// detector is the signal that load/store may run monomorphically.
@@ -319,15 +327,6 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 		m.mon = refmon.New()
 	}
 	m.cpu = armsim.NewCPU(busAdapter{m})
-	// Both TEXT fast paths — the dynamic window in load and the predecode
-	// literal pre-classifier — take their word bounds from the scheme so
-	// all three classifiers agree at an unaligned TextEnd (the window
-	// rounds up to cover the straddling word).
-	var winLo, winHi uint32
-	if lo, hi, ok := m.sch.TextWords(); ok && hi > lo {
-		winLo, winHi = lo, hi
-		m.textLoW, m.textSpanW = lo, hi-lo
-	}
 	if prog != nil {
 		// Frozen entries are only valid against the exact image bytes and
 		// TEXT classification they were built from; refuse mismatches here
@@ -343,21 +342,20 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 		// writes) invalidate the affected lines through the Memory write
 		// hook.
 		m.cpu.EnablePredecode(m.mem)
-		if winHi > winLo {
-			m.cpu.SetTextWindow(winLo, winHi)
-		}
+		m.cpu.SetTextWindow(winLo, winHi)
 	}
 	// The access port: with nothing but the detector watching the memory
 	// path, the accesses the detector certifies have fixed effects on this
 	// bus, so the CPU completes them in the loop. A filter hit is "count it
-	// and touch memory" (load's and store's filter-hit branches, and
-	// LoadTextLit). A word the index places in a dirty Write-back slot is
-	// "count it and use the slot": load's FromWB branch and store's
-	// Buffered branch, memory untouched. A store to a word in a clean slot
-	// whose merged word equals the saved read value is the false write
-	// Write lets through: "count it and store". A reference monitor or a
-	// FailAfterAccess hook must see every access, and a boxed or non-Clank
-	// scheme has no filter to share; all of those keep the whole Bus path.
+	// and touch memory" (load's and store's filter-hit branches, and load's
+	// TEXT branch for a pre-classified literal). A word the index places in
+	// a dirty Write-back slot is "count it and use the slot": load's FromWB
+	// branch and store's Buffered branch, memory untouched. A store to a
+	// word in a clean slot whose merged word equals the saved read value is
+	// the false write Write lets through: "count it and store". A reference
+	// monitor or a FailAfterAccess hook must see every access, and a boxed
+	// or non-Clank scheme has no filter to share; all of those keep the
+	// whole Bus path.
 	if m.k != nil && m.mon == nil && opts.FailAfterAccess == nil {
 		m.cpu.SetAccessPort(m.k.Port(), m.mem)
 	}
@@ -485,31 +483,6 @@ func (b busAdapter) Store(addr uint32, size uint8, value uint32, pc uint32) erro
 	return err
 }
 
-// LoadTextLit serves a literal-pool load the predecoder proved lies inside
-// the TEXT window (armsim.TextLitLoader). Classification already happened
-// at decode time: under OptIgnoreText a TEXT word can never be
-// buffer-resident, so the detector's verdict for reading it is statically
-// Outcome{} and the access skips clank.Read entirely. Everything else —
-// the section access count (NoteIgnoredAccess, for output bracketing
-// parity), the reference monitor, the failure-injection hook — observes
-// exactly what the generic path would.
-func (b busAdapter) LoadTextLit(addr, pc uint32) (uint32, error) {
-	m := b.m
-	if m.k != nil {
-		m.k.NoteIgnoredAccess()
-	} else {
-		m.sch.NoteIgnoredAccess()
-	}
-	memWord := m.mem.ReadWord(addr)
-	if m.mon != nil {
-		m.mon.ReadNV(addr>>2, memWord)
-	}
-	if m.opts.FailAfterAccess != nil {
-		m.afterAccess(addr, false)
-	}
-	return memWord, nil
-}
-
 func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 	if addr >= armsim.MemSize {
 		// Reads of the output region are not tracked state.
@@ -520,11 +493,12 @@ func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 	}
 	word := addr >> 2
 	if word-m.textLoW < m.textSpanW {
-		// TEXT read under OptIgnoreText: same statically-known verdict as
-		// LoadTextLit, reached dynamically (register-based addressing the
-		// predecoder cannot classify, and literal loads the CPU did not
-		// classify: the decode cache's miss path, or a cleared TEXT window).
-		m.k.NoteIgnoredAccess()
+		// TEXT read under OptIgnoreText: the verdict is statically
+		// Outcome{} (a TEXT word is never buffer-resident), so only the
+		// section access count advances. Literal loads the CPU
+		// pre-classified (armsim's kindLDRLitText) arrive here too when no
+		// access port serves them.
+		m.k.AddAccesses(1)
 		memWord := m.mem.ReadWord(addr)
 		if m.mon != nil {
 			m.mon.ReadNV(word, memWord)

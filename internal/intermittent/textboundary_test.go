@@ -13,8 +13,9 @@ import (
 // An unaligned TEXT end puts one word half in TEXT, half in data. Clank
 // classifies at word granularity and rounds TextEnd up, so the straddling
 // word is untracked under OptIgnoreText; the predecode pre-classifier and
-// the machine's dynamic TEXT window copy clank's word bounds (TextWords)
-// rather than re-deriving them from bytes, which is exactly the divergence
+// the machine's dynamic TEXT window take the same word bounds
+// (clank.Config.TextWords, through the machine's textWindow) rather than
+// re-deriving them from bytes, which is exactly the divergence
 // this test pins: a byte-bounds classifier would call byte TextEnd (inside
 // the straddling word) tracked data and the two engines would disagree on
 // Read-first occupancy.

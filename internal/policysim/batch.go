@@ -158,7 +158,7 @@ func NewBatch(tr *BatchTrace, jobs []Job) (*Batch, error) {
 			// cannot express. The undo mode is an overhead model only.
 			s.mon = refmon.New()
 		}
-		_, _, s.textOn = s.k.TextWords()
+		_, _, s.textOn = njobs[i].Config.TextWords()
 		if s.textOn {
 			s.textMask = faText
 			s.skip = tr.skipFor(g, s.mon != nil)

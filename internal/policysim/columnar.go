@@ -139,7 +139,7 @@ func NewBatchTrace(trace []armsim.Access, totalCycles uint64, textStart, textEnd
 		textEnd:   textEnd,
 	}
 	// TEXT window in word addresses, exactly as the detector rounds it
-	// (clank.TextWords: end rounds up to the next word boundary).
+	// (clank.Config.TextWords: end rounds up to the next word boundary).
 	loW, hiW := textStart>>2, (textEnd+3)>>2
 	for i, a := range trace {
 		tr.addr[i] = a.Addr

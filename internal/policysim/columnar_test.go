@@ -17,7 +17,7 @@ import (
 // flags NewBatchTrace and classFor bake in must equal,
 // access for access, the tests a row-by-row replay would evaluate inline —
 // faOutput is Addr >= MemSize, faText (when the detector's TEXT window is
-// active) is membership in clank.TextWords, faNoWrite and faShadowed are
+// active) is membership in clank.Config.TextWords, faNoWrite and faShadowed are
 // noReportModel's, faExempt is ExemptPCs[pc], and faVolatile is the Mixed
 // range, tested only after the output branch.
 // Together with clank's TestPreClassifiedMatchesPC (ReadPre/WritePre are
@@ -55,7 +55,7 @@ func TestClassificationMatchesPredicates(t *testing.T) {
 	var seen [faVolatile << 1]int // accesses seen with each flag bit set
 	for _, c := range append(diffCases(img, exempt), unaligned) {
 		cfg, mixed := c.cfg, c.mkOpts().Mixed
-		lo, hi, textOn := clank.New(cfg).TextWords()
+		lo, hi, textOn := cfg.TextWords()
 		tr := NewBatchTrace(trace, total, cfg.TextStart, cfg.TextEnd)
 		flags := tr.classFor(cfg.ExemptPCs, mixed).flags
 		if len(flags) != len(trace) {
@@ -84,7 +84,7 @@ func TestClassificationMatchesPredicates(t *testing.T) {
 			}
 			if !output {
 				if got, pred := f&faText != 0 && textOn, textOn && w >= lo && w < hi; got != pred {
-					t.Fatalf("%s: access %d (%+v): faText&&active is %v, clank.TextWords says %v",
+					t.Fatalf("%s: access %d (%+v): faText&&active is %v, Config.TextWords says %v",
 						c.name, i, a, got, pred)
 				}
 			} else if f&faText != 0 {

@@ -27,13 +27,19 @@ type Trace struct {
 }
 
 // NewTrace builds a trace from explicit on-durations (in cycles). It
-// panics on an empty recording: a supply that can never turn on is a
-// harness bug, not an environment.
-func NewTrace(ons []uint64) *Trace {
+// rejects an empty recording (a supply that can never turn on) and a zero
+// on-time (a boot that cannot even pay for itself would hang the restart
+// loop silently).
+func NewTrace(ons []uint64) (*Trace, error) {
 	if len(ons) == 0 {
-		panic("power: empty trace")
+		return nil, fmt.Errorf("power: trace holds no on-durations")
 	}
-	return &Trace{ons: append([]uint64(nil), ons...)}
+	for i, v := range ons {
+		if v == 0 {
+			return nil, fmt.Errorf("power: trace entry %d: zero-length on-time", i)
+		}
+	}
+	return &Trace{ons: append([]uint64(nil), ons...)}, nil
 }
 
 // NextOn implements Source: it returns the next recorded on-duration,
@@ -121,10 +127,7 @@ func ParseTrace(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("power: reading trace: %w", err)
 	}
-	if len(ons) == 0 {
-		return nil, fmt.Errorf("power: trace holds no on-durations")
-	}
-	return NewTrace(ons), nil
+	return NewTrace(ons)
 }
 
 // LoadTraceFile reads a trace recording from a file (see ParseTrace for

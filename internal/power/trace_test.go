@@ -7,7 +7,7 @@ import (
 )
 
 func TestTraceReplaysAndWraps(t *testing.T) {
-	tr := NewTrace([]uint64{100, 200, 300})
+	tr := mustTrace(t, []uint64{100, 200, 300})
 	want := []uint64{100, 200, 300, 100, 200, 300, 100}
 	for i, w := range want {
 		if got := tr.NextOn(); got != w {
@@ -28,20 +28,31 @@ func TestTraceReplaysAndWraps(t *testing.T) {
 
 func TestNewTraceCopiesInput(t *testing.T) {
 	ons := []uint64{7, 8}
-	tr := NewTrace(ons)
+	tr := mustTrace(t, ons)
 	ons[0] = 999
 	if got := tr.NextOn(); got != 7 {
 		t.Fatalf("trace aliased caller slice: NextOn = %d, want 7", got)
 	}
 }
 
-func TestNewTracePanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTrace(nil) did not panic")
+// mustTrace builds a trace from a recording NewTrace must accept.
+func mustTrace(t *testing.T, ons []uint64) *Trace {
+	t.Helper()
+	tr, err := NewTrace(ons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestNewTraceRejects pins NewTrace's errors, the same recordings
+// ParseTrace rejects: no on-durations at all, or a zero one anywhere.
+func TestNewTraceRejects(t *testing.T) {
+	for _, ons := range [][]uint64{nil, {}, {0}, {100, 0, 300}} {
+		if tr, err := NewTrace(ons); err == nil || tr != nil {
+			t.Errorf("NewTrace(%v) = %v, %v; want nil and an error", ons, tr, err)
 		}
-	}()
-	NewTrace(nil)
+	}
 }
 
 func TestParseTrace(t *testing.T) {
@@ -128,7 +139,7 @@ func TestTraceEdgeCases(t *testing.T) {
 // TestTraceSingleSampleLoops pins the wrap bookkeeping in the degenerate
 // but legal one-sample case: every NextOn is a full lap.
 func TestTraceSingleSampleLoops(t *testing.T) {
-	tr := NewTrace([]uint64{777})
+	tr := mustTrace(t, []uint64{777})
 	for i := 0; i < 5; i++ {
 		if got := tr.NextOn(); got != 777 {
 			t.Fatalf("NextOn %d = %d, want 777", i, got)
@@ -142,7 +153,7 @@ func TestTraceSingleSampleLoops(t *testing.T) {
 // TestTraceFork pins the shared-recording fork semantics the fleet engine
 // depends on: phase-staggered starts, cursor independence, and wrap.
 func TestTraceFork(t *testing.T) {
-	base := NewTrace([]uint64{10, 20, 30})
+	base := mustTrace(t, []uint64{10, 20, 30})
 	// Phase stagger: fork i starts at sample i mod len.
 	for _, c := range []struct {
 		start int

@@ -102,8 +102,5 @@ func (a *Alpaca) Reboot(progress uint64) {
 	a.priv.drop()
 }
 
-// TextWords implements Scheme.
-func (a *Alpaca) TextWords() (lo, hi uint32, active bool) { return a.priv.textWords() }
-
 // Footprint implements Scheme.
 func (a *Alpaca) Footprint() uint64 { return a.priv.buf.Footprint() }

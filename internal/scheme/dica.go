@@ -87,8 +87,5 @@ func (d *DiCA) Committed(progress uint64) { d.priv.drop() }
 // Reboot implements Scheme: the un-committed differential is gone.
 func (d *DiCA) Reboot(progress uint64) { d.priv.drop() }
 
-// TextWords implements Scheme.
-func (d *DiCA) TextWords() (lo, hi uint32, active bool) { return d.priv.textWords() }
-
 // Footprint implements Scheme.
 func (d *DiCA) Footprint() uint64 { return d.priv.buf.Footprint() }

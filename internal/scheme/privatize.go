@@ -108,7 +108,3 @@ func (p *privatizer) drop() {
 	p.buf.Reset()
 	p.accesses = 0
 }
-
-func (p *privatizer) textWords() (lo, hi uint32, active bool) {
-	return p.textLo, p.textHi, p.textOn
-}

@@ -100,12 +100,6 @@ type Scheme interface {
 	// scheme state is gone; schedules re-derive from progress.
 	Reboot(progress uint64)
 
-	// TextWords reports the scheme's TEXT-segment word window (lo
-	// inclusive, hi exclusive, active under OptIgnoreText). Every scheme
-	// derives it from clank.Config.TextWords so machines sharing one
-	// frozen decode image agree on classification.
-	TextWords() (lo, hi uint32, active bool)
-
 	// Footprint estimates the scheme's resident bytes per device.
 	Footprint() uint64
 }

@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"math/big"
 	"strings"
 	"testing"
 
@@ -238,4 +239,52 @@ func TestDefaults(t *testing.T) {
 	if got := a.priv.buf.Cap(); got != defaultBufWords {
 		t.Errorf("default buffer capacity = %d", got)
 	}
+}
+
+// FuzzSchemeParse throws arbitrary specs at Parse (the committed corpus
+// holds each scheme bare and with a parameter, a parameter on clank, a
+// zero, an overflowing parameter, a lone colon and the empty spec). It
+// must never panic, and it must accept exactly the specs an independent
+// reading of the grammar accepts: a registered name, optionally followed
+// by ":N" where N is a non-empty run of decimal digits whose value lies in
+// [1, 2^64) and the scheme is alpaca or dica. An accepted factory's Name
+// is the spec's prefix and its parameter is N; a rejected spec yields no
+// factory.
+func FuzzSchemeParse(f *testing.F) {
+	limit := new(big.Int).Lsh(big.NewInt(1), 64)
+	f.Fuzz(func(t *testing.T, spec string) {
+		fac, err := Parse(spec)
+		name, param, has := strings.Cut(spec, ":")
+		_, known := ByName(name)
+		n, digits := new(big.Int), param != "" && strings.Trim(param, "0123456789") == ""
+		if digits {
+			n.SetString(param, 10)
+		}
+		valid := known && (!has || name != "clank" && digits && n.Sign() > 0 && n.Cmp(limit) < 0)
+		if err != nil {
+			if fac != nil {
+				t.Fatalf("Parse(%q) rejected (%v) but returned a factory", spec, err)
+			}
+			if valid {
+				t.Fatalf("Parse(%q) rejected a valid spec: %v", spec, err)
+			}
+			return
+		}
+		if !valid {
+			t.Fatalf("Parse(%q) accepted an invalid spec as %#v", spec, fac)
+		}
+		if fac.Name() != name {
+			t.Fatalf("Parse(%q).Name() = %q, want %q", spec, fac.Name(), name)
+		}
+		var got uint64
+		switch fac := fac.(type) {
+		case AlpacaFactory:
+			got = fac.TaskLen
+		case DiCAFactory:
+			got = fac.Interval
+		}
+		if want := n.Uint64(); has && got != want {
+			t.Fatalf("Parse(%q) parameter = %d, want %d", spec, got, want)
+		}
+	})
 }

@@ -107,16 +107,11 @@ func (h *CrashHarness) Check(p Pattern, words int, cfg clank.Config, _ Schedule)
 	return nil
 }
 
-// CheckCut runs a single word-granular cut position (or none, if the
-// position exceeds the run's commit-write count) — kept for the original
-// commit-recovery fuzz corpus; CheckTear is the bit-granular entry point.
-func (h *CrashHarness) CheckCut(p Pattern, words int, cfg clank.Config, cut int) error {
-	return h.CheckTear(p, words, cfg, cut, 0)
-}
-
 // CheckTear runs a single (cut position, tear mask) — the fuzzing entry
 // point, where both the position and the landed-bits mask come from the
-// fuzzer rather than an exhaustive loop.
+// fuzzer rather than an exhaustive loop. Mask 0 is a word-granular cut
+// (no bit of the failing write lands); a position beyond the run's
+// commit-write count runs uncut.
 func (h *CrashHarness) CheckTear(p Pattern, words int, cfg clank.Config, cut int, mask uint32) error {
 	if err := lowerable(p, words, h.maxOps); err != nil {
 		return err

@@ -216,7 +216,7 @@ func FuzzCommitRecovery(f *testing.F) {
 		if !ok {
 			return
 		}
-		if err := h.CheckCut(p, 4, cfg, int(cut)); err != nil {
+		if err := h.CheckTear(p, 4, cfg, int(cut), 0); err != nil {
 			t.Fatalf("pattern %v config %s cut %d: %v", p, cfg, cut, err)
 		}
 	})
