@@ -107,12 +107,12 @@ func TestAccountingGoldenIntermittent(t *testing.T) {
 				if r.seed != 0 {
 					o.Supply = power.NewSupply(power.Exponential{Mean: meanOn, Min: 500}, r.seed)
 				}
-				if r.fault {
-					o.NVFault = intermittent.TearAtCommitWrite(40+int(r.seed)*7, 0x00FF00FF)
-				}
 				m, err := intermittent.NewMachine(c.Image, o)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if r.fault {
+					m.SetNVFault(intermittent.TearAtCommitWrite(40+int(r.seed)*7, 0x00FF00FF))
 				}
 				st, err := m.Run()
 				fmt.Fprintf(h, "%s/%s/%d/%v:", bench, spec, r.seed, r.fault)

@@ -118,6 +118,15 @@ func (t *Type) Size() int {
 	}
 }
 
+// scalar returns the innermost element type of an array, or t itself: the
+// unit one global initializer fills.
+func (t *Type) scalar() *Type {
+	for t.Kind == KArray {
+		t = t.Elem
+	}
+	return t
+}
+
 // Signed reports whether values of t use signed arithmetic.
 func (t *Type) Signed() bool { return t.Kind == KInt || t.Kind == KShort }
 

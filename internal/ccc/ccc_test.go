@@ -431,6 +431,11 @@ func TestCompileErrors(t *testing.T) {
 		{"break-outside", `int main(void) { break; return 0; }`},
 		{"void-var", `int main(void) { void v; return 0; }`},
 		{"syntax", `int main(void) { return 0 }`},
+		{"void-global", "void g = 1;\nint main(void){return 0;}"},
+		{"void-array-init", "void v[3] = {1};\nint main(void){return 0;}"},
+		{"zero-row-init", "char a[1][0] = {1};\nint main(void){return 0;}"},
+		{"scalar-brace-list", "int g = {1, 2};\nint main(void){return 0;}"},
+		{"struct-init", "struct S { char a; char b; char c; };\nstruct S s[4] = {1, 2, 3, 4};\nint main(void){return 0;}"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,10 @@
 package ccc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/armsim"
+)
 
 // checker performs name resolution, type checking, frame layout, and
 // constant folding of global initializers.
@@ -84,7 +88,15 @@ func (c *checker) checkGlobalInit(g *global) error {
 			return err
 		}
 	}
-	if g.ty.Kind == KArray && len(g.initList) > g.ty.Size()/g.ty.Elem.Size() {
+	scalar := g.ty.scalar()
+	if scalar.Kind == KVoid {
+		return c.errf(g.line, "global %q has void type", g.name)
+	}
+	if scalar.Kind == KStruct && (g.init != nil || g.initList != nil) {
+		return c.errf(g.line, "struct global %q cannot have an initializer", g.name)
+	}
+	n := len(g.initList)
+	if g.ty.Kind == KArray && n > g.ty.Len || n*scalar.Size() > g.ty.Size() {
 		return c.errf(g.line, "too many initializers for %q", g.name)
 	}
 	if g.initStr != "" && g.ty.Kind == KArray && g.ty.Len == 0 {
@@ -214,6 +226,9 @@ func (c *checker) checkFunction(f *function) error {
 	}
 	// Round the frame to 8 bytes for AAPCS-friendly alignment.
 	c.frameSize = (c.frameSize + 7) &^ 7
+	if c.frameSize > armsim.MemSize {
+		return c.errf(f.line, "locals of %q take %d bytes, more than the %d-byte memory", f.name, c.frameSize, armsim.MemSize)
+	}
 	f.frameSize = c.frameSize
 	return nil
 }

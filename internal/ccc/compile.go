@@ -128,7 +128,14 @@ func CompileWithOptions(src string, opts Options) (*Image, error) {
 		data []byte
 	}
 	var roBlobs, rwBlobs []blob
+	total := 0
 	for _, gl := range u.globals {
+		// Each global fits the memory (parseArraySuffix); bound their sum
+		// before rendering them too, so a long list of large globals fails
+		// here instead of allocating every one and wrapping addr.
+		if total += gl.ty.Size(); total > armsim.MemSize {
+			return nil, &checkError{gl.line, fmt.Sprintf("program too large: global %q ends past the %d-byte memory", gl.name, armsim.MemSize)}
+		}
 		b, err := globalBytes(ck, gl)
 		if err != nil {
 			return nil, err
@@ -221,10 +228,7 @@ func globalBytes(ck *checker, gl *global) ([]byte, error) {
 	case gl.initStr != "":
 		copy(b, gl.initStr)
 	case gl.initList != nil:
-		elem := gl.ty.Elem
-		for elem.Kind == KArray {
-			elem = elem.Elem
-		}
+		elem := gl.ty.scalar()
 		es := elem.Size()
 		for i, e := range gl.initList {
 			v, err := ck.foldConst(e)

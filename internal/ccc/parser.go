@@ -1,6 +1,10 @@
 package ccc
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/armsim"
+)
 
 type parser struct {
 	toks []token
@@ -27,8 +31,18 @@ func parse(src string) (*unit, error) {
 	return u, nil
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token { return p.toks[p.pos] }
+
+// next consumes the current token. It never steps past the trailing EOF
+// token, so a truncated source reaches the caller's "expected ..." error
+// instead of indexing beyond toks.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tokEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *parser) at(k tokKind) bool { return p.cur().kind == k }
 
@@ -148,10 +162,13 @@ func (p *parser) parseBaseType() (ty *Type, isConst bool, err error) {
 	return ty, isConst, nil
 }
 
-// parseArraySuffix parses trailing [N][M]... dimensions onto ty.
+// parseArraySuffix parses trailing [N][M]... dimensions onto ty. An
+// array whose length or byte size exceeds the target's memory can never be
+// placed, so it is rejected here, before any later pass sizes a buffer,
+// frame or image by it (and before Type.Size could overflow).
 func (p *parser) parseArraySuffix(ty *Type) (*Type, error) {
 	defer p.unnest(p.depth)
-	var dims []int
+	var dims []token
 	for p.acceptPunct("[") {
 		if err := p.nest(); err != nil {
 			return nil, err
@@ -160,13 +177,19 @@ func (p *parser) parseArraySuffix(ty *Type) (*Type, error) {
 		if t.kind != tokNumber {
 			return nil, p.errf("array dimension must be a number literal")
 		}
+		if t.num > armsim.MemSize {
+			return nil, &lexError{t.line, fmt.Sprintf("array dimension %d exceeds the %d-byte memory", t.num, armsim.MemSize)}
+		}
 		if err := p.expectPunct("]"); err != nil {
 			return nil, err
 		}
-		dims = append(dims, int(t.num))
+		dims = append(dims, t)
 	}
 	for i := len(dims) - 1; i >= 0; i-- {
-		ty = &Type{Kind: KArray, Elem: ty, Len: dims[i]}
+		ty = &Type{Kind: KArray, Elem: ty, Len: int(dims[i].num)}
+		if ty.Size() > armsim.MemSize {
+			return nil, &lexError{dims[i].line, fmt.Sprintf("array %s of %d bytes exceeds the %d-byte memory", ty, ty.Size(), armsim.MemSize)}
+		}
 	}
 	return ty, nil
 }
@@ -228,6 +251,9 @@ func (p *parser) parseStructDef() error {
 		return p.errf("empty struct %q", name.text)
 	}
 	layoutStruct(si)
+	if si.Size > armsim.MemSize {
+		return p.errf("struct %q of %d bytes exceeds the %d-byte memory", name.text, si.Size, armsim.MemSize)
+	}
 	return p.expectPunct(";")
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -84,7 +85,7 @@ func PowerSweep(o Options) (*PowerSweepData, error) {
 		}
 		theo := 0.0
 		if meanOn > 0 {
-			theo = sqrt(2 * float64(ckptCost) / float64(meanOn))
+			theo = math.Sqrt(2 * float64(ckptCost) / float64(meanOn))
 		}
 		mu.Lock()
 		d.Points[mi] = PowerSweepPoint{
@@ -102,17 +103,6 @@ func PowerSweep(o Options) (*PowerSweepData, error) {
 		return nil, err
 	}
 	return d, nil
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	x := v
-	for i := 0; i < 40; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
 }
 
 // Format renders the sweep.

@@ -55,7 +55,7 @@ func TestCutAtEveryCommitWriteRecovers(t *testing.T) {
 		if err := m.Reboot(img); err != nil {
 			t.Fatal(err)
 		}
-		m.opts.NVFault = TearAtCommitWrite(n, 0)
+		m.SetNVFault(TearAtCommitWrite(n, 0))
 		st, err := m.Run()
 		if err != nil {
 			t.Fatalf("cut %d: %v", n, err)
@@ -109,7 +109,7 @@ func TestCutDuringRecoveryReplaysAgain(t *testing.T) {
 		}
 		// Cut at write n, and again at the write right after it — if n was
 		// a post-flip cut, n+1 lands inside the reboot-time replay.
-		m.opts.NVFault = func(w int) (bool, uint32) { return w == n || w == n+1, 0 }
+		m.SetNVFault(func(w int) (bool, uint32) { return w == n || w == n+1, 0 })
 		st, err := m.Run()
 		if err != nil {
 			t.Fatalf("double cut %d: %v", n, err)
@@ -154,7 +154,7 @@ func TestEarlyFlipBugEscapesAtomicModelButNotCuts(t *testing.T) {
 		if err := m.Reboot(img); err != nil {
 			t.Fatal(err)
 		}
-		m.opts.NVFault = TearAtCommitWrite(n, 0)
+		m.SetNVFault(TearAtCommitWrite(n, 0))
 		st, err := m.Run()
 		switch {
 		case err != nil, !st.Completed:

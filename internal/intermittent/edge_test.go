@@ -134,7 +134,7 @@ func TestUnlimitedBuffersNeverViolate(t *testing.T) {
 func TestCostModelScalesCheckpointCycles(t *testing.T) {
 	img := compileTest(t, testProgram)
 	run := func(base uint64) Stats {
-		costs := DefaultCosts()
+		costs := clank.DefaultCosts()
 		costs.CheckpointBase = base
 		m, err := NewMachine(img, Options{
 			Config: clank.Config{ReadFirst: 8, WriteFirst: 4, Opts: clank.OptAll},

@@ -25,16 +25,10 @@ import (
 // checkpoint must be taken, and the instruction re-executed.
 var errCheckpoint = errors.New("intermittent: checkpoint required")
 
-// CostModel aliases the shared runtime cost model (see clank.CostModel).
-type CostModel = clank.CostModel
-
-// DefaultCosts matches the paper's implementation numbers.
-func DefaultCosts() CostModel { return clank.DefaultCosts() }
-
 // Options configures an intermittent run.
 type Options struct {
 	Config clank.Config
-	Costs  CostModel
+	Costs  clank.CostModel // zero = clank.DefaultCosts()
 	Supply power.Source
 
 	// Scheme selects the runtime scheme deciding which accesses are
@@ -73,30 +67,13 @@ type Options struct {
 	// boundaries.
 	FailAfterAccess func(addr uint32, write bool) bool
 
-	// NVFault, when non-nil, is consulted before every NV word write of
-	// the commit protocol and of reboot-time journal recovery, identified
-	// by a run-global monotone write counter (Stats.CommitWrites is its
-	// final value). Returning (true, mask) cuts power AT that write under
-	// the bit-granular torn-write model: exactly the bits mask selects
-	// land — the cell reads old&^mask | new&mask afterwards — and the
-	// device is off, the rest of the boot's budget discarded. Mask 0 is the
-	// classic cut-before (nothing landed), ^0 a cut immediately after a
-	// complete write; anything else is a mid-word tear the CRC-sealed
-	// record format must detect. It places outages at every individual
-	// commit-step boundary — the granularity the cycle-driven Supply
-	// cannot hit. The (cut × mask) crash sweep and the fleet's stochastic
-	// fault streams both drive this hook. The counter advances on
-	// consultation, so a fired single-index hook (see TearAtCommitWrite)
-	// never re-fires on the redone commit.
-	NVFault func(write int) (bool, uint32)
-
 	// CommitBug deliberately breaks the commit protocol for meta-testing:
 	// the crash-consistency sweep must catch the corruption the bug makes
 	// reachable. Production runs leave it at BugNone.
 	CommitBug CommitBug
 }
 
-// TearAtCommitWrite returns an NVFault hook that tears exactly the n-th
+// TearAtCommitWrite returns a SetNVFault hook that tears exactly the n-th
 // (0-based) commit-protocol NV write of the run with the given bit mask;
 // mask 0 cuts power cleanly before the write.
 func TearAtCommitWrite(n int, mask uint32) func(int) (bool, uint32) {
@@ -179,6 +156,8 @@ type Machine struct {
 
 	mon  *refmon.Monitor
 	opts Options
+
+	nvFault func(write int) (bool, uint32) // torn-write injector (SetNVFault)
 
 	// Non-volatile runtime state (conceptually in the ccc reserved region):
 	// the A/B checkpoint slot records and the Write-back scratchpad
@@ -289,8 +268,8 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Costs == (CostModel{}) {
-		opts.Costs = DefaultCosts()
+	if opts.Costs == (clank.CostModel{}) {
+		opts.Costs = clank.DefaultCosts()
 	}
 	if opts.Supply == nil {
 		opts.Supply = power.Always{}
@@ -453,10 +432,24 @@ func (m *Machine) Footprint() uint64 {
 // tracking (final-state inspection by the differential harness).
 func (m *Machine) MemWord(addr uint32) uint32 { return m.mem.ReadWord(addr) }
 
-// SetNVFault installs (or clears) the torn-write fault injector after
-// construction: the fleet engine derives a fresh deterministic fault stream
-// per device between ResetDevice and Run.
-func (m *Machine) SetNVFault(f func(write int) (bool, uint32)) { m.opts.NVFault = f }
+// SetNVFault installs (or, with nil, clears) the torn-write fault
+// injector; it survives Reboot and ResetDevice. When non-nil, f is
+// consulted before every NV word write of the commit protocol and of
+// reboot-time journal recovery, identified by a run-global monotone write
+// counter (Stats.CommitWrites is its final value). Returning (true, mask)
+// cuts power AT that write under the bit-granular torn-write model:
+// exactly the bits mask selects land — the cell reads old&^mask |
+// new&mask afterwards — and the device is off, the rest of the boot's
+// budget discarded. Mask 0 is the classic cut-before (nothing landed), ^0
+// a cut immediately after a complete write; anything else is a mid-word
+// tear the CRC-sealed record format must detect. It places outages at
+// every individual commit-step boundary — the granularity the
+// cycle-driven Supply cannot hit. The (cut × mask) crash sweep and the
+// fleet's stochastic fault streams (derived fresh per device between
+// ResetDevice and Run) both drive this hook. The counter advances on
+// consultation, so a fired single-index hook (see TearAtCommitWrite)
+// never re-fires on the redone commit.
+func (m *Machine) SetNVFault(f func(write int) (bool, uint32)) { m.nvFault = f }
 
 // Insns returns the CPU's monotonic retired-instruction counter, including
 // re-executed instructions (throughput benchmarks divide wall time by it).

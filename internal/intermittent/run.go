@@ -199,8 +199,8 @@ func (m *Machine) recoverJournal(count int) bool {
 func (m *Machine) commitWrite(cost uint64, counter *uint64) (ok, torn bool, mask uint32) {
 	w := m.stats.CommitWrites
 	m.stats.CommitWrites++
-	if m.opts.NVFault != nil {
-		if fault, fmask := m.opts.NVFault(w); fault {
+	if m.nvFault != nil {
+		if fault, fmask := m.nvFault(w); fault {
 			m.led.Cut()
 			if fmask != 0 {
 				m.stats.TornWrites++

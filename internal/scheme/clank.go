@@ -30,9 +30,6 @@ type Clank struct {
 // fast path.
 func (s *Clank) Detector() *clank.Clank { return s.k }
 
-// Name implements Scheme.
-func (s *Clank) Name() string { return "clank" }
-
 // Read implements Scheme.
 func (s *Clank) Read(word, memWord, pc uint32) clank.Outcome {
 	return s.k.Read(word, memWord, pc)

@@ -14,13 +14,94 @@ const defaultBufWords = 64
 // re-execute, and veto again forever.
 const minBufWords = 16
 
-// privatizer is the write-privatizing substrate the Alpaca and DiCA
-// schemes share: every store is absorbed into a WriteBuf and never reaches
-// non-volatile memory mid-section, so re-executing a torn section cannot
-// observe its own partial writes — idempotency by construction, no
-// detection needed. Reads are served from the buffer when it shadows the
-// word. What differs between the schemes is only the commit trigger
-// (NextCommitIn), which each owner supplies.
+// DefaultTaskLen is the default Alpaca task length in useful cycles. At
+// MiBench call densities it yields tasks of a few hundred instructions —
+// the granularity Alpaca's hand-split tasks land at.
+const DefaultTaskLen = 2000
+
+// DefaultInterval is the default DiCA commit interval in wall cycles:
+// checkpoints land a few times per typical boot, like DiCA's
+// voltage-derived checkpoint placement.
+const DefaultInterval = 4000
+
+// AlpacaFactory builds the Alpaca-style task-based scheme. Zero values
+// select the defaults.
+//
+// Alpaca statically splits the program into tasks: every store inside a
+// task is privatized into the task's write buffer, and reaching a task
+// boundary commits the buffer plus registers atomically (the shared
+// two-phase commit program). There are no dynamic checkpoints: re-executing
+// a torn task is idempotent because none of its writes reached
+// non-volatile memory.
+//
+// The static split is modeled on the useful-progress clock: a boundary
+// sits every TaskLen cycles after the last committed boundary. Because the
+// base re-derives from the committed progress cycle at every commit and
+// reboot, a re-executed task sees its boundary at exactly the program
+// point the first execution did — the property that makes the model's
+// "static" split honest without a task-splitting compiler. A full buffer
+// forces an early split (ReasonWBOverflow), exactly as Alpaca's compiler
+// would have had to split the task.
+type AlpacaFactory struct {
+	// TaskLen is the task length in useful cycles (0 = DefaultTaskLen).
+	TaskLen uint64
+	// BufWords is the privatization buffer capacity in words
+	// (0 = defaultBufWords; floored at minBufWords).
+	BufWords int
+}
+
+// Name implements Factory.
+func (AlpacaFactory) Name() string { return "alpaca" }
+
+// New implements Factory.
+func (f AlpacaFactory) New(cfg clank.Config) Scheme {
+	taskLen := f.TaskLen
+	if taskLen == 0 {
+		taskLen = DefaultTaskLen
+	}
+	return newPrivatizer(cfg, f.BufWords, taskLen, clank.ReasonTaskBoundary, true)
+}
+
+// DiCAFactory builds the DiCA-style differential checkpoint scheme. Zero
+// values select the defaults.
+//
+// Instead of snapshotting all of RAM on a timer, each DiCA checkpoint
+// persists only the words dirtied since the previous one. The dirty set is
+// exactly the privatization buffer — stores are absorbed there and drained
+// through the shared journal+slot commit program, so a differential
+// checkpoint costs O(dirty words), not O(RAM). Commits fire every Interval
+// wall cycles since the last commit (the timer restarts at each boot: a
+// fresh boot is a fresh charge cycle), or early when the dirty buffer
+// fills (ReasonWBOverflow).
+type DiCAFactory struct {
+	// Interval is the wall-cycle spacing between commits (0 =
+	// DefaultInterval).
+	Interval uint64
+	// BufWords is the dirty-word buffer capacity in words
+	// (0 = defaultBufWords; floored at minBufWords).
+	BufWords int
+}
+
+// Name implements Factory.
+func (DiCAFactory) Name() string { return "dica" }
+
+// New implements Factory.
+func (f DiCAFactory) New(cfg clank.Config) Scheme {
+	interval := f.Interval
+	if interval == 0 {
+		interval = DefaultInterval
+	}
+	return newPrivatizer(cfg, f.BufWords, interval, clank.ReasonCommitInterval, false)
+}
+
+// privatizer is the write-privatizing scheme Alpaca and DiCA share: every
+// store is absorbed into a WriteBuf and never reaches non-volatile memory
+// mid-section, so re-executing a torn section cannot observe its own
+// partial writes — idempotency by construction, no detection needed. Reads
+// are served from the buffer when it shadows the word. The schemes differ
+// only in the commit trigger: a period, the reason a scheduled commit
+// carries, and which clock the period runs on (useful cycles from the
+// committed base, or wall cycles since the last commit).
 //
 // Two access classes bypass privatization, mirroring the detector's own
 // decision order (clank.writeSlowPre) so the verify harnesses see
@@ -38,9 +119,14 @@ type privatizer struct {
 	textLo, textHi uint32
 	textOn         bool
 	accesses       int
+
+	period   uint64
+	reason   clank.Reason
+	fromBase bool   // period counts useful cycles from base, not wall cycles since the last commit
+	base     uint64 // committed progress at the last commit or reboot
 }
 
-func newPrivatizer(cfg clank.Config, bufWords int) privatizer {
+func newPrivatizer(cfg clank.Config, bufWords int, period uint64, reason clank.Reason, fromBase bool) *privatizer {
 	if bufWords <= 0 {
 		bufWords = defaultBufWords
 	}
@@ -48,16 +134,20 @@ func newPrivatizer(cfg clank.Config, bufWords int) privatizer {
 		bufWords = minBufWords
 	}
 	lo, hi, on := cfg.TextWords()
-	return privatizer{
-		buf:    clank.NewWriteBuf(bufWords),
-		exempt: cfg.ExemptPCs,
-		textLo: lo,
-		textHi: hi,
-		textOn: on,
+	return &privatizer{
+		buf:      clank.NewWriteBuf(bufWords),
+		exempt:   cfg.ExemptPCs,
+		textLo:   lo,
+		textHi:   hi,
+		textOn:   on,
+		period:   period,
+		reason:   reason,
+		fromBase: fromBase,
 	}
 }
 
-func (p *privatizer) read(word, memWord, pc uint32) clank.Outcome {
+// Read implements Scheme.
+func (p *privatizer) Read(word, memWord, pc uint32) clank.Outcome {
 	p.accesses++
 	if v, ok := p.buf.Get(word); ok {
 		return clank.Outcome{FromWB: true, ReadValue: v}
@@ -65,7 +155,8 @@ func (p *privatizer) read(word, memWord, pc uint32) clank.Outcome {
 	return clank.Outcome{}
 }
 
-func (p *privatizer) write(word, newWord, memWord, pc uint32) clank.Outcome {
+// Write implements Scheme.
+func (p *privatizer) Write(word, newWord, memWord, pc uint32) clank.Outcome {
 	p.accesses++
 	if _, ok := p.buf.Get(word); ok {
 		// Already privatized: update in place (cannot fail — present).
@@ -92,19 +183,46 @@ func (p *privatizer) write(word, newWord, memWord, pc uint32) clank.Outcome {
 	return clank.Outcome{NeedCheckpoint: true, Reason: clank.ReasonWBOverflow}
 }
 
-func (p *privatizer) lookup(word uint32) (uint32, bool) { return p.buf.Get(word) }
+// Lookup implements Scheme.
+func (p *privatizer) Lookup(word uint32) (uint32, bool) { return p.buf.Get(word) }
 
-func (p *privatizer) noteIgnoredAccess() { p.accesses++ }
+// NoteIgnoredAccess implements Scheme.
+func (p *privatizer) NoteIgnoredAccess() { p.accesses++ }
 
-func (p *privatizer) sectionAccesses() int { return p.accesses }
+// SectionAccesses implements Scheme.
+func (p *privatizer) SectionAccesses() int { return p.accesses }
 
-func (p *privatizer) dirtyEntries(dst []clank.WBEntry) []clank.WBEntry {
+// NextCommitIn implements Scheme: the cycles left until the next task
+// boundary (Alpaca, on the useful-progress clock) or until the current
+// interval ends (DiCA, on the wall clock since the last commit).
+func (p *privatizer) NextCommitIn(progress, sinceCommit uint64) (uint64, clank.Reason) {
+	at, end := sinceCommit, p.period
+	if p.fromBase {
+		at, end = progress, p.base+p.period
+	}
+	if at >= end {
+		return 0, p.reason
+	}
+	return end - at, p.reason
+}
+
+// DirtyEntries implements Scheme.
+func (p *privatizer) DirtyEntries(dst []clank.WBEntry) []clank.WBEntry {
 	return p.buf.DirtyEntries(dst)
 }
 
-// drop discards all volatile section state (after a commit persisted it,
-// or a reboot destroyed it).
-func (p *privatizer) drop() {
+// Committed implements Scheme: the buffered writes are persistent, so the
+// section state goes and the schedule re-bases at progress.
+func (p *privatizer) Committed(progress uint64) {
+	p.base = progress
 	p.buf.Reset()
 	p.accesses = 0
 }
+
+// Reboot implements Scheme: execution resumed from the checkpoint at
+// progress, which by construction was a commit point, so the interrupted
+// section re-runs with the same schedule from an empty buffer.
+func (p *privatizer) Reboot(progress uint64) { p.Committed(progress) }
+
+// Footprint implements Scheme.
+func (p *privatizer) Footprint() uint64 { return p.buf.Footprint() }

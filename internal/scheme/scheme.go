@@ -19,6 +19,9 @@
 //     commit, and each commit persists only the words dirtied since the
 //     previous one.
 //
+// Alpaca and DiCA are one privatizing type that differs only in its commit
+// trigger, which their factories set. Factory.Name is the registry name.
+//
 // All three run under one machine, one CRC-sealed two-phase commit
 // program, and one set of harnesses (crash sweep, output equivalence,
 // fleet), which is what makes cross-scheme numbers comparable.
@@ -51,9 +54,6 @@ const Never = ^uint64(0)
 // restoring an old checkpoint re-derives exactly the schedule the original
 // execution saw.
 type Scheme interface {
-	// Name returns the registry name ("clank", "alpaca", "dica").
-	Name() string
-
 	// Read classifies a load of word (current memory value memWord) by the
 	// instruction at pc. FromWB outcomes serve the access from scheme-
 	// buffered state; NeedCheckpoint vetoes the instruction.

@@ -22,9 +22,8 @@ func TestRegistry(t *testing.T) {
 		if f.Name() != n {
 			t.Errorf("factory for %q reports name %q", n, f.Name())
 		}
-		s := f.New(clank.Config{ReadFirst: 4, WriteFirst: 4, WriteBack: 2})
-		if s.Name() != n {
-			t.Errorf("scheme for %q reports name %q", n, s.Name())
+		if s := f.New(clank.Config{ReadFirst: 4, WriteFirst: 4, WriteBack: 2}); s == nil {
+			t.Errorf("factory for %q built no scheme", n)
 		}
 	}
 	if _, ok := ByName("quickrecall"); ok {
@@ -80,64 +79,61 @@ func TestBoxedHidesDetector(t *testing.T) {
 	if _, ok := box.(interface{ Detector() *clank.Clank }); ok {
 		t.Fatal("boxed scheme leaks the Detector accessor")
 	}
-	if box.Name() != "clank" {
-		t.Errorf("boxed scheme name = %q", box.Name())
-	}
 }
 
 func TestPrivatizerShadowsStores(t *testing.T) {
-	p := newPrivatizer(clank.Config{}, 0)
+	p := AlpacaFactory{}.New(clank.Config{})
 
 	// A store is absorbed, never passed through.
-	out := p.write(100, 0xAB, 0x11, 4)
+	out := p.Write(100, 0xAB, 0x11, 4)
 	if !out.Buffered || out.NeedCheckpoint {
 		t.Fatalf("first store: %+v", out)
 	}
 	// A read of the shadowed word is served from the buffer.
-	out = p.read(100, 0x11, 8)
+	out = p.Read(100, 0x11, 8)
 	if !out.FromWB || out.ReadValue != 0xAB {
 		t.Fatalf("shadowed read: %+v", out)
 	}
 	// A read of an untouched word passes through.
-	if out = p.read(200, 0x22, 12); out.FromWB || out.NeedCheckpoint {
+	if out = p.Read(200, 0x22, 12); out.FromWB || out.NeedCheckpoint {
 		t.Fatalf("untouched read: %+v", out)
 	}
 	// Rewrites update in place.
-	p.write(100, 0xCD, 0x11, 16)
-	if v, ok := p.lookup(100); !ok || v != 0xCD {
+	p.Write(100, 0xCD, 0x11, 16)
+	if v, ok := p.Lookup(100); !ok || v != 0xCD {
 		t.Fatalf("lookup after rewrite = %#x, %v", v, ok)
 	}
-	if p.sectionAccesses() != 4 {
-		t.Errorf("sectionAccesses = %d, want 4", p.sectionAccesses())
+	if p.SectionAccesses() != 4 {
+		t.Errorf("sectionAccesses = %d, want 4", p.SectionAccesses())
 	}
 
-	ents := p.dirtyEntries(nil)
+	ents := p.DirtyEntries(nil)
 	if len(ents) != 1 || ents[0].Word != 100 || ents[0].Value != 0xCD {
 		t.Fatalf("dirtyEntries = %+v", ents)
 	}
 
-	p.drop()
-	if p.sectionAccesses() != 0 {
-		t.Error("drop did not clear the access count")
+	p.Committed(0)
+	if p.SectionAccesses() != 0 {
+		t.Error("Committed did not clear the access count")
 	}
-	if _, ok := p.lookup(100); ok {
-		t.Error("drop did not clear the buffer")
+	if _, ok := p.Lookup(100); ok {
+		t.Error("Committed did not clear the buffer")
 	}
 }
 
 func TestPrivatizerOverflowAndFloor(t *testing.T) {
-	p := newPrivatizer(clank.Config{}, 1) // floored to minBufWords
+	p := DiCAFactory{BufWords: 1}.New(clank.Config{}) // floored to minBufWords
 	for i := 0; i < minBufWords; i++ {
-		if out := p.write(uint32(i), 1, 0, 4); !out.Buffered {
+		if out := p.Write(uint32(i), 1, 0, 4); !out.Buffered {
 			t.Fatalf("store %d not buffered: %+v", i, out)
 		}
 	}
-	out := p.write(uint32(minBufWords), 1, 0, 4)
+	out := p.Write(uint32(minBufWords), 1, 0, 4)
 	if !out.NeedCheckpoint || out.Reason != clank.ReasonWBOverflow {
 		t.Fatalf("overflowing store: %+v", out)
 	}
 	// A rewrite of a resident word still succeeds at capacity.
-	if out = p.write(0, 2, 0, 4); !out.Buffered {
+	if out = p.Write(0, 2, 0, 4); !out.Buffered {
 		t.Fatalf("resident rewrite at capacity: %+v", out)
 	}
 }
@@ -148,35 +144,35 @@ func TestPrivatizerExemptAndText(t *testing.T) {
 		TextStart: 0x100, TextEnd: 0x200,
 		Opts: clank.OptIgnoreText,
 	}
-	p := newPrivatizer(cfg, 0)
+	p := AlpacaFactory{}.New(cfg)
 
 	// Exempt stores pass through to NV.
-	if out := p.write(7, 1, 0, 0x40); out.Buffered || out.NeedCheckpoint {
+	if out := p.Write(7, 1, 0, 0x40); out.Buffered || out.NeedCheckpoint {
 		t.Fatalf("exempt store: %+v", out)
 	}
 	// ... unless the word is already privatized: then the shadow updates.
-	p.write(7, 2, 0, 0x44)
-	if out := p.write(7, 3, 2, 0x40); !out.Buffered {
+	p.Write(7, 2, 0, 0x44)
+	if out := p.Write(7, 3, 2, 0x40); !out.Buffered {
 		t.Fatalf("exempt store to shadowed word: %+v", out)
 	}
-	if v, _ := p.lookup(7); v != 3 {
+	if v, _ := p.Lookup(7); v != 3 {
 		t.Errorf("shadow after exempt rewrite = %#x, want 3", v)
 	}
 
 	// A TEXT store mid-section vetoes; as a section's opening access it
 	// passes through.
 	textWord := uint32(0x100 >> 2)
-	if out := p.write(textWord, 9, 0, 0x48); !out.NeedCheckpoint || out.Reason != clank.ReasonTextWrite {
+	if out := p.Write(textWord, 9, 0, 0x48); !out.NeedCheckpoint || out.Reason != clank.ReasonTextWrite {
 		t.Fatalf("mid-section TEXT store: %+v", out)
 	}
-	p.drop()
-	if out := p.write(textWord, 9, 0, 0x48); out.NeedCheckpoint || out.Buffered {
+	p.Reboot(0)
+	if out := p.Write(textWord, 9, 0, 0x48); out.NeedCheckpoint || out.Buffered {
 		t.Fatalf("opening TEXT store: %+v", out)
 	}
 }
 
 func TestAlpacaSchedule(t *testing.T) {
-	s := AlpacaFactory{TaskLen: 100}.New(clank.Config{}).(*Alpaca)
+	s := AlpacaFactory{TaskLen: 100}.New(clank.Config{})
 
 	if in, r := s.NextCommitIn(0, 0); in != 100 || r != clank.ReasonTaskBoundary {
 		t.Fatalf("fresh schedule: %d, %v", in, r)
@@ -204,7 +200,7 @@ func TestAlpacaSchedule(t *testing.T) {
 }
 
 func TestDiCASchedule(t *testing.T) {
-	s := DiCAFactory{Interval: 100}.New(clank.Config{}).(*DiCA)
+	s := DiCAFactory{Interval: 100}.New(clank.Config{})
 
 	if in, r := s.NextCommitIn(5000, 0); in != 100 || r != clank.ReasonCommitInterval {
 		t.Fatalf("fresh interval: %d, %v", in, r)
@@ -218,6 +214,13 @@ func TestDiCASchedule(t *testing.T) {
 	if in, _ := s.NextCommitIn(5000, 250); in != 0 {
 		t.Fatal("interval long gone: expected commit now")
 	}
+
+	// A commit does not move DiCA onto the progress clock: the interval
+	// still runs on the wall cycles since the last commit.
+	s.Committed(70)
+	if in, r := s.NextCommitIn(5000, 30); in != 70 || r != clank.ReasonCommitInterval {
+		t.Fatalf("after commit: %d, %v", in, r)
+	}
 }
 
 func TestClankSchemeNeverSchedules(t *testing.T) {
@@ -228,15 +231,15 @@ func TestClankSchemeNeverSchedules(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	a := AlpacaFactory{}.New(clank.Config{}).(*Alpaca)
-	if a.taskLen != DefaultTaskLen {
-		t.Errorf("alpaca default task length = %d", a.taskLen)
+	a := AlpacaFactory{}.New(clank.Config{}).(*privatizer)
+	if a.period != DefaultTaskLen {
+		t.Errorf("alpaca default task length = %d", a.period)
 	}
-	d := DiCAFactory{}.New(clank.Config{}).(*DiCA)
-	if d.interval != DefaultInterval {
-		t.Errorf("dica default interval = %d", d.interval)
+	d := DiCAFactory{}.New(clank.Config{}).(*privatizer)
+	if d.period != DefaultInterval {
+		t.Errorf("dica default interval = %d", d.period)
 	}
-	if got := a.priv.buf.Cap(); got != defaultBufWords {
+	if got := a.buf.Cap(); got != defaultBufWords {
 		t.Errorf("default buffer capacity = %d", got)
 	}
 }

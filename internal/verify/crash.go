@@ -172,12 +172,12 @@ func (h *CrashHarness) machine(cfg clank.Config, img *ccc.Image) (*intermittent.
 		Config:    tcfg,
 		Scheme:    h.Scheme,
 		Verify:    true,
-		NVFault:   h.faultHook,
 		CommitBug: h.Bug,
 	})
 	if err != nil {
 		return nil, err
 	}
+	m.SetNVFault(h.faultHook)
 	h.machines[key] = m
 	return m, nil
 }
