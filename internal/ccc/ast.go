@@ -276,7 +276,8 @@ type global struct {
 	ty       *Type
 	isConst  bool
 	init     *expr   // scalar initializer
-	initList []*expr // array initializer (flattened row-major)
+	initList []*expr // brace-list initializer values, in source order
+	initAt   []int   // initList[i]'s row-major scalar index in the global
 	initStr  string  // string initializer for char arrays
 	line     int
 	sym      *symbol

@@ -249,6 +249,51 @@ int main(void) {
 	wantOutputs(t, out, 23, 10)
 }
 
+// TestMultiDimGlobalInit pins C's rules for brace initializers of
+// multi-dimensional globals: a braced sub-list initializes one whole row,
+// zero-padded; a bare scalar fills the next element in row-major order; and
+// braces inside a row initialize just the next element.
+func TestMultiDimGlobalInit(t *testing.T) {
+	out := compileAndRun(t, `
+int m[2][3] = {{1,2,3},{4,5,6}};
+int p[3][2] = {{1},{2}};
+char e[2][3] = {1,2,3,4};
+short x[2][2] = {7, {8}, {9}};
+int c[2][2][2] = {{1,2,3}, {4}};
+int main(void) {
+	__output(m[0][2]);
+	__output(m[1][0]);
+	__output(m[1][2]);
+	__output(p[0][1]);
+	__output(p[1][0]);
+	__output(p[1][1]);
+	__output(p[2][0]);
+	__output(e[1][0]);
+	__output(e[1][1]);
+	__output(x[0][1]);
+	__output(x[1][0]);
+	__output(c[0][1][0]);
+	__output(c[0][1][1]);
+	__output(c[1][0][0]);
+	return 0;
+}
+`)
+	wantOutputs(t, out, 3, 4, 6, 0, 2, 0, 0, 4, 0, 8, 9, 3, 0, 4)
+}
+
+func TestMultiDimGlobalInitErrors(t *testing.T) {
+	for _, src := range []string{
+		"int m[2][3] = {{1,2,3,4}};\nint main(void){return 0;}",
+		"int m[2][3] = {{1},{2},{3}};\nint main(void){return 0;}",
+		"int m[2][3] = {1,2,3,4,5,6,7};\nint main(void){return 0;}",
+		"int a[3] = {{1,2}};\nint main(void){return 0;}",
+		"int m[2][2] = {1, {2, 3}};\nint main(void){return 0;}",
+	} {
+		_, err := Compile(src)
+		wantPositioned(t, src, err)
+	}
+}
+
 func TestStringsAndRuntimeHelpers(t *testing.T) {
 	out := compileAndRun(t, `
 char dst[16];

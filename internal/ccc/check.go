@@ -95,8 +95,7 @@ func (c *checker) checkGlobalInit(g *global) error {
 	if scalar.Kind == KStruct && (g.init != nil || g.initList != nil) {
 		return c.errf(g.line, "struct global %q cannot have an initializer", g.name)
 	}
-	n := len(g.initList)
-	if g.ty.Kind == KArray && n > g.ty.Len || n*scalar.Size() > g.ty.Size() {
+	if n := len(g.initAt); n > 0 && (g.initAt[n-1]+1)*scalar.Size() > g.ty.Size() {
 		return c.errf(g.line, "too many initializers for %q", g.name)
 	}
 	if g.initStr != "" && g.ty.Kind == KArray && g.ty.Len == 0 {

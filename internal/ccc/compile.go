@@ -235,7 +235,7 @@ func globalBytes(ck *checker, gl *global) ([]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			put(i*es, v, elem)
+			put(gl.initAt[i]*es, v, elem)
 		}
 	case gl.init != nil:
 		v, err := ck.foldConst(gl.init)

@@ -312,48 +312,73 @@ func (p *parser) topLevel(u *unit) error {
 	}
 }
 
+// parseGlobalInit parses a global's initializer. A brace list follows C:
+// a bare scalar fills the next element in row-major order, and a braced
+// sub-list initializes the current subobject, zero-padded — one whole row
+// of the outer array at a row boundary, the next element inside a row.
+// initAt records where each value lands; the checker bounds the last.
 func (p *parser) parseGlobalInit(g *global) error {
 	if p.at(tokString) && g.ty.Kind == KArray && g.ty.Elem.Kind == KChar {
 		g.initStr = p.next().text
 		return nil
 	}
-	if p.atPunct("{") {
-		p.pos++
-		for !p.atPunct("}") {
-			if p.atPunct("{") { // nested row for multi-dim arrays: flatten
-				p.pos++
-				for !p.atPunct("}") {
-					e, err := p.parseAssignExpr()
-					if err != nil {
-						return err
-					}
-					g.initList = append(g.initList, e)
-					if !p.acceptPunct(",") {
-						break
-					}
-				}
-				if err := p.expectPunct("}"); err != nil {
-					return err
-				}
-			} else {
-				e, err := p.parseAssignExpr()
-				if err != nil {
-					return err
-				}
-				g.initList = append(g.initList, e)
-			}
-			if !p.acceptPunct(",") {
-				break
-			}
+	if !p.acceptPunct("{") {
+		e, err := p.parseAssignExpr()
+		if err != nil {
+			return err
 		}
-		return p.expectPunct("}")
+		g.init = e
+		return nil
 	}
-	e, err := p.parseAssignExpr()
-	if err != nil {
-		return err
+	rows, rowLen := 1, 1 // a non-array global is one one-element row
+	if s := g.ty.scalar().Size(); g.ty.Kind == KArray && s > 0 {
+		rows, rowLen = g.ty.Len, g.ty.Elem.Size()/s
 	}
-	g.init = e
-	return nil
+	next := 0 // scalar index the next value fills
+	value := func() error {
+		e, err := p.parseAssignExpr()
+		if err != nil {
+			return err
+		}
+		g.initList = append(g.initList, e)
+		g.initAt = append(g.initAt, next)
+		next++
+		return nil
+	}
+	for !p.atPunct("}") {
+		if !p.acceptPunct("{") {
+			if err := value(); err != nil {
+				return err
+			}
+		} else {
+			start, span := next, 1
+			if rowLen > 0 && start%rowLen == 0 {
+				if start/rowLen >= rows {
+					return p.errf("too many rows in initializer for %q", g.name)
+				}
+				span = rowLen
+			}
+			for !p.atPunct("}") {
+				if next-start >= span {
+					return p.errf("too many initializers in row of %q", g.name)
+				}
+				if err := value(); err != nil {
+					return err
+				}
+				if !p.acceptPunct(",") {
+					break
+				}
+			}
+			if err := p.expectPunct("}"); err != nil {
+				return err
+			}
+			next = start + span
+		}
+		if !p.acceptPunct(",") {
+			break
+		}
+	}
+	return p.expectPunct("}")
 }
 
 func (p *parser) parseFunction(u *unit, ret *Type, nameTok token) error {

@@ -236,10 +236,6 @@ func (c *wbCAM) reset() {
 const (
 	fltEntries = accfilter.Entries
 	fltMask    = accfilter.Mask
-
-	// FilterEntries exports the slot count of each direct-mapped filter
-	// array for hardware-cost accounting (internal/hwcost).
-	FilterEntries = fltEntries
 )
 
 // fltEmpty is the all-slots-invalid tag array (see accfilter.Empty).

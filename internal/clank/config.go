@@ -102,6 +102,9 @@ func (c Config) Validate() error {
 	if c.ReadFirst < 1 {
 		return fmt.Errorf("clank: Read-first Buffer requires at least one entry")
 	}
+	if c.WriteFirst < 0 || c.WriteBack < 0 || c.AddrPrefix < 0 {
+		return fmt.Errorf("clank: negative buffer size in %v", c)
+	}
 	if c.AddrPrefix > 0 && (c.PrefixLowBits < 1 || c.PrefixLowBits > 29) {
 		return fmt.Errorf("clank: PrefixLowBits %d out of range", c.PrefixLowBits)
 	}

@@ -139,7 +139,7 @@ func TestSchemeFleetInvariance(t *testing.T) {
 
 	aggs := make(map[string]Aggregate)
 	for _, name := range scheme.Names() {
-		fac, _ := scheme.ByName(name)
+		fac, _ := scheme.Parse(name)
 		withScheme := func(workers, shard int) Options {
 			o := baseOptions(devices, workers)
 			o.Scheme = fac
@@ -311,27 +311,38 @@ func TestFleetSmoke(t *testing.T) {
 // TestFleetGoldenHash pins the aggregate hash of the TestFleetSmoke
 // options, with and without torn NV writes, to the digests recorded before
 // the run-time accounting moved into clank.Ledger: every device's cycle
-// breakdown, checkpoint count and boot count feeds the hash.
+// breakdown, checkpoint count and boot count feeds the hash. The alpaca and
+// dica rows (300 devices, so the race-detector run stays quick) pin the
+// privatizer's generic Scheme path the same way.
 func TestFleetGoldenHash(t *testing.T) {
 	img := fleetImage(t)
 	for _, c := range []struct {
+		scheme    string
+		devices   int
 		faultRate float64
 		want      string
 	}{
-		{0, "de05affcfbdcb983"},
-		{0.003, "d7c99fed37babc2b"},
+		{"clank", 1000, 0, "de05affcfbdcb983"},
+		{"clank", 1000, 0.003, "d7c99fed37babc2b"},
+		{"alpaca", 300, 0, "ffcedd6441564c5e"},
+		{"dica", 300, 0, "3a5bfc4f5004b48e"},
 	} {
-		o := baseOptions(1000, 2)
+		fac, err := scheme.Parse(c.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := baseOptions(c.devices, 2)
+		o.Scheme = fac
 		o.NVFaultRate, o.NVFaultSeed = c.faultRate, 9
 		rep, err := Run(img, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.faultRate > 0 && rep.Agg.TornWrites == 0 {
-			t.Errorf("fault rate %v tore no writes", c.faultRate)
+			t.Errorf("%s: fault rate %v tore no writes", c.scheme, c.faultRate)
 		}
 		if rep.Agg.Hash != c.want {
-			t.Errorf("fault rate %v: aggregate hash %s, want %s", c.faultRate, rep.Agg.Hash, c.want)
+			t.Errorf("%s, fault rate %v: aggregate hash %s, want %s", c.scheme, c.faultRate, rep.Agg.Hash, c.want)
 		}
 	}
 }

@@ -78,54 +78,6 @@ func ForConfig(cfg clank.Config) Estimate {
 	return e
 }
 
-// FilterBits returns the storage the access-filter front end adds: two
-// direct-mapped clank.FilterEntries-slot tag arrays, each slot holding the
-// word-address bits above the index plus a valid bit. The filter is this
-// implementation's addition, not part of the paper's Table 2, so its cost
-// is accounted separately from ForConfig — the calibrated model must keep
-// reproducing the published numbers for the published hardware.
-func FilterBits(cfg clank.Config) int {
-	if cfg.DisableFilter {
-		return 0
-	}
-	idx := 0
-	for 1<<idx < clank.FilterEntries {
-		idx++
-	}
-	return 2 * clank.FilterEntries * (30 - idx + 1)
-}
-
-// FilterEstimate is the area delta of the access filter. Storage dominates
-// (flip-flop arrays); the matching logic is a single tag comparator per
-// array — direct mapping is the whole point, there is no parallel CAM
-// match — so the LUT charge is two comparators wide, independent of the
-// slot count.
-func FilterEstimate(cfg clank.Config) Estimate {
-	bits := FilterBits(cfg)
-	if bits == 0 {
-		return Estimate{}
-	}
-	idx := 0
-	for 1<<idx < clank.FilterEntries {
-		idx++
-	}
-	return Estimate{
-		LUT: lutPerCmpBit * float64(2*(30-idx)),
-		FF:  ffPerBit * float64(bits),
-	}
-}
-
-// ForConfigWithFilter is ForConfig plus the access-filter delta — the
-// honest total for the hardware this repository actually models.
-func ForConfigWithFilter(cfg clank.Config) Estimate {
-	e := ForConfig(cfg)
-	f := FilterEstimate(cfg)
-	e.LUT += f.LUT
-	e.FF += f.FF
-	e.Mem += f.Mem
-	return e
-}
-
 // TotalOverhead combines a hardware estimate with a software run-time
 // overhead into the paper's total run-time overhead (Figure 7): the added
 // hardware consumes harvested energy that would otherwise power cycles, so

@@ -51,40 +51,6 @@ func TestAPBSavesComparatorsButAddsLogic(t *testing.T) {
 	}
 }
 
-// TestFilterAccountedSeparately pins the access-filter cost model: the
-// filter never leaks into ForConfig (Table 2 stays calibrated), its bit
-// count is the exact two-array direct-mapped storage, and disabling the
-// filter zeroes the delta.
-func TestFilterAccountedSeparately(t *testing.T) {
-	cfg := clank.Config{ReadFirst: 16, WriteFirst: 8, WriteBack: 4}
-	// 2 arrays x 512 slots x (21 tag bits + 1 valid bit).
-	if got, want := FilterBits(cfg), 2*clank.FilterEntries*22; got != want {
-		t.Errorf("FilterBits = %d, want %d", got, want)
-	}
-	off := cfg
-	off.DisableFilter = true
-	if got := FilterBits(off); got != 0 {
-		t.Errorf("FilterBits(disabled) = %d, want 0", got)
-	}
-	if e := FilterEstimate(off); e != (Estimate{}) {
-		t.Errorf("FilterEstimate(disabled) = %+v, want zero", e)
-	}
-
-	base, withF := ForConfig(cfg), ForConfigWithFilter(cfg)
-	delta := FilterEstimate(cfg)
-	if withF.FF <= base.FF || withF.LUT <= base.LUT {
-		t.Error("filter added no area — the cost model is lying")
-	}
-	if d := (withF.FF - base.FF) - delta.FF; d > 1e-12 || -d > 1e-12 {
-		t.Errorf("FF delta %.4f != FilterEstimate.FF %.4f", withF.FF-base.FF, delta.FF)
-	}
-	// Direct-mapped matching: the LUT charge is two tag comparators, far
-	// below even the smallest CAM's parallel match.
-	if delta.LUT >= ForConfig(clank.Config{ReadFirst: 4}).LUT {
-		t.Errorf("filter LUT charge %.3f not modest", delta.LUT)
-	}
-}
-
 func TestTotalOverheadCompounds(t *testing.T) {
 	e := Estimate{LUT: 3, FF: 1.5, Mem: 0.3} // Avg = 1.6%
 	total := TotalOverhead(e, 0.06)

@@ -141,13 +141,13 @@ type Machine struct {
 	// consultation (commit drains, reboots, footprints, the run loop's
 	// will-commit predicate) goes through it.
 	//
-	// k is the devirtualized fast path: when the scheme is Clank, k holds
-	// its concrete detector and load/store run the monomorphic path where
-	// clank.Read/Write inline (the io.Copy idiom — interface callers get
-	// correctness, the dominant concrete type keeps its speed). For every
-	// other scheme k is nil and the bus routes through loadGeneric/
+	// k is the devirtualized fast path: when the scheme is a *scheme.Clank,
+	// k holds its embedded detector and load/store run the monomorphic path
+	// where clank.Read/Write inline (the io.Copy idiom — interface callers
+	// get correctness, the dominant concrete type keeps its speed). For
+	// every other scheme k is nil and the bus routes through loadGeneric/
 	// storeGeneric on sch. Measured worth of the seam: with k left nil for
-	// Clank (the access port still installed from Detector().Port()),
+	// Clank (the access port still installed from the detector's Port()),
 	// perfbench harsh ops_per_s read 0.940–0.948 and fleet 0.961–0.964 of
 	// the devirtualized build (2-vCPU VM, 12 s runs, alternating pairs,
 	// main.calibrate 64-byte aligned in both binaries).
@@ -295,10 +295,10 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 		boot:      img,
 		shared:    prog,
 	}
-	// Devirtualize the Clank fast path: the scheme exposing its concrete
-	// detector is the signal that load/store may run monomorphically.
-	if ck, ok := m.sch.(interface{ Detector() *clank.Clank }); ok {
-		m.k = ck.Detector()
+	// Devirtualize the Clank fast path: a concrete *scheme.Clank is the
+	// signal that load/store may run monomorphically (Boxed hides it).
+	if ck, ok := m.sch.(*scheme.Clank); ok {
+		m.k = ck.Clank
 	}
 	m.slotNV[0] = armsim.NewNVRegion(clank.SlotRecWords)
 	m.slotNV[1] = armsim.NewNVRegion(clank.SlotRecWords)
@@ -365,7 +365,7 @@ func (m *Machine) Reboot(img *ccc.Image) error {
 		m.cpu.AttachShared(m.shared, m.mem)
 	}
 	m.img = img
-	m.sch.Reboot(0)
+	m.sch.Committed(0)
 	if m.mon != nil {
 		m.mon.Reset()
 	}
@@ -481,22 +481,28 @@ func (m *Machine) load(addr uint32, size uint8, pc uint32) (uint32, error) {
 		// Reads of the output region are not tracked state.
 		return m.mem.Load(addr, size, pc)
 	}
-	if m.k == nil {
-		return m.loadGeneric(addr, size, pc)
-	}
 	word := addr >> 2
 	if word-m.textLoW < m.textSpanW {
-		// TEXT read under OptIgnoreText: the verdict is statically
-		// Outcome{} (a TEXT word is never buffer-resident), so only the
-		// section access count advances. Literal loads the CPU
+		// TEXT read under OptIgnoreText, for every scheme: the verdict is
+		// statically Outcome{} (a TEXT word is never buffer-resident), so
+		// only the section access count advances. Literal loads the CPU
 		// pre-classified (armsim's kindLDRLitText) arrive here too when no
-		// access port serves them.
-		m.k.AddAccesses(1)
+		// access port serves them. Answering TEXT reads here rather than
+		// through Scheme.Read keeps an interface call off the generic
+		// path's literal loads.
+		if m.k != nil {
+			m.k.AddAccesses(1)
+		} else {
+			m.sch.AddAccesses(1)
+		}
 		memWord := m.mem.ReadWord(addr)
 		if m.mon != nil {
 			m.mon.ReadNV(word, memWord)
 		}
 		return armsim.WordLane(memWord, addr, size), nil
+	}
+	if m.k == nil {
+		return m.loadGeneric(word, addr, size, pc)
 	}
 	memWord := m.mem.ReadWord(addr)
 	out := m.k.Read(word, memWord, pc)
@@ -527,7 +533,7 @@ func (m *Machine) store(addr uint32, size uint8, value uint32, pc uint32) error 
 		// those this StepFused call already retired: Run charges them
 		// to the ledger only after the call returns, but the fused
 		// engine flushes them into cpu.Cycle before every access.
-		if m.led.SinceCkpt()+(m.cpu.Cycle-m.stepCycle) > 0 || m.sectionAccesses() > 0 {
+		if m.led.SinceCkpt()+(m.cpu.Cycle-m.stepCycle) > 0 || m.sch.SectionAccesses() > 0 {
 			m.pendingReason = clank.ReasonOutput
 			return errCheckpoint
 		}
@@ -592,32 +598,12 @@ func (m *Machine) afterAccess(addr uint32, write bool) {
 	}
 }
 
-// sectionAccesses reads the access-since-commit count through the fast
-// detector when present, the scheme interface otherwise.
-func (m *Machine) sectionAccesses() int {
-	if m.k != nil {
-		return m.k.SectionAccesses()
-	}
-	return m.sch.SectionAccesses()
-}
-
-// loadGeneric is load for non-Clank schemes: the same classification
-// sequence routed through the Scheme interface instead of the
-// devirtualized detector. The duplication with load is deliberate — the
-// acceptance bar for the scheme seam was that Clank's inlined fast path
-// must not grow an interface call per access.
-func (m *Machine) loadGeneric(addr uint32, size uint8, pc uint32) (uint32, error) {
-	word := addr >> 2
-	if word-m.textLoW < m.textSpanW {
-		// TEXT read under OptIgnoreText: statically-known verdict, only
-		// the section access count advances.
-		m.sch.NoteIgnoredAccess()
-		memWord := m.mem.ReadWord(addr)
-		if m.mon != nil {
-			m.mon.ReadNV(word, memWord)
-		}
-		return armsim.WordLane(memWord, addr, size), nil
-	}
+// loadGeneric is load for non-Clank schemes past the TEXT window: the
+// same classification sequence routed through the Scheme interface instead
+// of the devirtualized detector. The duplication with load is deliberate —
+// the acceptance bar for the scheme seam was that Clank's inlined fast
+// path must not grow an interface call per access.
+func (m *Machine) loadGeneric(word, addr uint32, size uint8, pc uint32) (uint32, error) {
 	memWord := m.mem.ReadWord(addr)
 	out := m.sch.Read(word, memWord, pc)
 	if out.NeedCheckpoint {

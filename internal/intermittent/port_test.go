@@ -147,7 +147,7 @@ func requirePortSectionCounts(t *testing.T, img *ccc.Image, total uint64) {
 			if _, err := m.Run(); err == nil {
 				t.Fatalf("run finished inside the %d-cycle bound", bound)
 			}
-			counts[leg], regs[leg] = m.sectionAccesses(), m.cpu.Regs()
+			counts[leg], regs[leg] = m.sch.SectionAccesses(), m.cpu.Regs()
 		}
 		if counts[0] != counts[1] || regs[0] != regs[1] {
 			t.Errorf("stopped at %d cycles: port path has %d section accesses, Bus path %d (registers equal: %v)",
@@ -167,9 +167,9 @@ func TestAccessPortAbsentWhenObserved(t *testing.T) {
 		"fail-after-access": {Config: portCfg, FailAfterAccess: func(uint32, bool) bool { return false }},
 	}
 	for _, name := range []string{"alpaca", "dica"} {
-		fac, ok := scheme.ByName(name)
-		if !ok {
-			t.Fatalf("no scheme %q", name)
+		fac, err := scheme.Parse(name)
+		if err != nil {
+			t.Fatal(err)
 		}
 		cases[name] = Options{Config: portCfg, Scheme: fac}
 	}

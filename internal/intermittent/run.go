@@ -157,24 +157,14 @@ func (m *Machine) chargeRestart() bool {
 func (m *Machine) recoverJournal(count int) bool {
 	m.stepScratch = clank.AppendRecoverySteps(m.stepScratch[:0], m.opts.Costs, count)
 	for _, s := range m.stepScratch {
-		ok, torn, mask := m.commitWrite(s.Cost, &m.led.RestartCycles)
-		switch s.Kind {
-		case clank.StepApply:
-			addr, val := clank.JournalEntry(m.jnlNV.Words(), s.Index)
-			if torn {
-				old := m.mem.ReadWord(addr)
-				m.mem.WriteWord(addr, old&^mask|val&mask)
-			} else if ok {
-				m.mem.WriteWord(addr, val)
-			}
-		case clank.StepClear:
-			if torn {
-				m.jnlNV.SetWordMasked(clank.JnlLenWord, 0, mask)
-			} else if ok {
-				m.jnlNV.SetWord(clank.JnlLenWord, 0)
-			}
+		// StepClear zeroes the journal length; StepApply lands an entry
+		// at its home address.
+		reg, addr, val := m.jnlNV, uint32(0), uint32(0)
+		if s.Kind == clank.StepApply {
+			reg = nil
+			addr, val = clank.JournalEntry(m.jnlNV.Words(), s.Index)
 		}
-		if !ok {
+		if !m.commitWrite(s.Cost, &m.led.RestartCycles, reg, clank.JnlLenWord, addr, val) {
 			return false
 		}
 	}
@@ -182,34 +172,48 @@ func (m *Machine) recoverJournal(count int) bool {
 	return true
 }
 
-// commitWrite spends one commit-protocol NV word write against the power
-// budget (attributed to the given overhead counter) and consults the fault
-// injector. The write counter advances on consultation — before the write
-// lands — so a single-index hook never re-fires on the redone commit.
+// commitWrite performs one commit-protocol NV word write: val into word
+// idx of reg, or, with reg nil, into the memory word at addr. It consults
+// the fault injector, then spends the write against the power budget
+// (attributed to the given overhead counter). The write counter advances
+// on consultation — before the write lands — so a single-index hook never
+// re-fires on the redone commit.
 //
-// ok means the write lands completely and the routine continues. On
-// (ok=false, torn=true) an injected fault tore the write: the caller must
-// land exactly the bits in mask (old&^mask | new&mask) and then stop — the
-// device is off, the rest of the boot's budget discarded (mirroring
-// FailAfterAccess). On (ok=false, torn=false) nothing lands: a mask-0
-// injected cut, or a budget death, which burns the remainder into the wall
-// clock exactly as the old atomic model did. Budget deaths land word-
+// It returns true when the write landed completely and the routine
+// continues. On false the device is off and the routine stops: an
+// injected fault with a non-zero mask tore the write, landing exactly the
+// bits in mask (old&^mask | val&mask), with the rest of the boot's budget
+// discarded (mirroring FailAfterAccess); a mask-0 injected cut, or a
+// budget death, lands nothing, the latter burning the remainder into the
+// wall clock exactly as the old atomic model did. Budget deaths land word-
 // atomically by design: the adversarial injector owns the torn space, and
 // the sweep proves any mask outcome is equivalent to a clean cut anyway.
-func (m *Machine) commitWrite(cost uint64, counter *uint64) (ok, torn bool, mask uint32) {
+func (m *Machine) commitWrite(cost uint64, counter *uint64, reg *armsim.NVRegion, idx int, addr, val uint32) bool {
 	w := m.stats.CommitWrites
 	m.stats.CommitWrites++
+	mask, ok := ^uint32(0), true
 	if m.nvFault != nil {
 		if fault, fmask := m.nvFault(w); fault {
 			m.led.Cut()
-			if fmask != 0 {
-				m.stats.TornWrites++
-				return false, true, fmask
+			if fmask == 0 {
+				return false
 			}
-			return false, false, 0
+			m.stats.TornWrites++
+			mask, ok = fmask, false
 		}
 	}
-	return m.led.SpendOverhead(cost, counter), false, 0
+	if ok && !m.led.SpendOverhead(cost, counter) {
+		return false
+	}
+	if reg != nil {
+		reg.SetWordMasked(idx, val, mask)
+		return ok
+	}
+	if !ok { // torn: the bits outside mask keep the old word's
+		val = m.mem.ReadWord(addr)&^mask | val&mask
+	}
+	m.mem.WriteWord(addr, val)
+	return ok
 }
 
 // checkpoint runs the modeled checkpoint routine as the explicit sequence
@@ -260,11 +264,9 @@ func (m *Machine) checkpoint(reason clank.Reason) bool {
 	})
 	for _, s := range steps {
 		var (
-			reg   *armsim.NVRegion
-			idx   int
-			val   uint32
-			toMem bool
-			addr  uint32
+			reg       *armsim.NVRegion // nil: the write lands in memory at addr
+			idx       int
+			addr, val uint32
 		)
 		switch s.Kind {
 		case clank.StepJournal:
@@ -293,27 +295,13 @@ func (m *Machine) checkpoint(reason clank.Reason) bool {
 			idx = slotSealWord(m.opts.CommitBug, s.Sub)
 			val = m.slotEnc[idx]
 		case clank.StepApply:
-			a, v := clank.JournalEntry(jn.Words(), s.Index)
-			toMem, addr, val = true, a, v
+			addr, val = clank.JournalEntry(jn.Words(), s.Index)
 		case clank.StepSlot2:
 			reg, idx, val = retiring, s.Index, m.slotEnc[s.Index]
 		case clank.StepClear:
 			reg, idx, val = jn, clank.JnlLenWord, 0
 		}
-		ok, torn, mask := m.commitWrite(s.Cost, &m.led.CkptCycles)
-		if toMem {
-			if torn {
-				old := m.mem.ReadWord(addr)
-				m.mem.WriteWord(addr, old&^mask|val&mask)
-			} else if ok {
-				m.mem.WriteWord(addr, val)
-			}
-		} else if torn {
-			reg.SetWordMasked(idx, val, mask)
-		} else if ok {
-			reg.SetWord(idx, val)
-		}
-		if !ok {
+		if !m.commitWrite(s.Cost, &m.led.CkptCycles, reg, idx, addr, val) {
 			m.stats.TornCommits++
 			return false
 		}
@@ -498,7 +486,7 @@ func (m *Machine) powerFail() int {
 	}
 	// All volatile scheme state died with the power; schedules re-derive
 	// from the restored progress clock (0 on a degraded boot).
-	m.sch.Reboot(m.cpu.Cycle)
+	m.sch.Committed(m.cpu.Cycle)
 	m.forceCkptAfter = false
 	return m.led.Boot(m.opts.Supply)
 }

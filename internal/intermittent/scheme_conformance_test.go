@@ -12,16 +12,16 @@ import (
 
 // conformanceSchemes is the battery's scheme roster: every registered
 // backend by name — a fourth scheme gets the whole suite for free the
-// moment it registers — plus a boxed Clank, which hides the Detector
-// accessor and so forces the machine onto its generic interface path,
+// moment it registers — plus a boxed Clank, which hides the concrete
+// *scheme.Clank and so forces the machine onto its generic interface path,
 // differentially pinning that path against the devirtualized one.
 func conformanceSchemes(t *testing.T) map[string]scheme.Factory {
 	t.Helper()
 	facs := make(map[string]scheme.Factory)
 	for _, name := range scheme.Names() {
-		f, ok := scheme.ByName(name)
-		if !ok {
-			t.Fatalf("registry lists %q but ByName rejects it", name)
+		f, err := scheme.Parse(name)
+		if err != nil {
+			t.Fatalf("registry lists %q but Parse rejects it: %v", name, err)
 		}
 		facs[name] = f
 	}

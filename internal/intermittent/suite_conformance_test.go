@@ -59,9 +59,9 @@ func TestSuiteOutputConformance(t *testing.T) {
 				t.Fatal("the shared program's warm-up outputs differ from the continuous run's")
 			}
 			for _, name := range schemes {
-				fac, ok := scheme.ByName(name)
-				if !ok {
-					t.Fatalf("no scheme %q", name)
+				fac, err := scheme.Parse(name)
+				if err != nil {
+					t.Fatal(err)
 				}
 				known := knownOutputMismatches[name+"/"+b.Name]
 				for _, sup := range supplies {

@@ -186,8 +186,8 @@ func (p *privatizer) Write(word, newWord, memWord, pc uint32) clank.Outcome {
 // Lookup implements Scheme.
 func (p *privatizer) Lookup(word uint32) (uint32, bool) { return p.buf.Get(word) }
 
-// NoteIgnoredAccess implements Scheme.
-func (p *privatizer) NoteIgnoredAccess() { p.accesses++ }
+// AddAccesses implements Scheme.
+func (p *privatizer) AddAccesses(n int) { p.accesses += n }
 
 // SectionAccesses implements Scheme.
 func (p *privatizer) SectionAccesses() int { return p.accesses }
@@ -211,18 +211,15 @@ func (p *privatizer) DirtyEntries(dst []clank.WBEntry) []clank.WBEntry {
 	return p.buf.DirtyEntries(dst)
 }
 
-// Committed implements Scheme: the buffered writes are persistent, so the
-// section state goes and the schedule re-bases at progress.
+// Committed implements Scheme: after a commit the buffered writes are
+// persistent, and after a reboot they died with the power; either way the
+// section state goes and the schedule re-bases at progress, so an
+// interrupted section re-runs with the same schedule from an empty buffer.
 func (p *privatizer) Committed(progress uint64) {
 	p.base = progress
 	p.buf.Reset()
 	p.accesses = 0
 }
-
-// Reboot implements Scheme: execution resumed from the checkpoint at
-// progress, which by construction was a commit point, so the interrupted
-// section re-runs with the same schedule from an empty buffer.
-func (p *privatizer) Reboot(progress uint64) { p.Committed(progress) }
 
 // Footprint implements Scheme.
 func (p *privatizer) Footprint() uint64 { return p.buf.Footprint() }

@@ -42,17 +42,16 @@ const Never = ^uint64(0)
 
 // Scheme is one intermittent-execution policy attached to the machine's
 // memory path. The machine consults it on every tracked data access (Read,
-// Write, Lookup, NoteIgnoredAccess), at every run-loop iteration
-// (NextCommitIn), and around the shared commit program (DirtyEntries,
-// Committed, Reboot).
+// Write, Lookup, AddAccesses), at every run-loop iteration (NextCommitIn),
+// and around the shared commit program and reboots (DirtyEntries,
+// Committed).
 //
 // The crash sweep imposes one contract on every implementation: all
 // volatile scheme state must be reconstructible from the committed slot
-// record alone. Committed and Reboot both receive the committed
-// useful-progress cycle; any internal base the scheme keeps (task
-// boundaries, intervals) must be a pure function of it, so that a reboot
-// restoring an old checkpoint re-derives exactly the schedule the original
-// execution saw.
+// record alone. Committed receives the committed useful-progress cycle;
+// any internal base the scheme keeps (task boundaries, intervals) must be
+// a pure function of it, so that a reboot restoring an old checkpoint
+// re-derives exactly the schedule the original execution saw.
 type Scheme interface {
 	// Read classifies a load of word (current memory value memWord) by the
 	// instruction at pc. FromWB outcomes serve the access from scheme-
@@ -69,10 +68,10 @@ type Scheme interface {
 	// memory (sub-word stores merge against it).
 	Lookup(word uint32) (uint32, bool)
 
-	// NoteIgnoredAccess counts an access the machine classified without
+	// AddAccesses counts n accesses the machine classified without
 	// consulting the scheme (TEXT-window reads), keeping the section
 	// access count — and with it output bracketing — exact.
-	NoteIgnoredAccess()
+	AddAccesses(n int)
 
 	// SectionAccesses reports accesses since the last commit or reboot;
 	// the machine brackets outputs whenever it is non-zero.
@@ -90,15 +89,13 @@ type Scheme interface {
 	// them).
 	DirtyEntries(dst []clank.WBEntry) []clank.WBEntry
 
-	// Committed notifies the scheme that a commit drained fully at the
-	// given useful-progress cycle: buffered state is now persistent and
-	// must be discarded, and progress-relative schedules re-base.
+	// Committed notifies the scheme that execution stands at a commit
+	// point at the given useful-progress cycle: a commit drained fully
+	// (buffered state is now persistent), or power was lost and execution
+	// resumed from the checkpoint taken there (buffered state died with
+	// the power). Either way the scheme discards its section state and
+	// progress-relative schedules re-base.
 	Committed(progress uint64)
-
-	// Reboot notifies the scheme that power was lost and execution resumed
-	// from the checkpoint at the given useful-progress cycle. All volatile
-	// scheme state is gone; schedules re-derive from progress.
-	Reboot(progress uint64)
 
 	// Footprint estimates the scheme's resident bytes per device.
 	Footprint() uint64
@@ -131,15 +128,9 @@ func Names() []string {
 	return names
 }
 
-// ByName returns the default factory for a registered scheme name.
-func ByName(name string) (Factory, bool) {
-	f, ok := registry[name]
-	return f, ok
-}
-
 // Boxed wraps a factory so the built scheme exposes nothing beyond the
-// Scheme interface — notably hiding Clank's Detector accessor — which
-// forces the machine onto its generic interface path. Conformance tests
+// Scheme interface — notably hiding the concrete *Clank — which forces the
+// machine onto its generic interface path. Conformance tests
 // use it to differentially check the devirtualized fast path against the
 // generic one.
 func Boxed(f Factory) Factory { return boxedFactory{f} }

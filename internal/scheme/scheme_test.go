@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,9 +16,9 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("Names() = %v, want %v", names, want)
 	}
 	for _, n := range names {
-		f, ok := ByName(n)
-		if !ok {
-			t.Fatalf("ByName(%q) missing", n)
+		f, err := Parse(n)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", n, err)
 		}
 		if f.Name() != n {
 			t.Errorf("factory for %q reports name %q", n, f.Name())
@@ -26,8 +27,8 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("factory for %q built no scheme", n)
 		}
 	}
-	if _, ok := ByName("quickrecall"); ok {
-		t.Error("ByName accepted an unregistered name")
+	if _, err := Parse("quickrecall"); err == nil {
+		t.Error("Parse accepted an unregistered name")
 	}
 }
 
@@ -72,12 +73,12 @@ func TestParse(t *testing.T) {
 func TestBoxedHidesDetector(t *testing.T) {
 	cfg := clank.Config{ReadFirst: 4, WriteFirst: 4, WriteBack: 2}
 	plain := ClankFactory{}.New(cfg)
-	if _, ok := plain.(interface{ Detector() *clank.Clank }); !ok {
-		t.Fatal("plain clank scheme must expose its detector")
+	if _, ok := plain.(*Clank); !ok {
+		t.Fatal("plain clank scheme must expose its concrete type")
 	}
 	box := Boxed(ClankFactory{}).New(cfg)
-	if _, ok := box.(interface{ Detector() *clank.Clank }); ok {
-		t.Fatal("boxed scheme leaks the Detector accessor")
+	if _, ok := box.(*Clank); ok {
+		t.Fatal("boxed scheme leaks the concrete *Clank")
 	}
 }
 
@@ -165,7 +166,7 @@ func TestPrivatizerExemptAndText(t *testing.T) {
 	if out := p.Write(textWord, 9, 0, 0x48); !out.NeedCheckpoint || out.Reason != clank.ReasonTextWrite {
 		t.Fatalf("mid-section TEXT store: %+v", out)
 	}
-	p.Reboot(0)
+	p.Committed(0)
 	if out := p.Write(textWord, 9, 0, 0x48); out.NeedCheckpoint || out.Buffered {
 		t.Fatalf("opening TEXT store: %+v", out)
 	}
@@ -191,9 +192,11 @@ func TestAlpacaSchedule(t *testing.T) {
 		t.Fatalf("after early commit: %d", in)
 	}
 
-	// Reboot to an older checkpoint re-derives the same schedule the
-	// original execution saw at that point.
-	s.Reboot(70)
+	// A reboot to an older checkpoint (a later commit at 170, then a
+	// restore of the one at 70) re-derives the same schedule the original
+	// execution saw at that point.
+	s.Committed(170)
+	s.Committed(70)
 	if in, _ := s.NextCommitIn(70, 0); in != 100 {
 		t.Fatalf("after reboot: %d", in)
 	}
@@ -258,7 +261,7 @@ func FuzzSchemeParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
 		fac, err := Parse(spec)
 		name, param, has := strings.Cut(spec, ":")
-		_, known := ByName(name)
+		known := slices.Contains(Names(), name)
 		n, digits := new(big.Int), param != "" && strings.Trim(param, "0123456789") == ""
 		if digits {
 			n.SetString(param, 10)
