@@ -71,10 +71,11 @@ func main() {
 		defer stopProfile()
 	}
 
-	cfg := clank.Config{ReadFirst: *rf, WriteFirst: *wf, WriteBack: *wb, AddrPrefix: *ap, PrefixLowBits: 6}
-	if *opts == "all" {
-		cfg.Opts = clank.OptAll
+	optSet, err := clank.ParseOpts(*opts)
+	if err != nil {
+		fatal(err)
 	}
+	cfg := clank.Config{ReadFirst: *rf, WriteFirst: *wf, WriteBack: *wb, AddrPrefix: *ap, PrefixLowBits: 6, Opts: optSet}
 	fac, err := scheme.Parse(*schemeSpec)
 	if err != nil {
 		fatal(err)

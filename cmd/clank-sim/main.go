@@ -63,6 +63,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	optSet, err := clank.ParseOpts(*opts)
+	if err != nil {
+		fatal(err)
+	}
 
 	var src string
 	switch {
@@ -98,10 +102,7 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := clank.Config{ReadFirst: *rf, WriteFirst: *wf, WriteBack: *wb, AddrPrefix: *ap, PrefixLowBits: 6}
-	if *opts == "all" {
-		cfg.Opts = clank.OptAll
-	}
+	cfg := clank.Config{ReadFirst: *rf, WriteFirst: *wf, WriteBack: *wb, AddrPrefix: *ap, PrefixLowBits: 6, Opts: optSet}
 
 	// Power environment: a seeded random model by default, or a recorded
 	// trace replayed boot for boot.

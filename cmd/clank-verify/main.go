@@ -2,12 +2,13 @@
 // than CI budgets allow: symmetry-pruned parallel enumeration of every
 // access pattern up to the bound, against the standard configuration family
 // and every single-failure schedule, with counterexample shrinking on
-// failure. With -diff each triple additionally executes on the real
-// armsim+intermittent pipeline and is compared against the mini-machine and
-// oracle. With -crash each (pattern, configuration) instead runs the
-// crash-consistency sweep: the pipeline is re-executed once per possible
-// commit-protocol NV-write cut position, proving the two-phase checkpoint
-// commit recoverable at every word-write boundary.
+// failure. -diff and -crash hold the real armsim+intermittent pipeline to
+// the oracle through one verify.Harness per worker. With -diff
+// (Harness.Check) each triple runs on the mini-machine, then on the
+// pipeline with power cut at the schedule's data accesses. With -crash
+// (Harness.CheckCommits) each (pattern, configuration) is re-executed once
+// per commit-protocol NV-write cut position × tear mask, proving the
+// two-phase checkpoint commit recoverable at every write boundary.
 //
 // Usage:
 //
@@ -49,31 +50,22 @@ func main() {
 		CollectAll:  *collect,
 		NoShrink:    *noShrink,
 	}
+	mode := "mini-machine"
 	switch {
 	case *crash:
+		mode = "crash-consistency cut-point"
 		// Cut positions are generated inside the harness; the schedule
 		// axis collapses to the continuous-power placeholder.
 		s.Schedules = []verify.Schedule{verify.FailAt(-1)}
-		s.MakeCheck = func() verify.CheckFunc {
-			return verify.NewCrashHarness(*n).Check
-		}
+		s.MakeCheck = func() verify.CheckFunc { return verify.NewHarness(*n).CheckCommits }
 	case *diff:
-		s.MakeCheck = func() verify.CheckFunc {
-			return verify.NewDiffHarness(*n).Check
-		}
+		mode = "full-stack differential"
+		s.MakeCheck = func() verify.CheckFunc { return verify.NewHarness(*n).Check }
 	}
 
 	start := time.Now()
 	stats, err := s.Run()
 	elapsed := time.Since(start)
-
-	mode := "mini-machine"
-	switch {
-	case *crash:
-		mode = "crash-consistency cut-point"
-	case *diff:
-		mode = "full-stack differential"
-	}
 	fmt.Printf("sweep n=%d words=%d vals=%d (%s, canonical=%v): %d patterns, %d runs, %d shards, %d config groups in %v\n",
 		*n, *words, *vals, mode, *canonical, stats.Patterns, stats.Runs, stats.Shards, stats.Groups,
 		elapsed.Round(time.Millisecond))

@@ -1,6 +1,8 @@
 package clank
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +24,30 @@ func TestValidate(t *testing.T) {
 	}
 	if err := (Config{ReadFirst: 1, AddrPrefix: 4}).Validate(); err == nil {
 		t.Error("APB without PrefixLowBits must be invalid")
+	}
+}
+
+func TestParseOpts(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Opt
+		ok   bool
+	}{
+		{"all", OptAll, true},
+		{"none", 0, true},
+		{"All", 0, false},
+		{"", 0, false},
+		{"al", 0, false},
+	} {
+		got, err := ParseOpts(tc.in)
+		switch {
+		case tc.ok && (err != nil || got != tc.want):
+			t.Errorf("ParseOpts(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		case !tc.ok && err == nil:
+			t.Errorf("ParseOpts(%q) = %v; want an error", tc.in, got)
+		case !tc.ok && !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.in)):
+			t.Errorf("ParseOpts(%q) error %q does not name the value", tc.in, err)
+		}
 	}
 }
 

@@ -64,6 +64,19 @@ func (o Opt) String() string {
 	return s
 }
 
+// ParseOpts parses a command-line optimization set: exactly "all"
+// (OptAll) or "none" (no optimizations). Any other spelling is an error, so
+// a typo cannot silently run without optimizations.
+func ParseOpts(s string) (Opt, error) {
+	switch s {
+	case "all":
+		return OptAll, nil
+	case "none":
+		return 0, nil
+	}
+	return 0, fmt.Errorf("clank: unknown optimization set %q (want all or none)", s)
+}
+
 // Unlimited marks a buffer as effectively infinite (used for the
 // checkpoint-vs-re-execution study, paper section 7.4).
 const Unlimited = 1 << 30

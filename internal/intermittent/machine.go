@@ -116,8 +116,13 @@ type Stats struct {
 	TornCommits      int // commit routines interrupted by a power failure
 	RecoveredCommits int // reboots that replayed an armed journal to completion
 
-	TornWrites      int // NV writes cut mid-word by an injected fault (mask applied)
-	DetectedCorrupt int // boot-time decodes that found a corrupt slot or journal record
+	TornWrites int // NV writes cut mid-word by an injected fault (mask applied)
+	// DetectedCorrupt counts boot-time decodes that found a corrupt slot
+	// or journal record. It includes the retiring slot that phase 2 of a
+	// commit with Write-back entries invalidates on purpose, so it is not
+	// a count of faults: a pristine crc run (16,8,4,4 OptAll, mean-on
+	// 20,000, seed 1) counts 17 with no torn write.
+	DetectedCorrupt int
 	DegradedBoots   int // boots with no valid checkpoint slot: fresh-boot fallback
 }
 

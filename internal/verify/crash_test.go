@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/clank"
 	"repro/internal/intermittent"
-	"repro/internal/scheme"
 )
 
 // TestCrashHarnessBasic drives handpicked patterns with interesting
@@ -22,10 +21,10 @@ func TestCrashHarnessBasic(t *testing.T) {
 		{{Word: 0}, {Write: true, Word: 0, Val: 1}, {Word: 0}, {Write: true, Word: 0, Val: 2}},
 		{{Write: true, Word: 2, Val: 3}, {Word: 2}, {Write: true, Word: 2, Val: 3}, {Word: 2}},
 	}
-	h := NewCrashHarness(6)
+	h := NewHarness(6)
 	for _, p := range patterns {
 		for _, cfg := range diffConfigs() {
-			if err := h.Check(p, 4, cfg, FailAt(-1)); err != nil {
+			if err := h.CheckCommits(p, 4, cfg, FailAt(-1)); err != nil {
 				t.Fatalf("pattern %v: %v", p, err)
 			}
 		}
@@ -68,9 +67,9 @@ func TestCrashConsistencySweepBounded(t *testing.T) {
 		Configs:   diffConfigs(),
 		Schedules: []Schedule{FailAt(-1)},
 		MakeCheck: func() CheckFunc {
-			h := NewCrashHarness(n)
+			h := NewHarness(n)
 			h.Masks = masks
-			return h.Check
+			return h.CheckCommits
 		},
 	}
 	stats, err := s.Run()
@@ -85,10 +84,8 @@ func TestCrashConsistencySweepBounded(t *testing.T) {
 // the non-Clank runtime schemes: Alpaca and DiCA reuse the same two-phase
 // commit program, so every torn-write cut that the Clank sweep covers must
 // recover identically when the dirty set comes from a privatization buffer
-// and the commits fire on task boundaries or wall-clock intervals. The
-// scheme parameters are tuned down so the scheme-specific triggers actually
-// fire inside the tiny lowered programs (output-bracketing commits re-base
-// the schedules, so defaults would never be reached).
+// and the commits fire on task boundaries or wall-clock intervals
+// (requireTrigger checks that they do).
 func TestCrashConsistencyCrossScheme(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("skipping exhaustive (cut × mask) sweep under the race detector")
@@ -98,21 +95,18 @@ func TestCrashConsistencyCrossScheme(t *testing.T) {
 	if os.Getenv("CLANK_VERIFY_DEEP") != "" {
 		masks = DefaultTearMasks
 	}
-	for _, fac := range []scheme.Factory{
-		scheme.AlpacaFactory{TaskLen: 64},
-		scheme.DiCAFactory{Interval: 96},
-	} {
-		fac := fac
-		t.Run(fac.Name(), func(t *testing.T) {
+	for _, cs := range crossSchemes {
+		t.Run(cs.fac.Name(), func(t *testing.T) {
+			requireTrigger(t, cs.fac, cs.reason)
 			s := &Sweep{
 				N: n, Words: 2, Vals: 2,
 				Configs:   diffConfigs(),
 				Schedules: []Schedule{FailAt(-1)},
 				MakeCheck: func() CheckFunc {
-					h := NewCrashHarness(n)
+					h := NewHarness(n)
 					h.Masks = masks
-					h.Scheme = fac
-					return h.Check
+					h.Scheme = cs.fac
+					return h.CheckCommits
 				},
 			}
 			stats, err := s.Run()
@@ -120,7 +114,7 @@ func TestCrashConsistencyCrossScheme(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("%s crash sweep: %d patterns, %d (cut x mask) sweeps over %d masks",
-				fac.Name(), stats.Patterns, stats.Runs, len(masks))
+				cs.fac.Name(), stats.Patterns, stats.Runs, len(masks))
 		})
 	}
 }
@@ -140,9 +134,9 @@ func TestCrashSweepCatchesEarlyFlipBug(t *testing.T) {
 		Schedules: []Schedule{FailAt(-1)},
 		NoShrink:  true,
 		MakeCheck: func() CheckFunc {
-			h := NewCrashHarness(3)
+			h := NewHarness(3)
 			h.Bug = intermittent.BugEarlyFlip
-			return h.Check
+			return h.CheckCommits
 		},
 	}
 	_, err := s.Run()
@@ -177,16 +171,16 @@ func TestCrashSweepCatchesSkipCRCBug(t *testing.T) {
 	}
 	cfg := clank.Config{ReadFirst: 2, WriteFirst: 1, WriteBack: 1, Opts: clank.OptAll &^ clank.OptIgnoreText}
 
-	wordGranular := NewCrashHarness(12)
+	wordGranular := NewHarness(12)
 	wordGranular.Bug = intermittent.BugSkipCRC
 	wordGranular.Masks = []uint32{0}
-	if err := wordGranular.Check(p, 4, cfg, FailAt(-1)); err != nil {
+	if err := wordGranular.CheckCommits(p, 4, cfg, FailAt(-1)); err != nil {
 		t.Fatalf("word-granular sweep exposed BugSkipCRC — it must be latent under atomic writes: %v", err)
 	}
 
-	bitGranular := NewCrashHarness(12)
+	bitGranular := NewHarness(12)
 	bitGranular.Bug = intermittent.BugSkipCRC
-	err := bitGranular.Check(p, 4, cfg, FailAt(-1))
+	err := bitGranular.CheckCommits(p, 4, cfg, FailAt(-1))
 	if err == nil {
 		t.Fatal("the bit-granular sweep missed the CRC-less protocol bug")
 	}
@@ -207,7 +201,7 @@ func FuzzCommitRecovery(f *testing.F) {
 	f.Add([]byte{0x00, 0x09, 0x00}, uint8(0xC1), uint16(500))   // APB custom config, cut beyond the run
 	f.Add([]byte{0x09}, uint8(0), uint16(17))                   // plain RF, cut at the flip itself
 	const maxOps = 12
-	h := NewCrashHarness(maxOps)
+	h := NewHarness(maxOps)
 	f.Fuzz(func(t *testing.T, raw []byte, cfgSel uint8, cut uint16) {
 		if len(raw) > maxOps {
 			raw = raw[:maxOps]
@@ -233,7 +227,7 @@ func FuzzTornCommit(f *testing.F) {
 	f.Add([]byte{0x01, 0x0B, 0x01}, uint8(0x95), uint16(19), uint32(0xAAAAAAAA))
 	f.Add([]byte{0x09}, uint8(0), uint16(17), uint32(0x000000FF))
 	const maxOps = 12
-	h := NewCrashHarness(maxOps)
+	h := NewHarness(maxOps)
 	f.Fuzz(func(t *testing.T, raw []byte, cfgSel uint8, cut uint16, mask uint32) {
 		if len(raw) > maxOps {
 			raw = raw[:maxOps]

@@ -5,16 +5,16 @@ import (
 
 	"repro/internal/ccc"
 	"repro/internal/clank"
-	"repro/internal/intermittent"
 )
 
 // Full-stack differential mode: the same abstract Patterns the mini-machine
 // checks are lowered into real Thumb-1 programs and executed on the
 // armsim+intermittent pipeline (predecode fast path included) under an
-// equivalent Clank configuration and failure schedule. Reads, final NV
-// memory, and externally visible outputs must match the oracle — and hence
-// the mini-machine, which DiffHarness.Check runs first. This closes the gap
-// between the abstract section-5 proof and the production simulator.
+// equivalent configuration and failure schedule, with any runtime scheme on
+// the memory path. Reads, final NV memory, and externally visible outputs
+// must match the oracle — and hence the mini-machine, which Harness.Check
+// runs first. This closes the gap between the abstract section-5 proof and
+// the production simulator.
 //
 // Lowering. Pattern word w lives at diffDataBase+4w; each op becomes one
 // fixed 8-byte instruction block so every program with the same length
@@ -43,55 +43,6 @@ const (
 	diffMaxWords        = 32     // LDR/STR immediate offset limit (imm5 words)
 )
 
-// DiffHarness runs patterns through the full armsim+intermittent pipeline
-// and compares against the oracle and the mini-machine. One harness caches
-// one machine per configuration (a machine is ~1.8 MB of decode cache and
-// memory; Reboot reuses it across patterns, restoring only the bytes the
-// last run changed and keeping every decoded run over the shared code
-// layout), so a harness is not safe for concurrent use — the sweep builds
-// one per worker via Sweep.MakeCheck.
-type DiffHarness struct {
-	// Checker is the mini-machine the pipeline is compared against.
-	Checker Checker
-
-	maxOps   int
-	machines map[string]*intermittent.Machine
-	cur      *diffSchedule
-}
-
-// NewDiffHarness returns a harness for patterns of up to maxOps ops.
-func NewDiffHarness(maxOps int) *DiffHarness {
-	return &DiffHarness{maxOps: maxOps, machines: make(map[string]*intermittent.Machine)}
-}
-
-// diffSchedule adapts a verify.Schedule to the FailAfterAccess hook: it
-// counts committed pattern-region accesses, mirroring the mini-machine's
-// step counter (log, epilogue, and output traffic is not counted).
-type diffSchedule struct {
-	sched Schedule
-	step  int
-	fires int
-}
-
-func (h *DiffHarness) hook(addr uint32, write bool) bool {
-	s := h.cur
-	if s == nil || addr < diffDataBase || addr >= diffLogBase {
-		return false
-	}
-	fire := s.sched.Fail(s.step)
-	s.step++
-	if fire {
-		s.fires++
-		if s.fires > maxRestarts {
-			// Non-terminating schedule (e.g. FailEvery{1}): stop firing so
-			// the run completes, exactly as the mini-machine bounds
-			// liveness; the completed run still faces the full comparison.
-			return false
-		}
-	}
-	return fire
-}
-
 // lowerable reports whether buildDiffImage can lower p over words for a
 // harness built for patterns of up to maxOps ops: the op budget, the
 // LDR/STR offset range and MOV's 8-bit immediate.
@@ -108,83 +59,6 @@ func lowerable(p Pattern, words, maxOps int) error {
 		}
 	}
 	return nil
-}
-
-// Check verifies one triple on the mini-machine, then on the real pipeline.
-func (h *DiffHarness) Check(p Pattern, words int, cfg clank.Config, sched Schedule) error {
-	if err := h.Checker.Check(p, words, cfg, sched); err != nil {
-		return err
-	}
-	if err := lowerable(p, words, h.maxOps); err != nil {
-		return err
-	}
-
-	img := buildDiffImage(p, h.maxOps)
-	m, err := h.machine(cfg, img)
-	if err != nil {
-		return err
-	}
-	h.cur = &diffSchedule{sched: sched}
-	stats, err := m.Run()
-	h.cur = nil
-	if err != nil {
-		return fmt.Errorf("full-stack config %s sched %v: %w", cfg, sched, err)
-	}
-	if !stats.Completed {
-		return fmt.Errorf("full-stack config %s sched %v: run did not complete", cfg, sched)
-	}
-
-	if err := compareAgainstOracle(stats, m, p, words); err != nil {
-		return fmt.Errorf("full-stack config %s sched %v: %w", cfg, sched, err)
-	}
-	return nil
-}
-
-// compareAgainstOracle checks a completed pipeline run against the
-// continuous oracle: the committed output stream must equal the oracle's
-// read history exactly (the output-commit bracketing permits no stuttering
-// on these programs), and every pattern word of the final NV image must
-// match the oracle's final store. Shared by the differential and
-// crash-consistency harnesses, which prefix a failure with the run's
-// description.
-func compareAgainstOracle(stats intermittent.Stats, m *intermittent.Machine, p Pattern, words int) error {
-	oracleReads, oracleFinal := Oracle(p, words)
-	if len(stats.Outputs) != len(oracleReads) {
-		return fmt.Errorf("%d outputs, oracle has %d reads", len(stats.Outputs), len(oracleReads))
-	}
-	for j, want := range oracleReads {
-		if stats.Outputs[j] != want {
-			return fmt.Errorf("output %d = %d, oracle read is %d", j, stats.Outputs[j], want)
-		}
-	}
-	for w, want := range oracleFinal {
-		if got := m.MemWord(diffDataBase + uint32(w)*4); got != want {
-			return fmt.Errorf("final mem[%d] = %d, oracle says %d", w, got, want)
-		}
-	}
-	return nil
-}
-
-// machine returns the cached per-configuration machine rebooted into img.
-func (h *DiffHarness) machine(cfg clank.Config, img *ccc.Image) (*intermittent.Machine, error) {
-	key := fmt.Sprintf("%+v", cfg)
-	if m, ok := h.machines[key]; ok {
-		return m, m.Reboot(img)
-	}
-	tcfg, err := translateDiffConfig(cfg, h.maxOps)
-	if err != nil {
-		return nil, err
-	}
-	m, err := intermittent.NewMachine(img, intermittent.Options{
-		Config:          tcfg,
-		Verify:          true,
-		FailAfterAccess: h.hook,
-	})
-	if err != nil {
-		return nil, err
-	}
-	h.machines[key] = m
-	return m, nil
 }
 
 // translateDiffConfig rebases the mini address-space configuration onto the

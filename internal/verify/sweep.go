@@ -18,10 +18,9 @@ import (
 // split by enumeration prefix (the first PrefixDepth ops). Shards are
 // numbered in enumeration order and each shard expands to the same pattern
 // sequence on every run and every worker count, so a counterexample's
-// (shard, seq) coordinates are reproducible — `clank-verify -shard` replays
-// a single shard. Workers pull shard indices from an atomic counter;
-// scheduling affects only which worker visits a shard, never what the
-// shard contains.
+// (shard, seq) coordinates are reproducible. Workers pull shard indices
+// from an atomic counter; scheduling affects only which worker visits a
+// shard, never what the shard contains.
 type Sweep struct {
 	N     int // pattern length (the bound)
 	Words int // address-space size in words
@@ -48,9 +47,9 @@ type Sweep struct {
 	// Checker supplies the detector under test (meta-tests inject bugs).
 	Checker Checker
 	// MakeCheck, when non-nil, builds each worker's verdict function
-	// instead of Checker.Check — the full-stack differential sweep plugs
-	// DiffHarness in here (one harness per worker; harnesses are not
-	// concurrency-safe).
+	// instead of Checker.Check — the full-stack sweeps plug a Harness's
+	// Check or CheckCommits in here (one harness per worker; harnesses are
+	// not concurrency-safe).
 	MakeCheck func() CheckFunc
 
 	// CollectAll disables early abort and gathers every failing triple in

@@ -313,7 +313,7 @@ func (c Checker) Check(p Pattern, words int, cfg clank.Config, sched Schedule) e
 
 // CheckFunc is the pluggable per-run verdict: nil means the pattern is
 // safe under the configuration and schedule. Checker.Check is the standard
-// one; DiffHarness.Check swaps in the full-stack pipeline.
+// one; Harness.Check swaps in the full-stack pipeline.
 type CheckFunc func(p Pattern, words int, cfg clank.Config, sched Schedule) error
 
 // EnumeratePatterns calls fn for every pattern of exactly length n over the
