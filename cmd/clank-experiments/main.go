@@ -8,43 +8,25 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"runtime/pprof"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/power"
 )
 
 type formatter interface{ Format() string }
 
+const usage = "clank-experiments [-quick] [-mean-on N] [-no-verify] [-cpuprofile cpu.prof] table1|table2|table3|table4|fig5|fig6|fig7|fig8|ablation|powersweep|crossscheme|all"
+
 func main() {
 	quick := flag.Bool("quick", false, "reduced configuration sweeps")
-	meanOn := flag.Uint64("mean-on", power.DefaultMeanOn, "average power-on time in cycles")
 	noVerify := flag.Bool("no-verify", false, "skip the reference monitor (faster sweeps)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	flag.Parse()
+	run := cli.Default()
+	run.Start("mean-on", "cpuprofile")
+	defer cli.StopProfile()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: clank-experiments [-quick] [-mean-on N] [-no-verify] [-cpuprofile cpu.prof] table1|table2|table3|table4|fig5|fig6|fig7|fig8|ablation|powersweep|crossscheme|all")
-		os.Exit(2)
+		cli.Fatal(fmt.Errorf("%w: %s", cli.ErrUsage, usage))
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err == nil {
-			err = pprof.StartCPUProfile(f)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			os.Exit(1)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-				os.Exit(1)
-			}
-		}()
-	}
-	o := experiments.Options{Quick: *quick, MeanOn: *meanOn, Verify: !*noVerify}
+	o := experiments.Options{Quick: *quick, MeanOn: run.MeanOn, Verify: !*noVerify}
 
 	runners := map[string]func() (formatter, error){
 		"table1":      func() (formatter, error) { return experiments.Table1() },
@@ -64,15 +46,13 @@ func main() {
 		names = []string{"table1", "fig5", "fig6", "table2", "fig7", "fig8", "table3", "table4", "crossscheme"}
 	}
 	for _, name := range names {
-		run, ok := runners[name]
+		experiment, ok := runners[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
+			cli.Fatal(fmt.Errorf("%w: unknown experiment %q; %s", cli.ErrUsage, name, usage))
 		}
-		d, err := run()
+		d, err := experiment()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			cli.Fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		fmt.Println(d.Format())
 	}

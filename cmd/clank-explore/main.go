@@ -3,11 +3,12 @@
 // tradeoff, including the Pareto frontier — the per-program version of the
 // paper's design-space exploration. The grid replays as one batched,
 // sharded sweep over the columnar trace, so the output is byte-identical
-// at any -workers count.
+// at any -workers count. -scheme clank sweeps buffer sizes; alpaca and
+// dica sweep their commit-granularity parameter instead.
 //
 // Usage:
 //
-//	clank-explore [-bench fft | prog.c] [-max-rf 32] [-workers 4] [-cpuprofile cpu.prof]
+//	clank-explore [-bench fft | prog.c] [-scheme clank] [-max-rf 32] [-workers 4] [-cpuprofile cpu.prof]
 package main
 
 import (
@@ -15,120 +16,79 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
 	"sort"
 
 	"repro/internal/armsim"
 	"repro/internal/ccc"
 	"repro/internal/clank"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/intermittent"
-	"repro/internal/mibench"
 	"repro/internal/policysim"
 	"repro/internal/power"
 	"repro/internal/scheme"
 )
 
 func main() {
-	benchName := flag.String("bench", "fft", "MiBench2 benchmark to sweep")
 	maxRF := flag.Int("max-rf", 32, "largest Read-first Buffer size swept")
 	saveTrace := flag.String("save-trace", "", "write the collected access log to this file")
 	loadTrace := flag.String("load-trace", "", "replay a previously saved access log instead of re-simulating")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS; results are identical at any count)")
-	schemeSpec := flag.String("scheme", "clank", "runtime scheme to explore: clank sweeps buffer sizes, alpaca[:tasklen] and dica[:interval] sweep the commit-granularity parameter")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	flag.Parse()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-	}
+	run := cli.Default()
+	run.Bench = "fft"
+	run.Start("bench", "scheme", "cpuprofile")
+	defer cli.StopProfile()
 
-	fac, err := scheme.Parse(*schemeSpec)
+	img, name, err := run.Program(flag.Args())
 	if err != nil {
-		fatal(err)
-	}
-
-	var src, name string
-	if flag.NArg() == 1 {
-		data, err := os.ReadFile(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		src, name = string(data), flag.Arg(0)
-	} else {
-		b, ok := mibench.ByName(*benchName)
-		if !ok {
-			fatal(fmt.Errorf("unknown benchmark %q", *benchName))
-		}
-		src, name = b.Source, b.Name
-	}
-
-	img, err := ccc.Compile(src)
-	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	var trace []armsim.Access
 	var cycles uint64
 	if *loadTrace != "" {
 		f, err := os.Open(*loadTrace)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		var meta armsim.TraceMeta
 		trace, cycles, meta, err = armsim.ReadTraceMeta(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		// A trace replays faithfully only against the program it was
 		// captured from.
-		if err := meta.Check(img.Bytes, img.TextStart, img.TextEnd); err != nil {
-			if errors.Is(err, armsim.ErrTraceMismatch) {
-				fatal(fmt.Errorf("%s was captured from a different program: %w (re-run with -save-trace to recapture)",
-					*loadTrace, err))
-			}
-			fatal(err)
+		if err := meta.Check(img.Bytes, img.TextStart, img.TextEnd); errors.Is(err, armsim.ErrTraceMismatch) {
+			cli.Fatal(fmt.Errorf("%s was captured from a different program: %w (re-run with -save-trace to recapture)",
+				*loadTrace, err))
+		} else if err != nil {
+			cli.Fatal(err)
 		}
 	} else {
 		trace, cycles, err = armsim.CollectTrace(img.Bytes, 2_000_000_000)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 	if *saveTrace != "" {
 		f, err := os.Create(*saveTrace)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
-		meta := armsim.TraceMeta{
-			ImageDigest: armsim.ImageDigest(img.Bytes),
-			TextStart:   img.TextStart,
-			TextEnd:     img.TextEnd,
-		}
+		meta := armsim.TraceMeta{ImageDigest: armsim.ImageDigest(img.Bytes), TextStart: img.TextStart, TextEnd: img.TextEnd}
 		if err := armsim.WriteTraceMeta(f, trace, cycles, meta); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 	exempt := ccc.ProgramIdempotentPCs(trace)
 	fmt.Printf("%s: %d cycles, %d memory accesses, %d Program Idempotent PCs\n\n",
 		name, cycles, len(trace), len(exempt))
 
-	if fac.Name() != "clank" {
-		exploreScheme(img, fac, exempt)
+	if run.Scheme.Name() != "clank" {
+		exploreScheme(img, run.Scheme, exempt)
 		return
 	}
 
@@ -144,7 +104,7 @@ func main() {
 	}
 	results, err := sweep.Run()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	type point struct {
@@ -156,21 +116,31 @@ func main() {
 	for i, cfg := range cfgs {
 		pts[i] = point{cfg, cfg.BufferBits(), results[i].CheckpointOverhead()}
 	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].bits != pts[j].bits {
-			return pts[i].bits < pts[j].bits
-		}
-		return pts[i].ovr < pts[j].ovr
-	})
 	fmt.Printf("%-14s %6s %10s  %s\n", "config", "bits", "overhead", "pareto")
+	printPareto(pts, func(p point) (uint64, float64) { return uint64(p.bits), p.ovr }, func(p point, mark string) {
+		fmt.Printf("%-14s %6d %9.2f%%  %s\n", p.cfg, p.bits, p.ovr*100, mark)
+	})
+}
+
+// printPareto sorts the points by size, then by overhead, and prints each
+// with mark "*" when its overhead beats every point before it: the Pareto
+// frontier of size against overhead.
+func printPareto[P any](pts []P, key func(P) (size uint64, ovr float64), print func(p P, mark string)) {
+	sort.Slice(pts, func(i, j int) bool {
+		si, oi := key(pts[i])
+		sj, oj := key(pts[j])
+		if si != sj {
+			return si < sj
+		}
+		return oi < oj
+	})
 	best := 1e18
 	for _, p := range pts {
 		mark := ""
-		if p.ovr < best {
-			best = p.ovr
-			mark = "*"
+		if _, ovr := key(p); ovr < best {
+			best, mark = ovr, "*"
 		}
-		fmt.Printf("%-14s %6d %9.2f%%  %s\n", p.cfg, p.bits, p.ovr*100, mark)
+		print(p, mark)
 	}
 }
 
@@ -197,7 +167,7 @@ func exploreScheme(img *ccc.Image, fac scheme.Factory, exempt map[uint32]bool) {
 		}
 		build = func(p uint64, bw int) scheme.Factory { return scheme.DiCAFactory{Interval: p, BufWords: bw} }
 	default:
-		fatal(fmt.Errorf("scheme %s has no exploration axis", fac.Name()))
+		cli.Fatal(fmt.Errorf("scheme %s has no exploration axis", fac.Name()))
 	}
 
 	// The scheduled schemes never consult the detector buffers, but the
@@ -227,37 +197,19 @@ func exploreScheme(img *ccc.Image, fac scheme.Factory, exempt map[uint32]bool) {
 				Supply: power.Always{},
 			})
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			st, err := m.Run()
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			if !st.Completed {
-				fatal(fmt.Errorf("%s param %d buf %d: run did not complete", fac.Name(), param, bw))
+				cli.Fatal(fmt.Errorf("%s param %d buf %d: run did not complete", fac.Name(), param, bw))
 			}
 			pts = append(pts, point{param, bw, m.Footprint(), st.Checkpoints, st.Overhead()})
 		}
 	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].footprint != pts[j].footprint {
-			return pts[i].footprint < pts[j].footprint
-		}
-		return pts[i].ovr < pts[j].ovr
+	printPareto(pts, func(p point) (uint64, float64) { return p.footprint, p.ovr }, func(p point, mark string) {
+		fmt.Printf("%-10s %10d %10d %12d %9.2f%%  %s\n", fac.Name(), p.param, p.bufWords, p.ckpts, p.ovr*100, mark)
 	})
-	best := 1e18
-	for _, p := range pts {
-		mark := ""
-		if p.ovr < best {
-			best = p.ovr
-			mark = "*"
-		}
-		fmt.Printf("%-10s %10d %10d %12d %9.2f%%  %s\n",
-			fac.Name(), p.param, p.bufWords, p.ckpts, p.ovr*100, mark)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "clank-explore:", err)
-	os.Exit(1)
 }

@@ -101,8 +101,8 @@ const defaultShardSize = 64
 // DeviceSeed derives the supply seed for one device from the base seed: a
 // splitmix64 mix, so consecutive device IDs land in uncorrelated RNG
 // streams. Exported because anything that re-derives a single device's
-// run (the CLI's single-device replay, the perturbation meta-test) must
-// use the exact same derivation.
+// run (cli.Run.Replay, which writes clank-fleet's replay lines, and the
+// perturbation meta-test) must use the exact same derivation.
 func DeviceSeed(base uint64, device int) uint64 {
 	x := base + 0x9E3779B97F4A7C15*uint64(device+1)
 	x ^= x >> 30
@@ -136,15 +136,22 @@ func (o *Options) supplyFor(dev int) power.Source {
 // stream in lockstep with its power supply.
 const nvFaultTag = 0x746F726E // "torn"
 
+// DeviceFaultSeed derives the torn-write stream seed for one device from
+// the base NVFaultSeed, as DeviceSeed does for the supply seed.
+func DeviceFaultSeed(base uint64, device int) uint64 {
+	return DeviceSeed(base^nvFaultTag, device)
+}
+
 // nvFaultFor builds device dev's torn-write injector; nil when faults are
-// disabled. The injector ignores the commit-write index — every protocol
-// write faces the same per-write hazard — and must be installed fresh per
-// device (it owns the device's private stream).
+// disabled (a rate that is not positive, NaN included). The injector
+// ignores the commit-write index — every protocol write faces the same
+// per-write hazard — and must be installed fresh per device (it owns the
+// device's private stream).
 func (o *Options) nvFaultFor(dev int) func(int) (bool, uint32) {
-	if o.NVFaultRate <= 0 {
+	if !(o.NVFaultRate > 0) {
 		return nil
 	}
-	fs := power.NewFaultStream(DeviceSeed(o.NVFaultSeed^nvFaultTag, dev), o.NVFaultRate)
+	fs := power.NewFaultStream(DeviceFaultSeed(o.NVFaultSeed, dev), o.NVFaultRate)
 	return func(int) (bool, uint32) { return fs.Next() }
 }
 

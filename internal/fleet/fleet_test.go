@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -534,5 +535,16 @@ func TestNVFaultFleetInvariance(t *testing.T) {
 func TestRunRejectsEmptyFleet(t *testing.T) {
 	if _, err := Run(fleetImage(t), Options{}); err == nil {
 		t.Error("Run accepted a zero-device fleet")
+	}
+}
+
+// TestNVFaultForDisabled pins the disabled injector: a rate that is not
+// positive, NaN included, leaves every device on pristine cells.
+func TestNVFaultForDisabled(t *testing.T) {
+	for _, rate := range []float64{0, -1, math.NaN()} {
+		o := Options{NVFaultRate: rate}
+		if o.nvFaultFor(0) != nil {
+			t.Errorf("rate %g installed a fault injector", rate)
+		}
 	}
 }

@@ -19,12 +19,12 @@ type FaultStream struct {
 }
 
 // NewFaultStream builds a stream firing with the given per-write
-// probability. Rates at or above 1 fire on every draw; rates at or below 0
-// never fire.
+// probability. Rates at or above 1 fire on every draw; rates at or below 0,
+// and NaN, never fire.
 func NewFaultStream(seed uint64, rate float64) *FaultStream {
 	s := &FaultStream{state: seed}
 	switch {
-	case rate <= 0:
+	case !(rate > 0):
 		s.threshold = 0
 	case rate >= 1:
 		s.threshold = ^uint64(0)

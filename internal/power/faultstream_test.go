@@ -1,6 +1,9 @@
 package power
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestFaultStreamDeterministic pins the stream as a pure function of its
 // seed: two streams with equal (seed, rate) agree draw for draw, and a
@@ -27,15 +30,21 @@ func TestFaultStreamDeterministic(t *testing.T) {
 }
 
 // TestFaultStreamRates checks the edge rates exactly and the interior rate
-// statistically: zero never fires, one always fires, and 1% lands within
-// ±30% of expectation over 100k draws (binomial σ ≈ 31, the band is ±300).
+// statistically: zero, negative and NaN rates never fire, one always
+// fires, and 1% lands within ±30% of expectation over 100k draws (binomial
+// σ ≈ 31, the band is ±300). NaN matters because uint64(NaN * 2^64) is
+// implementation-defined: on amd64 it made about half of all writes tear.
 func TestFaultStreamRates(t *testing.T) {
-	off := NewFaultStream(1, 0)
+	for _, rate := range []float64{0, -1, math.NaN()} {
+		off := NewFaultStream(1, rate)
+		for i := 0; i < 10_000; i++ {
+			if fire, _ := off.Next(); fire {
+				t.Fatalf("rate-%g stream fired", rate)
+			}
+		}
+	}
 	always := NewFaultStream(1, 1)
 	for i := 0; i < 10_000; i++ {
-		if fire, _ := off.Next(); fire {
-			t.Fatal("zero-rate stream fired")
-		}
 		if fire, _ := always.Next(); !fire {
 			t.Fatal("unit-rate stream missed")
 		}

@@ -29,8 +29,8 @@ func TestStaleFilterCaught(t *testing.T) {
 	cfgs := []clank.Config{{ReadFirst: 2, WriteBack: 2}}
 	s := &Sweep{
 		N: 3, Words: 2, Vals: 2,
-		Configs: cfgs,
-		Checker: staleFilterChecker(),
+		Configs:   cfgs,
+		MakeCheck: func() CheckFunc { return staleFilterChecker().Check },
 	}
 	stats, err := s.Run()
 	if err == nil {

@@ -44,12 +44,11 @@ type Sweep struct {
 	// PrefixDepth is the shard granularity; 0 means min(2, N).
 	PrefixDepth int
 
-	// Checker supplies the detector under test (meta-tests inject bugs).
-	Checker Checker
-	// MakeCheck, when non-nil, builds each worker's verdict function
-	// instead of Checker.Check — the full-stack sweeps plug a Harness's
-	// Check or CheckCommits in here (one harness per worker; harnesses are
-	// not concurrency-safe).
+	// MakeCheck builds each worker's verdict function; nil means the
+	// mini-machine's Check. The full-stack sweeps plug a Harness's Check or
+	// CheckCommits in here (one harness per worker; harnesses are not
+	// concurrency-safe), and the meta-tests a Checker around a broken
+	// detector.
 	MakeCheck func() CheckFunc
 
 	// CollectAll disables early abort and gathers every failing triple in
@@ -230,7 +229,7 @@ func (s *Sweep) makeCheck() CheckFunc {
 	if s.MakeCheck != nil {
 		return s.MakeCheck()
 	}
-	return s.Checker.Check
+	return Check
 }
 
 // report turns the earliest finding into the sweep's error, shrinking the

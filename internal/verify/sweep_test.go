@@ -44,7 +44,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 			Configs:    []clank.Config{{ReadFirst: 1}, {ReadFirst: 2, WriteFirst: 1}},
 			Canonical:  true,
 			Workers:    workers,
-			Checker:    buggyChecker(),
+			MakeCheck:  func() CheckFunc { return buggyChecker().Check },
 			CollectAll: true,
 			NoShrink:   true,
 		}
@@ -77,7 +77,7 @@ func TestSweepShrunkMinimalCounterexample(t *testing.T) {
 	s := &Sweep{
 		N: 5, Words: 2, Vals: 2,
 		Canonical: true,
-		Checker:   buggyChecker(),
+		MakeCheck: func() CheckFunc { return buggyChecker().Check },
 	}
 	_, err := s.Run()
 	if err == nil {

@@ -138,7 +138,7 @@ func TestPruneSoundness(t *testing.T) {
 			Configs:    configs,
 			Canonical:  canonical,
 			Workers:    2,
-			Checker:    buggyChecker(),
+			MakeCheck:  func() CheckFunc { return buggyChecker().Check },
 			CollectAll: true,
 			NoShrink:   true,
 		}
