@@ -2,7 +2,9 @@
 // front of its buffers (internal/clank) — the access filter, the word-state
 // index and the Write-back slots — in a leaf package so the CPU's fused
 // executor (internal/armsim) can probe the detector's very arrays through a
-// Port without importing the detector.
+// Port without importing the detector. The privatizing write buffer behind
+// Alpaca and DiCA (clank.WriteBuf) keeps the same index and slots, with
+// only KindWBD entries: every word it holds is a buffered write.
 //
 // The filter is two direct-mapped tag arrays of word addresses. Slot i
 // certifies word w when tags[w&Mask] == w; there is no separate valid bit —
@@ -37,6 +39,11 @@
 //
 // On anything else the prober must call the detector, which re-probes and
 // counts.
+//
+// A Port without tag arrays (Read and Write nil) certifies only the dirty
+// Write-back kind: its owner vouches for no filter verdict, so filter
+// probes, clean-slot false writes and every other access it cannot answer
+// go to the owner.
 package accfilter
 
 const (
@@ -83,6 +90,9 @@ type Slot struct {
 const (
 	// IndexEntries is the slot count of the index.
 	IndexEntries = 512
+	// IndexSlots is the number of Write-back slot positions an entry can
+	// name (the 8-bit slot field); a slot at or beyond it is never indexed.
+	IndexSlots = 1 << 8
 	// EpochMax is the largest epoch the field holds.
 	EpochMax = 1<<(64-epochShift) - 1
 
@@ -127,9 +137,22 @@ func (x *Index) Put(word uint32, kind, slot int, tag uint64) bool {
 	return true
 }
 
+// NextEpoch returns the epoch after epoch. When the field wraps it
+// clears x, so no entry written in an earlier cycle of epochs can read as
+// live under a reused tag.
+func (x *Index) NextEpoch(epoch uint32) uint32 {
+	if epoch >= EpochMax {
+		*x = Index{}
+		return 1
+	}
+	return epoch + 1
+}
+
 // Port is a prober's view of one detector: its two filter tag arrays, its
 // section access counter, its word-state index with the current epoch's
 // tag, and its Write-back slots, all owned and maintained by the detector.
+// A privatizing write buffer's port (clank.WriteBuf.Port) leaves Read and
+// Write nil and so certifies only its dirty slots.
 type Port struct {
 	Read, Write *Tags
 	Accesses    *int

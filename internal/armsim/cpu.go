@@ -70,10 +70,10 @@ type CPU struct {
 	// (SetTextWindow): word-address bounds [textLoW, textHiW).
 	textLoW, textHiW uint32
 
-	// port, when port.Read is non-nil, is a detector's access filter
-	// (SetAccessPort): the executor completes the accesses it
-	// certifies, and TEXT literal loads, against portMem without a Bus
-	// call.
+	// port, when port.Index is non-nil, is a detector's or write
+	// buffer's access port (SetAccessPort): the executor completes the
+	// accesses it certifies — with port.Read non-nil also filter hits and
+	// TEXT literal loads — against portMem without a Bus call.
 	port    accfilter.Port
 	portMem *Memory
 

@@ -332,3 +332,89 @@ func TestAccessPortWriteBack(t *testing.T) {
 		}
 	})
 }
+
+// TestAccessPortTagless pins a port without filter tag arrays, the shape
+// of a privatizing write buffer's (clank.WriteBuf.Port): it serves loads
+// and stores of dirty Write-back words, each counting one access with no
+// Bus call, and nothing else. A clean-slot false write, a TEXT literal
+// load and an index miss each reach the Bus exactly once and count
+// nothing.
+func TestAccessPortTagless(t *testing.T) {
+	const (
+		base   = 0x8000
+		memVal = 0x11223344
+		wbVal  = 0xA5B6C7D8
+	)
+	rig := func() *wbRig {
+		r := newWBRig()
+		r.cpu.SetAccessPort(accfilter.Port{
+			Accesses: &r.accesses, Index: &r.idx, Epoch: &r.epoch, Slots: r.slots[:],
+		}, r.mem)
+		r.mem.WriteWord(base, memVal)
+		return r
+	}
+
+	t.Run("dirty", func(t *testing.T) {
+		for _, size := range []uint8{1, 2, 4} {
+			r := rig()
+			r.put(base>>2, 2, wbVal, true)
+			before := r.snap()
+			v, err := r.cpu.pdLoad(base, size, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := laneRef(wbVal, base, size); v != want {
+				t.Errorf("load%d = %#x, want the slot's lane %#x", size*8, v, want)
+			}
+			if err := r.cpu.pdStore(base, size, 0x9E8F7061, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := r.slots[2].Val, mergeRef(wbVal, base, size, 0x9E8F7061); got != want {
+				t.Errorf("store%d left the slot %#x, want %#x", size*8, got, want)
+			}
+			if got, want := r.snap(), (snap{before.accesses + 2, before.loads, before.stores, before.hooks}); got != want {
+				t.Errorf("size %d: %+v, want %+v (two accesses, no bus, no write hook)", size, got, want)
+			}
+			if got := r.mem.ReadWord(base); got != memVal {
+				t.Errorf("store%d wrote memory: %#x", size*8, got)
+			}
+		}
+	})
+
+	for _, tc := range []struct {
+		name          string
+		access        func(r *wbRig) error
+		loads, stores int
+	}{
+		{"clean_false_write", func(r *wbRig) error {
+			r.put(base>>2, 1, memVal, false)
+			return r.cpu.pdStore(base, 4, memVal, 0)
+		}, 0, 1},
+		{"clean_load", func(r *wbRig) error {
+			r.put(base>>2, 1, memVal, false)
+			_, err := r.cpu.pdLoad(base, 4, 0)
+			return err
+		}, 1, 0},
+		{"text_literal", func(r *wbRig) error {
+			_, err := r.cpu.loadTextLit(base, 0)
+			return err
+		}, 1, 0},
+		{"index_miss_load", func(r *wbRig) error {
+			_, err := r.cpu.pdLoad(base, 4, 0)
+			return err
+		}, 1, 0},
+		{"index_miss_store", func(r *wbRig) error { return r.cpu.pdStore(base, 4, memVal^1, 0) }, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rig()
+			before := r.snap()
+			if err := tc.access(r); err != nil {
+				t.Fatal(err)
+			}
+			got := r.snap()
+			if got.accesses != before.accesses || got.loads != before.loads+tc.loads || got.stores != before.stores+tc.stores {
+				t.Errorf("%+v after %+v: want %d bus load(s), %d bus store(s) and no port count", got, before, tc.loads, tc.stores)
+			}
+		})
+	}
+}

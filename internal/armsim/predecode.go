@@ -503,6 +503,9 @@ func predecode32(op, op2 uint16) DecodedInsn {
 //     write — then writes mem exactly as the bus would;
 //   - a TEXT literal load (kindLDRLitText) reads the word.
 //
+// A port without tag arrays (p.Read and p.Write nil, as a privatizing
+// write buffer's) certifies only the dirty Write-back kind: its filter
+// probes, clean-slot false writes and TEXT literal loads take the Bus.
 // Every other access — filter and index misses, loads of clean slots,
 // clean-slot stores that change the word, addresses outside main memory,
 // stores straddling its top — still takes the Bus.
@@ -510,8 +513,11 @@ func predecode32(op, op2 uint16) DecodedInsn {
 // Installing a port is the bus owner's promise that for those kinds the
 // Bus would do exactly that and nothing else: no veto, no Yield, no
 // monitor or failure hook, with mem its backing store. The intermittent
-// machine installs its Clank detector's port (clank.Clank.Port) only when
-// no reference monitor and no FailAfterAccess hook observe accesses.
+// machine installs its scheme's port (scheme.Ported) only when no
+// FailAfterAccess hook observes accesses, and a port with tag arrays
+// (clank.Clank.Port) only when no reference monitor does either: the
+// monitor never sees a dirty Write-back access, but it must see the
+// rest.
 func (c *CPU) SetAccessPort(p accfilter.Port, mem *Memory) { c.port, c.portMem = p, mem }
 
 // AccessPort returns the installed access port (zero when none).
@@ -525,11 +531,11 @@ func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
 	if addr&(uint32(size)-1) != 0 {
 		return 0, unaligned("load", addr, size, pc)
 	}
-	if t := c.port.Read; t != nil && addr < MemSize {
-		if t.Hit(addr >> 2) {
-			*c.port.Accesses++
-			return WordLane(c.portMem.ReadWord(addr), addr, size), nil
-		}
+	if t := c.port.Read; t != nil && addr < MemSize && t.Hit(addr>>2) {
+		*c.port.Accesses++
+		return WordLane(c.portMem.ReadWord(addr), addr, size), nil
+	}
+	if c.port.Index != nil && addr < MemSize {
 		if s := c.port.WriteBack(addr >> 2); s != nil && s.Dirty {
 			*c.port.Accesses++
 			return WordLane(s.Val, addr, size), nil
@@ -548,23 +554,21 @@ func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
 	if addr&(uint32(size)-1) != 0 {
 		return unaligned("store", addr, size, pc)
 	}
-	if t := c.port.Write; t != nil && addr < MemSize-3 {
-		if t.Hit(addr >> 2) {
-			*c.port.Accesses++
-			c.portMem.storeRAM(addr, size, v)
-			return nil
-		}
-		if c.portStoreWB(addr, size, v) {
-			return nil
-		}
+	if t := c.port.Write; t != nil && addr < MemSize-3 && t.Hit(addr>>2) {
+		*c.port.Accesses++
+		c.portMem.storeRAM(addr, size, v)
+		return nil
+	}
+	if c.port.Index != nil && addr < MemSize-3 && c.portStoreWB(addr, size, v) {
+		return nil
 	}
 	return c.Bus.Store(addr, size, v, pc)
 }
 
 // portStoreWB completes a store the access port's Write-back slots
-// certify (SetAccessPort): a dirty word's lane merges into its slot, and a
-// false write to a clean word stores to memory. It reports false, having
-// done nothing, for every other store.
+// certify (SetAccessPort): a dirty word's lane merges into its slot, and —
+// on a port with filter tag arrays — a false write to a clean word stores
+// to memory. It reports false, having done nothing, for every other store.
 func (c *CPU) portStoreWB(addr uint32, size uint8, v uint32) bool {
 	s := c.port.WriteBack(addr >> 2)
 	switch {
@@ -572,7 +576,7 @@ func (c *CPU) portStoreWB(addr uint32, size uint8, v uint32) bool {
 		return false
 	case s.Dirty:
 		s.Val = MergeLane(s.Val, addr, size, v)
-	case MergeLane(c.portMem.ReadWord(addr), addr, size, v) == s.Val:
+	case c.port.Write != nil && MergeLane(c.portMem.ReadWord(addr), addr, size, v) == s.Val:
 		c.portMem.storeRAM(addr, size, v)
 	default:
 		return false

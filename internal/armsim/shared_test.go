@@ -401,3 +401,23 @@ func TestFrozenTextLiteral(t *testing.T) {
 		t.Errorf("outputs = %v, want [30]", mem.Outputs)
 	}
 }
+
+// TestFrozenInvalidatePanics pins the frozen-cache tripwire: a direct
+// Invalidate of a frozen shared cache is a wiring bug, so it panics
+// instead of mutating state other CPUs execute. No public entry point
+// reaches it — every write hook on a frozen CPU clones the cache first;
+// intermittent's TestFrozenInvalidateUnreachable drives those entry
+// points.
+func TestFrozenInvalidatePanics(t *testing.T) {
+	img := smcImage()
+	sp, err := NewSharedProgram(img, readImgWord(img, 0), readImgWord(img, 4), smcImageTextEnd, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Invalidate on a frozen cache returned")
+		}
+	}()
+	sp.pd.Invalidate(0x46, 2)
+}

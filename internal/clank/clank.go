@@ -539,11 +539,7 @@ func (k *Clank) Reset() {
 	// touching the table; the wrap forces the one real clear per ~2M
 	// sections.
 	k.idxComplete = k.idxOn
-	k.idxEpoch++
-	if k.idxEpoch > accfilter.EpochMax {
-		k.idxEpoch = 1
-		k.idx = accfilter.Index{}
-	}
+	k.idxEpoch = k.idx.NextEpoch(k.idxEpoch)
 	k.idxEpochTag = accfilter.Tag(k.idxEpoch)
 }
 

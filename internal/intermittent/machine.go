@@ -51,10 +51,13 @@ type Options struct {
 	MaxBarrenBoots int
 
 	// Verify enables the reference monitor (on by default via Run*
-	// helpers and always used in tests). It costs about 8-9 ns per
-	// tracked NV access, independent of section length: a monitored run
-	// takes 1.04x-1.13x the host time of an unmonitored one (perfbench
-	// refmon.verify_ratio on the harsh and sweep workloads, Intel Xeon).
+	// helpers and always used in tests). Every access the monitor must
+	// see crosses the Bus, so Verify also keeps Clank's filter hits out
+	// of the CPU's fused core (only the privatizer's port, which serves
+	// buffered words the monitor never sees, stays installed): a
+	// monitored Clank run takes 1.22x-1.30x the host time of an
+	// unmonitored one (perfbench refmon.verify_ratio, 2-vCPU Intel Xeon
+	// VM).
 	Verify bool
 
 	// FailAfterAccess, when non-nil, is consulted after every committed
@@ -328,20 +331,21 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 		m.cpu.EnablePredecode(m.mem)
 		m.cpu.SetTextWindow(winLo, winHi)
 	}
-	// The access port: with nothing but the detector watching the memory
-	// path, the accesses the detector certifies have fixed effects on this
-	// bus, so the CPU completes them in the loop. A filter hit is "count it
-	// and touch memory" (load's and store's filter-hit branches, and load's
-	// TEXT branch for a pre-classified literal). A word the index places in
-	// a dirty Write-back slot is "count it and use the slot": load's FromWB
-	// branch and store's Buffered branch, memory untouched. A store to a
-	// word in a clean slot whose merged word equals the saved read value is
-	// the false write Write lets through: "count it and store". A reference
-	// monitor or a FailAfterAccess hook must see every access, and a boxed
-	// or non-Clank scheme has no filter to share; all of those keep the
-	// whole Bus path.
-	if m.k != nil && m.mon == nil && opts.FailAfterAccess == nil {
-		m.cpu.SetAccessPort(m.k.Port(), m.mem)
+	// The access port: the accesses a scheme's port certifies have fixed
+	// effects on this bus, so the CPU completes them in the loop. A word in
+	// a dirty Write-back slot is "count it and use the slot" (load's FromWB
+	// and store's Buffered branches), which no monitor sees, so a port that
+	// certifies only those — the privatizer's, behind Alpaca and DiCA —
+	// goes in with or without Verify. Clank's port also certifies filter
+	// hits and TEXT literal loads ("count it and touch memory") and
+	// clean-slot false writes ("count it and store"), which the reference
+	// monitor must see, so a port with tag arrays goes in only without one.
+	// A FailAfterAccess hook must see every access, and a boxed scheme
+	// hides its port; both keep the whole Bus path.
+	if ps, ok := m.sch.(scheme.Ported); ok && opts.FailAfterAccess == nil {
+		if p := ps.Port(); p.Read == nil || m.mon == nil {
+			m.cpu.SetAccessPort(p, m.mem)
+		}
 	}
 	// The first boot is a Reboot of fresh memory; on a shared-program
 	// machine it attaches the frozen cache once memory holds the image.

@@ -18,37 +18,70 @@ var portKernels = []string{"crc", "aes", "rc4", "sha"}
 
 var portCfg = clank.Config{ReadFirst: 16, WriteFirst: 8, WriteBack: 4, AddrPrefix: 4, PrefixLowBits: 6, Opts: clank.OptAll}
 
-// portRun is everything a run exposes: its Stats, its retired-instruction
-// count, and its final NV memory.
+// portSchemes are the schemes with an access port (scheme.Ported). Each
+// is checked against itself boxed, whose every access crosses the Bus.
+var portSchemes = []scheme.Factory{scheme.ClankFactory{}, scheme.AlpacaFactory{}, scheme.DiCAFactory{}}
+
+// portRun is everything a run exposes: its Stats and error, its
+// retired-instruction count, the reference monitor's tracked-word count
+// (-1 without one), and its final NV memory.
 type portRun struct {
-	st    Stats
-	insns uint64
-	mem   []uint32
+	st      Stats
+	err     string
+	insns   uint64
+	tracked int
+	mem     []uint32
 }
 
-func runPortLeg(t *testing.T, m *Machine) portRun {
-	t.Helper()
+func runPortLeg(m *Machine) portRun {
 	st, err := m.Run()
+	r := portRun{st: st, insns: m.Insns(), tracked: -1}
 	if err != nil {
-		t.Fatal(err)
+		r.err = err.Error()
 	}
-	if !st.Completed {
-		t.Fatal("run did not complete")
+	if m.mon != nil {
+		r.tracked = m.mon.Tracked()
 	}
-	r := portRun{st: st, insns: m.Insns()}
 	for a := uint32(0); a < 256*1024; a += 4 {
 		r.mem = append(r.mem, m.MemWord(a))
 	}
 	return r
 }
 
+// diff reports how got, a port leg, differs from want, the Bus leg.
+func (got portRun) diff(t *testing.T, leg string, want portRun) {
+	t.Helper()
+	if got.err != want.err {
+		t.Errorf("%s: error %q, Bus path %q", leg, got.err, want.err)
+	}
+	if !reflect.DeepEqual(got.st, want.st) {
+		t.Errorf("%s: Stats diverge from the Bus path:\n  port %+v\n  bus  %+v", leg, got.st, want.st)
+	}
+	if got.insns != want.insns {
+		t.Errorf("%s: %d instructions retired, Bus path %d", leg, got.insns, want.insns)
+	}
+	if got.tracked != want.tracked {
+		t.Errorf("%s: the monitor tracks %d words, Bus path %d", leg, got.tracked, want.tracked)
+	}
+	for i := range got.mem {
+		if got.mem[i] != want.mem[i] {
+			t.Errorf("%s: NV word %#x is %#x, Bus path %#x", leg, 4*i, got.mem[i], want.mem[i])
+			break
+		}
+	}
+}
+
 // TestAccessPortMatchesBus pins the access port (armsim.CPU.SetAccessPort)
-// as invisible: the devirtualized Clank machine, which completes filter
-// hits and TEXT literal loads inside the fused core, must match a boxed
-// Clank, whose every access crosses the Bus, byte for byte — Stats
-// (checkpoints, reasons, cycles, outputs), retired instructions and final
-// NV memory — on private and shared-program machines, under always-on
-// power and two exponential supplies.
+// as invisible. For Clank, Alpaca and DiCA, a machine whose port completes
+// certified accesses inside the fused core — Clank's filter hits, dirty
+// Write-back words and TEXT literal loads; the privatizer's buffered words
+// — must match the same scheme boxed, whose every access crosses the Bus,
+// byte for byte: Stats (checkpoints, reasons, cycles, outputs), the
+// returned error, retired instructions, the reference monitor's tracked
+// words and final NV memory. It runs on private and shared-program
+// machines, under always-on power and two exponential supplies, and again
+// with Verify on: the privatizer keeps its port there, while Clank's
+// machine, which then has none, still matches its boxed twin.
 func TestAccessPortMatchesBus(t *testing.T) {
 	supplies := []struct {
 		name string
@@ -69,59 +102,61 @@ func TestAccessPortMatchesBus(t *testing.T) {
 		}
 		for _, sup := range supplies {
 			t.Run(name+"/"+sup.name, func(t *testing.T) {
-				opts := func(fac scheme.Factory) Options {
-					return Options{Config: portCfg, Scheme: fac, Supply: sup.mk(), ProgressDefault: 25_000}
-				}
-				bus, err := NewMachine(img, opts(scheme.Boxed(scheme.ClankFactory{})))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bus.cpu.AccessPort().Read != nil {
-					t.Fatal("boxed Clank installed an access port")
-				}
-				want := runPortLeg(t, bus)
-
-				private, err := NewMachine(img, opts(nil))
-				if err != nil {
-					t.Fatal(err)
-				}
-				prog, err := BuildSharedProgram(img, opts(nil))
-				if err != nil {
-					t.Fatal(err)
-				}
-				shared, err := NewMachineShared(img, opts(nil), prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, leg := range []struct {
-					name string
-					m    *Machine
-				}{{"private", private}, {"shared", shared}} {
-					if leg.m.cpu.AccessPort().Read == nil {
-						t.Fatalf("%s: devirtualized Clank without Verify has no access port", leg.name)
-					}
-					got := runPortLeg(t, leg.m)
-					if !reflect.DeepEqual(got.st, want.st) {
-						t.Errorf("%s: Stats diverge from the Bus path:\n  port %+v\n  bus  %+v", leg.name, got.st, want.st)
-					}
-					if got.insns != want.insns {
-						t.Errorf("%s: %d instructions retired, Bus path %d", leg.name, got.insns, want.insns)
-					}
-					for i := range got.mem {
-						if got.mem[i] != want.mem[i] {
-							t.Errorf("%s: NV word %#x is %#x, Bus path %#x", leg.name, 4*i, got.mem[i], want.mem[i])
-							break
+				for _, fac := range portSchemes {
+					for _, verify := range []bool{false, true} {
+						leg := fac.Name()
+						if verify {
+							leg += "/verify"
 						}
+						t.Run(leg, func(t *testing.T) {
+							opts := func(f scheme.Factory) Options {
+								return Options{Config: portCfg, Scheme: f, Supply: sup.mk(), ProgressDefault: 25_000, Verify: verify}
+							}
+							bus, err := NewMachine(img, opts(scheme.Boxed(fac)))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if p := bus.cpu.AccessPort(); p.Index != nil || p.Read != nil {
+								t.Fatal("a boxed scheme installed an access port")
+							}
+							want := runPortLeg(bus)
+							if want.err != "" || !want.st.Completed {
+								t.Fatalf("Bus path: completed %v, error %q", want.st.Completed, want.err)
+							}
+
+							private, err := NewMachine(img, opts(fac))
+							if err != nil {
+								t.Fatal(err)
+							}
+							prog, err := BuildSharedProgram(img, opts(fac))
+							if err != nil {
+								t.Fatal(err)
+							}
+							shared, err := NewMachineShared(img, opts(fac), prog)
+							if err != nil {
+								t.Fatal(err)
+							}
+							clankVerify := fac.Name() == "clank" && verify
+							for _, m := range []struct {
+								name string
+								m    *Machine
+							}{{"private", private}, {"shared", shared}} {
+								if p := m.m.cpu.AccessPort(); (p.Index != nil) == clankVerify {
+									t.Fatalf("%s: access port installed = %v", m.name, p.Index != nil)
+								}
+								runPortLeg(m.m).diff(t, m.name, want)
+							}
+							if want.st.Checkpoints == 0 {
+								t.Error("no checkpoint was taken; the run exercises no section boundary")
+							}
+							if sup.name != "always" && want.st.Restarts == 0 {
+								t.Error("the supply never failed; the run exercises no rollback")
+							}
+							if sup.name == "always" && !verify {
+								requirePortSectionCounts(t, img, fac, want.st.WallCycles)
+							}
+						})
 					}
-				}
-				if want.st.Checkpoints == 0 {
-					t.Error("no checkpoint was taken; the run exercises no section boundary")
-				}
-				if sup.name != "always" && want.st.Restarts == 0 {
-					t.Error("the supply never failed; the run exercises no rollback")
-				}
-				if sup.name == "always" {
-					requirePortSectionCounts(t, img, want.st.WallCycles)
 				}
 			})
 		}
@@ -129,18 +164,18 @@ func TestAccessPortMatchesBus(t *testing.T) {
 }
 
 // requirePortSectionCounts stops both paths mid-section, at wall-cycle
-// bounds spread over a run of total cycles, and compares the detector's
+// bounds spread over a run of total cycles, and compares the scheme's
 // section access count there. Every completed run ends in a commit that
 // resets the count, yet the count steers output and TEXT-write bracketing,
 // so a port that drops or doubles one access must still fail here.
-func requirePortSectionCounts(t *testing.T, img *ccc.Image, total uint64) {
+func requirePortSectionCounts(t *testing.T, img *ccc.Image, fac scheme.Factory, total uint64) {
 	t.Helper()
 	for i := uint64(1); i <= 8; i++ {
 		bound := total * i / 9
 		var counts [2]int
 		var regs [2][16]uint32
-		for leg, fac := range []scheme.Factory{nil, scheme.Boxed(scheme.ClankFactory{})} {
-			m, err := NewMachine(img, Options{Config: portCfg, Scheme: fac, ProgressDefault: 25_000, MaxWallCycles: bound})
+		for leg, f := range []scheme.Factory{fac, scheme.Boxed(fac)} {
+			m, err := NewMachine(img, Options{Config: portCfg, Scheme: f, ProgressDefault: 25_000, MaxWallCycles: bound})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,29 +191,27 @@ func requirePortSectionCounts(t *testing.T, img *ccc.Image, total uint64) {
 	}
 }
 
-// TestAccessPortAbsentWhenObserved pins where the port must not be
-// installed: wherever something besides the detector observes accesses
-// (the reference monitor, a FailAfterAccess hook) or the scheme has no
-// Clank filter to share (Alpaca, DiCA).
+// TestAccessPortAbsentWhenObserved pins where no port may be installed:
+// wherever a FailAfterAccess hook observes accesses, for every scheme;
+// Clank's port, whose filter hits the reference monitor must see, under
+// Verify; and a boxed scheme, which hides its port.
 func TestAccessPortAbsentWhenObserved(t *testing.T) {
 	img := compileTest(t, testProgram)
+	failHook := func(uint32, bool) bool { return false }
 	cases := map[string]Options{
-		"verify":            {Config: portCfg, Verify: true},
-		"fail-after-access": {Config: portCfg, FailAfterAccess: func(uint32, bool) bool { return false }},
-	}
-	for _, name := range []string{"alpaca", "dica"} {
-		fac, err := scheme.Parse(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases[name] = Options{Config: portCfg, Scheme: fac}
+		"clank/verify":       {Config: portCfg, Verify: true},
+		"alpaca/boxed":       {Config: portCfg, Scheme: scheme.Boxed(scheme.AlpacaFactory{}), Verify: true},
+		"clank/fail-after":   {Config: portCfg, FailAfterAccess: failHook},
+		"alpaca/fail-after":  {Config: portCfg, Scheme: scheme.AlpacaFactory{}, FailAfterAccess: failHook},
+		"dica/fail-after":    {Config: portCfg, Scheme: scheme.DiCAFactory{}, FailAfterAccess: failHook},
+		"dica/verify+failer": {Config: portCfg, Scheme: scheme.DiCAFactory{}, Verify: true, FailAfterAccess: failHook},
 	}
 	for name, o := range cases {
 		m, err := NewMachine(img, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.cpu.AccessPort().Read != nil {
+		if p := m.cpu.AccessPort(); p.Index != nil || p.Read != nil {
 			t.Errorf("%s: access port installed", name)
 		}
 	}

@@ -2,6 +2,8 @@ package intermittent
 
 import (
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"repro/internal/ccc"
 	"repro/internal/clank"
 	"repro/internal/power"
+	"repro/internal/scheme"
 )
 
 // sharedTestConfig is the full-featured hardware configuration the shared
@@ -302,5 +305,88 @@ func TestSharedResetDeviceAllocFlat(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, device); allocs > 4 {
 		t.Errorf("steady-state device simulation allocates %.1f times per device, want <= 4", allocs)
+	}
+}
+
+// TestFrozenInvalidateUnreachable pins that no public entry point of a
+// shared-program machine reaches the frozen cache's Invalidate tripwire
+// (armsim's TestFrozenInvalidatePanics). Under every scheme, with torn NV
+// faults on commits and a supply that fails mid-run, it runs
+// self-modifying code (text stores and their checkpoint drains must clone
+// the cache first), Reboots to another image, and re-arms with
+// ResetDevice; every run must complete.
+func TestFrozenInvalidateUnreachable(t *testing.T) {
+	smc := selfModImage()
+	img := compileTest(t, testProgram)
+	other := compileTest(t, strings.Replace(testProgram, "acc = 42;", "acc = 43;", 1))
+	wantImg, _, _ := continuousRun(t, img)
+	wantOther, _, _ := continuousRun(t, other)
+	for _, name := range scheme.Names() {
+		fac, err := scheme.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("a public entry point reached the tripwire: %v", r)
+				}
+			}()
+			machine := func(boot *ccc.Image) *Machine {
+				opts := Options{Config: sharedTestConfig(), Scheme: fac, ProgressDefault: 30_000}
+				m, err := NewMachineShared(boot, opts, mustBuild(t, boot, opts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			torn := 0
+			run := func(m *Machine, label string, seed int64, want func([]uint32) bool) {
+				t.Helper()
+				// Tearing 5% of NV writes drives many torn-commit
+				// recoveries through the write hook. At this rate a run
+				// can complete with wrong outputs and no degraded boot —
+				// a recovery defect outside this test's subject — so a
+				// mismatch is logged, not failed.
+				m.opts.Supply = power.NewSupply(power.Exponential{Mean: 3000, Min: 500}, seed)
+				fs := power.NewFaultStream(uint64(seed), 0.05)
+				m.SetNVFault(func(int) (bool, uint32) { return fs.Next() })
+				st, err := m.Run()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !st.Completed {
+					t.Fatalf("%s: run did not complete", label)
+				}
+				torn += st.TornWrites
+				if !want(st.Outputs) {
+					t.Logf("%s: known defect: wrong outputs under heavy tearing (%d torn writes, %d degraded boots): %v",
+						label, st.TornWrites, st.DegradedBoots, st.Outputs)
+				}
+			}
+
+			m := machine(smc)
+			for seed := int64(1); seed <= 3; seed++ {
+				run(m, "self-modifying", seed, func(out []uint32) bool { return outputsEquivalent([]uint32{7, 0x63}, out) })
+				if m.cpu.Frozen() {
+					t.Fatal("self-modifying code never left the frozen cache")
+				}
+				m.ResetDevice(nil)
+			}
+
+			m = machine(img)
+			if err := m.Reboot(other); err != nil {
+				t.Fatal(err)
+			}
+			run(m, "Reboot(other)", 4, func(out []uint32) bool { return slices.Equal(out, wantOther) })
+			m.ResetDevice(nil)
+			if !m.cpu.Frozen() {
+				t.Fatal("ResetDevice did not rejoin the frozen cache")
+			}
+			run(m, "ResetDevice", 5, func(out []uint32) bool { return slices.Equal(out, wantImg) })
+			if torn == 0 {
+				t.Error("no NV write was torn; the runs exercise no torn commit")
+			}
+		})
 	}
 }

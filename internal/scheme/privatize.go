@@ -1,9 +1,11 @@
 package scheme
 
-import "repro/internal/clank"
+import (
+	"repro/internal/accfilter"
+	"repro/internal/clank"
+)
 
-// defaultBufWords sizes the privatization buffer: 64 words keeps the
-// underlying CAM on its linear (map-free, alloc-free) path and comfortably
+// defaultBufWords sizes the privatization buffer: 64 words comfortably
 // exceeds the largest single-instruction store burst (an STM/PUSH writes
 // at most nine words), so a buffer-overflow veto can always make progress
 // after its forced commit re-executes the instruction.
@@ -113,6 +115,10 @@ func (f DiCAFactory) New(cfg clank.Config) Scheme {
 //   - TEXT stores (OptIgnoreText) force a commit first and then pass
 //     through as the opening access of the fresh section; the re-executed
 //     store rewrites the same value, so the passthrough is idempotent.
+//
+// Both bypasses sit behind the buffered-word check, so a buffered word's
+// verdict is the same for every pc: served from the buffer, or absorbed
+// into it. That is the dirty Write-back certificate Port hands out.
 type privatizer struct {
 	buf            *clank.WriteBuf
 	exempt         map[uint32]bool
@@ -223,3 +229,7 @@ func (p *privatizer) Committed(progress uint64) {
 
 // Footprint implements Scheme.
 func (p *privatizer) Footprint() uint64 { return p.buf.Footprint() }
+
+// Port implements Ported: the buffer's port (clank.WriteBuf.Port), which
+// certifies buffered words only and counts into the section access count.
+func (p *privatizer) Port() accfilter.Port { return p.buf.Port(&p.accesses) }

@@ -33,6 +33,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/accfilter"
 	"repro/internal/clank"
 )
 
@@ -101,6 +102,18 @@ type Scheme interface {
 	Footprint() uint64
 }
 
+// Ported is the optional interface of a scheme whose certified accesses
+// the CPU's fused executor may complete without a Bus call
+// (armsim.CPU.SetAccessPort). Clank's port carries the detector's filter
+// tag arrays as well as its Write-back slots; the privatizing scheme's
+// carries only its buffer, so it certifies buffered words alone. The
+// returned port aliases the scheme's own state and stays valid for the
+// scheme's lifetime. Boxed hides this interface, keeping every access on
+// the Bus.
+type Ported interface {
+	Port() accfilter.Port
+}
+
 // Factory builds Scheme instances for a finalized configuration. The
 // machine resolves TEXT bounds from the image before construction, so
 // schemes cannot be built from a bare name alone.
@@ -129,10 +142,10 @@ func Names() []string {
 }
 
 // Boxed wraps a factory so the built scheme exposes nothing beyond the
-// Scheme interface — notably hiding the concrete *Clank — which forces the
-// machine onto its generic interface path. Conformance tests
-// use it to differentially check the devirtualized fast path against the
-// generic one.
+// Scheme interface — notably hiding the concrete *Clank and Ported — which
+// forces the machine onto its generic interface path with every access on
+// the Bus. Conformance tests use it as the reference leg that the
+// devirtualized fast path and the access port are checked against.
 func Boxed(f Factory) Factory { return boxedFactory{f} }
 
 type boxedFactory struct{ inner Factory }
