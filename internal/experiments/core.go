@@ -7,12 +7,13 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/clank"
 	"repro/internal/mibench"
 	"repro/internal/policysim"
+	"repro/internal/pool"
 	"repro/internal/power"
 )
 
@@ -76,24 +77,17 @@ func Table2Configs() []NamedConfig {
 	}
 }
 
-// BuildSuite compiles and traces all 23 benchmarks (cached).
+// BuildSuite compiles and traces all 23 benchmarks (cached). The error is
+// the lowest-index build failure.
 func BuildSuite() ([]*mibench.Compiled, error) {
 	benches := mibench.All()
 	out := make([]*mibench.Compiled, len(benches))
-	errs := make([]error, len(benches))
-	var wg sync.WaitGroup
-	for i := range benches {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i], errs[i] = mibench.Build(benches[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := parallelFor(len(benches), func(i int) (err error) {
+		out[i], err = mibench.Build(benches[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -252,48 +246,30 @@ func simPowered(c *mibench.Compiled, nc NamedConfig, o Options) (avg policysim.R
 	return last[0], avgs[0], nil
 }
 
-// parallelFor runs fn(i) for i in [0, n) on all cores, returning the first
-// error.
+// parallelFor runs fn(i) for i in [0, n) on all cores and starts no item
+// after the first error. It returns the lowest-index error: indices are
+// handed out in increasing order and every claimed item runs, so each item
+// below a failing one has run.
 func parallelFor(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		ferr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if ferr != nil || next >= n {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if ferr == nil {
-						ferr = err
-					}
-					mu.Unlock()
-					return
-				}
+	errs := make([]error, n)
+	var failed atomic.Bool
+	pool.Run(n, 0, func(next func() (int, bool)) {
+		for !failed.Load() {
+			i, ok := next()
+			if !ok {
+				return
 			}
-		}()
+			if errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	wg.Wait()
-	return ferr
+	return nil
 }
 
 // Point is one sample of a hardware-size-vs-overhead tradeoff curve.

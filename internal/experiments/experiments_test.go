@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -345,4 +346,24 @@ func TestCrossSchemeShape(t *testing.T) {
 		t.Error("format missing scheme rows")
 	}
 	t.Log("\n" + d.Format())
+}
+
+// TestParallelForLowestIndexError: whichever worker fails first, the
+// error returned is the lowest-index one, because every item below a
+// failing item has been claimed, and a claimed item always runs.
+func TestParallelForLowestIndexError(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		err := parallelFor(100, func(i int) error {
+			if i == 3 || i == 4 || i == 50 {
+				return fmt.Errorf("item %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "item 3" {
+			t.Fatalf("trial %d: parallelFor returned %v, want item 3", trial, err)
+		}
+	}
+	if err := parallelFor(0, func(int) error { return fmt.Errorf("ran") }); err != nil {
+		t.Fatalf("empty parallelFor returned %v", err)
+	}
 }

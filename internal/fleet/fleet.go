@@ -21,15 +21,14 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ccc"
 	"repro/internal/clank"
 	"repro/internal/intermittent"
+	"repro/internal/pool"
 	"repro/internal/power"
 	"repro/internal/scheme"
 )
@@ -167,7 +166,7 @@ func (o *Options) intermittentOptions() intermittent.Options {
 
 // Run simulates the fleet and folds the telemetry. The image is built into
 // a frozen shared program once (one continuous warm-up execution); workers
-// then pull fixed device-range shards off an atomic counter, each reusing
+// then pull fixed device-range shards through pool.Run, each reusing
 // one shared-cache machine across its devices. A device whose run errors
 // (wall-cycle bound, barren boots) is recorded in its DeviceResult rather
 // than aborting the fleet; Run itself fails only on setup errors.
@@ -185,55 +184,36 @@ func Run(img *ccc.Image, o Options) (*Report, error) {
 	if shardSize <= 0 {
 		shardSize = defaultShardSize
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > o.Devices {
-		workers = o.Devices
-	}
 	shards := (o.Devices + shardSize - 1) / shardSize
 
 	results := make([]DeviceResult, o.Devices)
-	var nextShard atomic.Int64
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
+	var (
+		mu       sync.Mutex
+		setupErr error
+	)
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m, err := intermittent.NewMachineShared(img, iopts, prog)
-			if err != nil {
-				errCh <- err
-				return
+	pool.Run(shards, o.Workers, func(next func() (int, bool)) {
+		m, err := intermittent.NewMachineShared(img, iopts, prog)
+		if err != nil {
+			mu.Lock()
+			setupErr = err
+			mu.Unlock()
+			return
+		}
+		for s, ok := next(); ok; s, ok = next() {
+			for dev := s * shardSize; dev < min((s+1)*shardSize, o.Devices); dev++ {
+				results[dev] = runDevice(m, dev, o.supplyFor(dev), o.nvFaultFor(dev), prog.Outputs())
 			}
-			for {
-				s := int(nextShard.Add(1)) - 1
-				if s >= shards {
-					return
-				}
-				lo := s * shardSize
-				hi := lo + shardSize
-				if hi > o.Devices {
-					hi = o.Devices
-				}
-				for dev := lo; dev < hi; dev++ {
-					results[dev] = runDevice(m, dev, o.supplyFor(dev), o.nvFaultFor(dev), prog.Outputs())
-				}
-			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	elapsed := time.Since(start)
-	close(errCh)
-	for err := range errCh {
-		return nil, fmt.Errorf("fleet: worker setup: %w", err)
+	if setupErr != nil {
+		return nil, fmt.Errorf("fleet: worker setup: %w", setupErr)
 	}
 
 	return &Report{
 		Agg:     aggregate(results),
-		Host:    hostStats(results, workers, elapsed),
+		Host:    hostStats(results, pool.Workers(o.Workers, o.Devices), elapsed),
 		Results: results,
 	}, nil
 }

@@ -1,9 +1,13 @@
 package intermittent
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/ccc"
 	"repro/internal/clank"
+	"repro/internal/power"
+	"repro/internal/scheme"
 )
 
 // sweepMasks is the package-level adversarial tear set: a cut that lands
@@ -335,5 +339,76 @@ func TestTornWritesCountsOnlyInjectedTears(t *testing.T) {
 	}
 	if st.TornWrites != 0 {
 		t.Fatalf("mask-0 cut counted as a torn write: %d", st.TornWrites)
+	}
+}
+
+// tearingRun runs testProgram on a private machine under the 8/4/2 OptAll
+// hardware, an Exponential{3000, 500} supply seeded with seed, and torn
+// commit writes drawn from power.NewFaultStream(seed, rate). It fails the
+// test unless the run completes.
+func tearingRun(t *testing.T, img *ccc.Image, fac scheme.Factory, seed int64, rate float64) Stats {
+	t.Helper()
+	m, err := NewMachine(img, Options{
+		Config:          sharedTestConfig(),
+		Scheme:          fac,
+		ProgressDefault: 30_000,
+		Supply:          power.NewSupply(power.Exponential{Mean: 3000, Min: 500}, seed),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := power.NewFaultStream(uint64(seed), rate)
+	m.SetNVFault(func(int) (bool, uint32) { return fs.Next() })
+	st, err := m.Run()
+	if err != nil {
+		t.Fatalf("seed %d rate %v: %v", seed, rate, err)
+	}
+	if !st.Completed {
+		t.Fatalf("seed %d rate %v: run did not complete", seed, rate)
+	}
+	return st
+}
+
+// TestTornWriteSeqReuseReproduction is the reduced case of a recovery
+// defect: a torn journal-length write of an unlinearized commit left the
+// journal decoding empty, boot then derived the next sequence number from
+// valid records only and handed out a sequence an older sealed journal
+// still carried, and a later torn length write re-armed that stale journal
+// under the committed slot's sequence — so recovery replayed writes staged
+// after the checkpoint it restored. Outputs must equal the continuous run's.
+func TestTornWriteSeqReuseReproduction(t *testing.T) {
+	img := compileTest(t, testProgram)
+	want, _, _ := continuousRun(t, img)
+	st := tearingRun(t, img, nil, 4, 0.05)
+	if st.TornWrites == 0 || st.RecoveredCommits == 0 {
+		t.Fatalf("run tore %d writes and recovered %d commits; it no longer reaches the defect",
+			st.TornWrites, st.RecoveredCommits)
+	}
+	if !slices.Equal(st.Outputs, want) {
+		t.Fatalf("outputs %v, want %v (%d torn writes, %d degraded boots)",
+			st.Outputs, want, st.TornWrites, st.DegradedBoots)
+	}
+}
+
+// TestTornWriteScanMatchesContinuous scans seeds and tear rates under
+// every scheme: every torn-write run must reproduce the continuous
+// outputs exactly.
+func TestTornWriteScanMatchesContinuous(t *testing.T) {
+	img := compileTest(t, testProgram)
+	want, _, _ := continuousRun(t, img)
+	for _, name := range scheme.Names() {
+		fac, err := scheme.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rate := range []float64{0.01, 0.03, 0.05} {
+			for seed := int64(1); seed <= 30; seed++ {
+				st := tearingRun(t, img, fac, seed, rate)
+				if !slices.Equal(st.Outputs, want) {
+					t.Errorf("%s rate %v seed %d: outputs %v, want %v (%d torn writes, %d degraded boots)",
+						name, rate, seed, st.Outputs, want, st.TornWrites, st.DegradedBoots)
+				}
+			}
+		}
 	}
 }

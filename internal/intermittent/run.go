@@ -402,9 +402,8 @@ func (m *Machine) decodeJournal() (count int, seq uint32, st clank.RecStatus) {
 // already emitted is suppressed on re-emission rather than duplicated
 // (outSuppress, carried across subsequent checkpoints in the slot record's
 // Suppress field). The next sequence number advances past every raw seq
-// cell so a later commit can never collide with stale sealed state, and the
-// journal is disarmed: its staged writes belong to an execution whose
-// checkpoint basis is gone.
+// cell (seqAfterNV), and the journal is disarmed: its staged writes belong
+// to an execution whose checkpoint basis is gone.
 func (m *Machine) degradedRestore() {
 	m.stats.DegradedBoots++
 	outs := m.mem.Outputs
@@ -414,18 +413,25 @@ func (m *Machine) degradedRestore() {
 	m.cpu.ResetInto(m.img.InitialSP, m.img.Entry)
 	m.cpu.Cycle = 0
 	m.cpu.Halt = false
-	next := m.slotNV[0].Word(clank.SlotSeqWord)
-	if s := m.slotNV[1].Word(clank.SlotSeqWord); s > next {
-		next = s
-	}
-	if s := m.jnlNV.Word(clank.JnlSeqWord); s > next {
-		next = s
-	}
 	m.active, m.activeSeq = 0, 0
-	m.nextSeq = next + 1
+	m.nextSeq = m.seqAfterNV()
 	// Re-initialization write, not a commit-protocol write: uncharged and
 	// invisible to the fault injector.
 	m.jnlNV.SetWord(clank.JnlLenWord, 0)
+}
+
+// seqAfterNV is the next commit sequence number after a reboot: one past
+// every raw sequence cell on NV (slot A, slot B, journal), valid record or
+// not. Monotonicity: a sequence that any cell still carries must never be
+// reused. A journal whose length word a torn write zeroed decodes empty,
+// yet its sequence and CRC survive; were its sequence handed out again, a
+// clean (journal-less) commit could linearize under it, and a later torn
+// length write that restores the old count would re-arm the stale journal
+// under the committed slot's sequence, so recovery would replay writes
+// staged after the checkpoint it restores.
+func (m *Machine) seqAfterNV() uint32 {
+	return max(m.slotNV[0].Word(clank.SlotSeqWord), m.slotNV[1].Word(clank.SlotSeqWord),
+		m.jnlNV.Word(clank.JnlSeqWord)) + 1
 }
 
 // powerFail models the loss of all volatile state: Clank's buffers (with
@@ -460,13 +466,7 @@ func (m *Machine) powerFail() int {
 	} else {
 		m.active = best
 		m.activeSeq = rec.Seq
-		// Monotonicity: never reuse a sequence still present in a valid
-		// journal record, or a clean (journal-less) commit could linearize
-		// under the sequence of a stale staged journal and resurrect it.
-		m.nextSeq = rec.Seq + 1
-		if _, jseq, st := m.decodeJournal(); st == clank.RecValid && jseq >= m.nextSeq {
-			m.nextSeq = jseq + 1
-		}
+		m.nextSeq = m.seqAfterNV()
 		m.cpu.R = rec.Regs
 		m.cpu.SetPSR(rec.PSR)
 		m.cpu.Cycle = rec.Cycle

@@ -2,12 +2,10 @@ package policysim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/clank"
+	"repro/internal/pool"
 	"repro/internal/power"
 	"repro/internal/refmon"
 )
@@ -26,11 +24,12 @@ import (
 //     Power-cycled jobs need it because each job's reboot schedule
 //     desynchronizes its trace position from every other's; they still
 //     share the decoded columns, the classification, the arena, and the
-//     scratch buffers. Simulate runs every job on it.
+//     scratch buffers. Undo-log jobs (an overhead model only the golden
+//     tests run) take it too. Simulate runs every job on it.
 //
-//   - Continuous-power jobs take the lockstep fast path, access-major:
-//     the outer loop walks the trace once and an inner loop steps every
-//     live slot. Under continuous power the general core never reboots,
+//   - Continuous-power redo-log jobs take the lockstep fast path,
+//     access-major: the outer loop walks the trace once and an inner loop
+//     steps every live slot. Under continuous power the general core never reboots,
 //     so the committed NV state always equals the continuous trace's own
 //     values (the shadow store is the identity) and a checkpoint's cost is
 //     the closed-form clank.CommitCost — no shadow array, no step walk, no
@@ -83,10 +82,10 @@ type slot struct {
 	// trace's maxCycle — so as long as CkptCycles stays at or below
 	// ckptLimit, neither the MaxWallCycles check nor the continuousGuard
 	// can trip anywhere in the trace, and the checks only need to run
-	// where CkptCycles changes: at commits and undo-journal charges. A
-	// slot that exceeds the limit (or starts beyond it: neverSafe) bails
-	// to the general core, which replays the job — including its exact
-	// failure point and error — from scratch.
+	// where CkptCycles changes: at commits. A slot that exceeds the limit
+	// (or starts beyond it: neverSafe) bails to the general core, which
+	// replays the job — including its exact failure point and error —
+	// from scratch.
 	ckptLimit uint64
 	neverSafe bool
 
@@ -96,7 +95,6 @@ type slot struct {
 	ckptT         uint64 // trace time of the last checkpoint
 	refeedGate    int    // group start of the last re-fed instruction (-1 = none)
 	minStackWrite uint32
-	undoEntries   int
 
 	res          Result
 	err          error
@@ -171,7 +169,7 @@ func NewBatch(tr *BatchTrace, jobs []Job) (*Batch, error) {
 		} else {
 			s.ckptLimit = min(o.MaxWallCycles-tr.maxCycle, continuousGuard-1-tr.maxCycle)
 		}
-		if _, always := o.Supply.(power.Always); always {
+		if _, always := o.Supply.(power.Always); always && !o.UndoLog {
 			b.lockstep = append(b.lockstep, s)
 		} else {
 			b.powered = append(b.powered, i)
@@ -224,7 +222,6 @@ func (b *Batch) resetSlot(s *slot) {
 		s.mon.Reset()
 	}
 	s.ckptT = 0
-	s.undoEntries = 0
 	s.minStackWrite = 0
 	if s.o.Mixed != nil {
 		s.minStackWrite = s.o.Mixed.StackTop
@@ -333,13 +330,7 @@ func (s *slot) runSpan(b *Batch, lo, hi int) bool {
 		if s.wdt != 0 {
 			end = s.watchdogEnd(tr, lo, hi)
 		}
-		if s.o.UndoLog {
-			for i := lo; i < end; i++ {
-				if !s.stepRare(b, i, s.class[i], tr.cycle[i]) {
-					return false
-				}
-			}
-		} else if !s.probeSpan(b, lo, end) {
+		if !s.probeSpan(b, lo, end) {
 			return false
 		}
 		if s.wdt != 0 {
@@ -364,11 +355,11 @@ func (s *slot) watchdogEnd(tr *BatchTrace, lo, hi int) int {
 }
 
 // probeSpan is the lockstep core's one filter-probe loop: it replays
-// accesses [lo, hi) for every slot without an undo journal, monitored or
-// not, watchdogged or not (runSpan ends a segment where a watchdog is
-// due). It touches only the addr/value/class columns (pc when a monitor
-// is attached) and the inlined detector verdict, and reads the cycle
-// column only when a checkpoint actually commits. Everything rarer
+// accesses [lo, hi) for every slot, monitored or not, watchdogged or not
+// (runSpan ends a segment where a watchdog is due). It touches only the
+// addr/value/class columns (pc when a monitor is attached) and the inlined
+// detector verdict, and reads the cycle column only when a checkpoint
+// actually commits. Everything rarer
 // (output commits, volatile skips, misses) drops into stepRare,
 // settleAccess or refeedInsn, and the general core's loop-top wall checks
 // are hoisted into slot.ckptLimit so they cost nothing per access.
@@ -516,12 +507,10 @@ func (s *slot) probeSpan(b *Batch, lo, hi int) bool {
 }
 
 // stepRare replays access i for one slot under continuous power when the
-// filter-probe loop does not apply: output commits, volatile skips, and
-// every access of a slot with an undo journal. It mirrors colSim's loop
-// body exactly (minus the wall checks, which ckptLimit subsumes). Returns
-// false once the slot is done.
+// filter-probe loop does not apply: output commits and volatile skips. It
+// mirrors colSim's loop body exactly (minus the wall checks, which
+// ckptLimit subsumes). Returns false once the slot is done.
 func (s *slot) stepRare(b *Batch, i int, f uint8, cyc uint64) bool {
-	tr := b.tr
 	if f&faOutput != 0 {
 		// Output commit: bracket with checkpoints (section 3.3). sinceCkpt
 		// is cyc - ckptT: useful cycles accrue only from trace deltas.
@@ -534,45 +523,17 @@ func (s *slot) stepRare(b *Batch, i int, f uint8, cyc uint64) bool {
 		s.commit(clank.ReasonOutput, cyc)
 		return !s.done
 	}
-	if f&faVolatile != 0 {
-		if f&faWrite != 0 && tr.addr[i] < s.minStackWrite {
-			s.minStackWrite = tr.addr[i]
-		}
-		return true
+	if f&faWrite != 0 && b.tr.addr[i] < s.minStackWrite {
+		s.minStackWrite = b.tr.addr[i]
 	}
-	word := tr.addr[i] >> 2
-	exempt := f&faExempt != 0
-	inText := f&s.textMask != 0
-	var out clank.Outcome
-	if f&faWrite != 0 {
-		out = s.k.WritePre(word, tr.value[i], tr.prev[i], exempt, inText)
-	} else {
-		out = s.k.ReadPre(word, tr.value[i], exempt, inText)
-	}
-	if out.NeedCheckpoint {
-		// refeedInsn re-applies this access (with its bookkeeping) as the
-		// last member of the re-fed instruction group.
-		return s.refeedInsn(b, i, out.Reason)
-	}
-	return s.settleAccess(b, i, f, out)
+	return true
 }
 
-// settleAccess performs the post-verdict bookkeeping for access i — undo
-// journaling and monitor hooks — shared by probeSpan, stepRare and
-// refeedInsn. Returns false once the slot is done.
+// settleAccess performs the post-verdict bookkeeping for access i — the
+// monitor hooks — shared by probeSpan and refeedInsn. Returns false once the slot is done.
 func (s *slot) settleAccess(b *Batch, i int, f uint8, out clank.Outcome) bool {
 	tr := b.tr
 	word := tr.addr[i] >> 2
-	if s.o.UndoLog && out.Buffered {
-		s.res.CkptCycles += s.o.Costs.WBFlushPerEntry
-		s.undoEntries++
-		if s.res.CkptCycles > s.ckptLimit {
-			s.needsPowered = true
-			s.done = true
-			return false
-		}
-		return true
-	}
 	if f&faWrite != 0 {
 		if !out.Buffered && s.mon != nil {
 			if v := s.mon.WriteNV(word, tr.value[i], tr.pc[i]); v != nil {
@@ -690,11 +651,6 @@ func (s *slot) tail(b *Batch, prevT uint64) {
 // detector reset.
 func (s *slot) commit(reason clank.Reason, cyc uint64) {
 	dirty := s.k.WBDirty()
-	if s.o.UndoLog {
-		// Undo discipline: values are already in NV; committing just
-		// truncates the journal.
-		dirty = 0
-	}
 	if s.o.Mixed != nil && s.minStackWrite < s.o.Mixed.StackTop {
 		words := uint64(s.o.Mixed.StackTop-s.minStackWrite) / 4
 		s.res.CkptCycles += words * s.o.Costs.StackWordSave
@@ -702,7 +658,6 @@ func (s *slot) commit(reason clank.Reason, cyc uint64) {
 	}
 	s.res.CkptCycles += clank.CommitCost(s.o.Costs, dirty)
 	s.ckptT = cyc
-	s.undoEntries = 0
 	s.res.CountCheckpoint(reason)
 	s.k.Reset()
 	if s.mon != nil {
@@ -749,8 +704,8 @@ func (b *Batch) runPowered(s *slot) error {
 
 // Sweep shards a configuration space across a worker pool the way
 // verify.Sweep shards its pattern space: shard j is the fixed job range
-// [j*ShardSize, (j+1)*ShardSize), workers pull shard indices from an
-// atomic counter, and every job's Result is written to its own index — so
+// [j*ShardSize, (j+1)*ShardSize), workers pull shard indices through
+// pool.Run, and every job's Result is written to its own index — so
 // a job's (shard, seq) coordinates and the full output are byte-identical
 // at any worker count, and a failure report's coordinates reproduce with
 // `-workers 1`. Scheduling decides only which worker visits a shard,
@@ -771,54 +726,33 @@ type Sweep struct {
 func (s *Sweep) Run() ([]Result, error) {
 	n := len(s.Jobs)
 	out := make([]Result, n)
-	if n == 0 {
-		return out, nil
-	}
 	errs := make([]error, n)
 	size := s.ShardSize
 	if size <= 0 {
 		size = 64
 	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	shards := (n + size - 1) / size
-	if workers > shards {
-		workers = shards
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= shards {
-					return
-				}
-				lo := idx * size
-				hi := min(lo+size, n)
-				b, err := NewBatch(s.Trace, s.Jobs[lo:hi])
-				if err != nil {
-					// Attribute the construction error to the first
-					// invalid job of the shard.
-					at := lo
-					for j := lo; j < hi; j++ {
-						if verr := validateJob(s.Trace, s.Jobs[j]); verr != nil {
-							at, err = j, verr
-							break
-						}
+	pool.Run(shards, s.Workers, func(next func() (int, bool)) {
+		for idx, ok := next(); ok; idx, ok = next() {
+			lo := idx * size
+			hi := min(lo+size, n)
+			b, err := NewBatch(s.Trace, s.Jobs[lo:hi])
+			if err != nil {
+				// Attribute the construction error to the first invalid
+				// job of the shard.
+				at := lo
+				for j := lo; j < hi; j++ {
+					if verr := validateJob(s.Trace, s.Jobs[j]); verr != nil {
+						at, err = j, verr
+						break
 					}
-					errs[at] = err
-					continue
 				}
-				b.Run(out[lo:hi], errs[lo:hi])
+				errs[at] = err
+				continue
 			}
-		}()
-	}
-	wg.Wait()
+			b.Run(out[lo:hi], errs[lo:hi])
+		}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return out, fmt.Errorf("policysim: sweep job %d (shard %d, seq %d, config %s): %w",

@@ -2,12 +2,12 @@ package verify
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/clank"
+	"repro/internal/pool"
 )
 
 // Sweep is the production sweep over (pattern, configuration, schedule)
@@ -19,8 +19,8 @@ import (
 // numbered in enumeration order and each shard expands to the same pattern
 // sequence on every run and every worker count, so a counterexample's
 // (shard, seq) coordinates are reproducible. Workers pull shard indices
-// from an atomic counter; scheduling affects only which worker visits a
-// shard, never what the shard contains.
+// through pool.Run; scheduling affects only which worker visits a shard,
+// never what the shard contains.
 type Sweep struct {
 	N     int // pattern length (the bound)
 	Words int // address-space size in words
@@ -112,10 +112,6 @@ func (s *Sweep) Run() (Stats, error) {
 			schedules = append(schedules, FailAt(f))
 		}
 	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	depth := s.PrefixDepth
 	if depth <= 0 {
 		depth = 2
@@ -131,7 +127,6 @@ func (s *Sweep) Run() (Stats, error) {
 		stats    Stats
 		patterns atomic.Int64
 		runs     atomic.Int64
-		next     atomic.Int64
 		stop     atomic.Bool
 		mu       sync.Mutex
 		findings []Finding
@@ -139,74 +134,65 @@ func (s *Sweep) Run() (Stats, error) {
 	stats.Shards = len(work)
 	stats.Groups = len(groups)
 
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			check := s.makeCheck()
-			for {
+	pool.Run(len(work), s.Workers, func(next func() (int, bool)) {
+		check := s.makeCheck()
+		for !stop.Load() {
+			idx, ok := next()
+			if !ok {
+				return
+			}
+			w := work[idx]
+			seq := 0
+			var local []Finding
+			e := &enumerator{
+				n: s.N, words: s.Words, vals: s.Vals,
+				sym:       w.group.sym,
+				canonical: s.Canonical && !isIdentity(w.group.sym),
+				p:         make(Pattern, s.N),
+				wordUsed:  make([]bool, s.Words),
+				valUsed:   make([]bool, s.Vals+1),
+			}
+			e.replay(w.prefix)
+			e.fn = func(p Pattern) error {
+				mySeq := seq
+				seq++
 				if stop.Load() {
-					return
+					return errAborted
 				}
-				idx := int(next.Add(1)) - 1
-				if idx >= len(work) {
-					return
-				}
-				w := work[idx]
-				seq := 0
-				var local []Finding
-				e := &enumerator{
-					n: s.N, words: s.Words, vals: s.Vals,
-					sym:       w.group.sym,
-					canonical: s.Canonical && !isIdentity(w.group.sym),
-					p:         make(Pattern, s.N),
-					wordUsed:  make([]bool, s.Words),
-					valUsed:   make([]bool, s.Vals+1),
-				}
-				e.replay(w.prefix)
-				e.fn = func(p Pattern) error {
-					mySeq := seq
-					seq++
-					if stop.Load() {
-						return errAborted
-					}
-					patterns.Add(1)
-					for _, cfg := range w.group.configs {
-						for _, sched := range schedules {
-							runs.Add(1)
-							if err := check(p, s.Words, cfg, sched); err != nil {
-								local = append(local, Finding{
-									Shard: w.index, Seq: mySeq,
-									Pattern:  append(Pattern(nil), p...),
-									Config:   cfg,
-									Schedule: sched,
-									Err:      err,
-								})
-								if !s.CollectAll {
-									stop.Store(true)
-									return errAborted
-								}
+				patterns.Add(1)
+				for _, cfg := range w.group.configs {
+					for _, sched := range schedules {
+						runs.Add(1)
+						if err := check(p, s.Words, cfg, sched); err != nil {
+							local = append(local, Finding{
+								Shard: w.index, Seq: mySeq,
+								Pattern:  append(Pattern(nil), p...),
+								Config:   cfg,
+								Schedule: sched,
+								Err:      err,
+							})
+							if !s.CollectAll {
+								stop.Store(true)
+								return errAborted
 							}
 						}
 					}
-					return nil
 				}
-				_ = e.rec(len(w.prefix))
-				if len(local) > 0 {
-					// One batch per shard: a stable sort on (Shard, Seq) then
-					// preserves the in-shard check order for equal coordinates
-					// (one pattern can fail under several config/schedule
-					// pairs), keeping findings byte-identical at any worker
-					// count.
-					mu.Lock()
-					findings = append(findings, local...)
-					mu.Unlock()
-				}
+				return nil
 			}
-		}()
-	}
-	wg.Wait()
+			_ = e.rec(len(w.prefix))
+			if len(local) > 0 {
+				// One batch per shard: a stable sort on (Shard, Seq) then
+				// preserves the in-shard check order for equal coordinates
+				// (one pattern can fail under several config/schedule
+				// pairs), keeping findings byte-identical at any worker
+				// count.
+				mu.Lock()
+				findings = append(findings, local...)
+				mu.Unlock()
+			}
+		}
+	})
 
 	stats.Patterns = patterns.Load()
 	stats.Runs = runs.Load()
