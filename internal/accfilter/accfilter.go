@@ -40,10 +40,27 @@
 // On anything else the prober must call the detector, which re-probes and
 // counts.
 //
-// A Port without tag arrays (Read and Write nil) certifies only the dirty
-// Write-back kind: its owner vouches for no filter verdict, so filter
-// probes, clean-slot false writes and every other access it cannot answer
-// go to the owner.
+// A Port without tag arrays (Read and Write nil) certifies the dirty
+// Write-back kind and, through Complete, one more: while *Complete holds,
+// its index names every word its owner buffers, so a read of a word
+// without a live entry is "proceed, read memory" (Alpaca's reads need no
+// bookkeeping). The prober owes one access count and the memory read. The
+// owner vouches for no filter verdict, so filter probes, clean-slot false
+// writes, stores of unbuffered words and every other access it cannot
+// answer go to the owner. TEXT literal loads need no verdict from any
+// owner: every port certifies them as reads of memory.
+//
+// A reference monitor shadowing the owner (refmon.Certified) adds its own
+// two certificate arrays (Certs), Tracked and WriteDom, in the same Tags
+// shape and derived only from the monitor's table. While they are set,
+// each access the port completes that the monitor would otherwise see must
+// be certified by the monitor too: a read (filter hit, TEXT literal, or
+// unindexed word) needs Tracked, because the monitor ignores a read of a
+// word it already tracks; a filter write hit needs WriteDom, because the
+// monitor ignores a write of a write-dominated word. A clean-slot false
+// write, whose verdict depends on the value, is not completed at all.
+// Dirty Write-back accesses need no monitor certificate: the monitor never
+// sees them.
 package accfilter
 
 const (
@@ -152,13 +169,24 @@ func (x *Index) NextEpoch(epoch uint32) uint32 {
 // section access counter, its word-state index with the current epoch's
 // tag, and its Write-back slots, all owned and maintained by the detector.
 // A privatizing write buffer's port (clank.WriteBuf.Port) leaves Read and
-// Write nil and so certifies only its dirty slots.
+// Write nil and instead points Complete at its index-completeness flag.
+// Certs are a reference monitor's certificates (nil without a monitor),
+// which the machine running both attaches.
 type Port struct {
 	Read, Write *Tags
 	Accesses    *int
 	Index       *Index
 	Epoch       *uint64
 	Slots       []Slot
+	Complete    *bool
+	Certs       *Certs
+}
+
+// Certs is a reference monitor's pair of certificate arrays: Tracked names
+// the words it already tracks this section, WriteDom those it holds as
+// write-dominated.
+type Certs struct {
+	Tracked, WriteDom Tags
 }
 
 // WriteBack returns the Write-back slot a live index entry places word in,

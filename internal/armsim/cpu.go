@@ -44,14 +44,17 @@ var (
 // data accesses; a vetoed instruction has no architectural effect and will
 // re-execute on the next Step.
 type CPU struct {
-	R     [16]uint32
-	N     bool
-	Z     bool
-	C     bool
-	V     bool
-	Prim  bool // PRIMASK, modeled but unused by generated code
+	R    [16]uint32
+	N    bool
+	Z    bool
+	C    bool
+	V    bool
+	Prim bool // PRIMASK, modeled but unused by generated code
+	Halt bool
+	// yield is set by Yield during a bus access and read by execRun after
+	// each access micro-op (see Yield).
+	yield bool
 	Bus   Bus
-	Halt  bool
 	Cycle uint64 // total executed cycles
 	Insns uint64 // total retired instructions (monotonic; not checkpointed)
 
@@ -72,14 +75,11 @@ type CPU struct {
 
 	// port, when port.Index is non-nil, is a detector's or write
 	// buffer's access port (SetAccessPort): the executor completes the
-	// accesses it certifies — with port.Read non-nil also filter hits and
-	// TEXT literal loads — against portMem without a Bus call.
+	// accesses it certifies — TEXT literal loads, dirty Write-back words,
+	// with port.Read non-nil also filter hits, and with a complete index
+	// unindexed reads — against portMem without a Bus call.
 	port    accfilter.Port
 	portMem *Memory
-
-	// yield is set by Yield during a bus access and read by execRun after
-	// each access micro-op (see Yield).
-	yield bool
 }
 
 // Yield asks the fused engine to return to its caller at the instruction

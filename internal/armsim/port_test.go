@@ -335,20 +335,25 @@ func TestAccessPortWriteBack(t *testing.T) {
 
 // TestAccessPortTagless pins a port without filter tag arrays, the shape
 // of a privatizing write buffer's (clank.WriteBuf.Port): it serves loads
-// and stores of dirty Write-back words, each counting one access with no
-// Bus call, and nothing else. A clean-slot false write, a TEXT literal
-// load and an index miss each reach the Bus exactly once and count
-// nothing.
+// and stores of dirty Write-back words and TEXT literal loads, and — while
+// its index is complete — loads of words the index does not name, each
+// counting one access with no Bus call, and nothing else. A clean-slot
+// false write, a clean-slot load, a load that misses an incomplete index
+// and a store that misses the index each reach the Bus exactly once and
+// count nothing.
 func TestAccessPortTagless(t *testing.T) {
 	const (
 		base   = 0x8000
 		memVal = 0x11223344
 		wbVal  = 0xA5B6C7D8
 	)
+	var complete bool
 	rig := func() *wbRig {
 		r := newWBRig()
+		complete = false
 		r.cpu.SetAccessPort(accfilter.Port{
 			Accesses: &r.accesses, Index: &r.idx, Epoch: &r.epoch, Slots: r.slots[:],
+			Complete: &complete,
 		}, r.mem)
 		r.mem.WriteWord(base, memVal)
 		return r
@@ -381,6 +386,49 @@ func TestAccessPortTagless(t *testing.T) {
 		}
 	})
 
+	// Loads served from memory in the loop: one access, no Bus call, the
+	// memory word's lane.
+	for _, tc := range []struct {
+		name string
+		load func(r *wbRig, addr uint32, size uint8) (uint32, error)
+	}{
+		{"text_literal", func(r *wbRig, addr uint32, _ uint8) (uint32, error) { return r.cpu.loadTextLit(addr, 0) }},
+		{"complete_index_miss", func(r *wbRig, addr uint32, size uint8) (uint32, error) {
+			complete = true
+			r.put(base>>2+1, 0, wbVal, true) // another word's live entry
+			return r.cpu.pdLoad(addr, size, 0)
+		}},
+		{"complete_index_stale_epoch", func(r *wbRig, addr uint32, size uint8) (uint32, error) {
+			complete = true
+			r.put(base>>2, 0, wbVal, true)
+			r.epoch = accfilter.Tag(2)
+			return r.cpu.pdLoad(addr, size, 0)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, size := range []uint8{1, 2, 4} {
+				if tc.name == "text_literal" && size != 4 {
+					continue // literal loads are word loads
+				}
+				r := rig()
+				before := r.snap()
+				v, err := tc.load(r, base, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := laneRef(memVal, base, size); v != want {
+					t.Errorf("load%d = %#x, want memory's lane %#x", size*8, v, want)
+				}
+				if got, want := r.snap(), (snap{before.accesses + 1, before.loads, before.stores, before.hooks}); got != want {
+					t.Errorf("load%d: %+v, want %+v (one access, no bus)", size*8, got, want)
+				}
+			}
+		})
+	}
+
+	// Accesses the tagless port must not serve: the index misses here
+	// are a load under an incomplete index and a store under a complete
+	// one.
 	for _, tc := range []struct {
 		name          string
 		access        func(r *wbRig) error
@@ -391,19 +439,24 @@ func TestAccessPortTagless(t *testing.T) {
 			return r.cpu.pdStore(base, 4, memVal, 0)
 		}, 0, 1},
 		{"clean_load", func(r *wbRig) error {
+			complete = true
 			r.put(base>>2, 1, memVal, false)
 			_, err := r.cpu.pdLoad(base, 4, 0)
-			return err
-		}, 1, 0},
-		{"text_literal", func(r *wbRig) error {
-			_, err := r.cpu.loadTextLit(base, 0)
 			return err
 		}, 1, 0},
 		{"index_miss_load", func(r *wbRig) error {
 			_, err := r.cpu.pdLoad(base, 4, 0)
 			return err
 		}, 1, 0},
-		{"index_miss_store", func(r *wbRig) error { return r.cpu.pdStore(base, 4, memVal^1, 0) }, 0, 1},
+		{"index_miss_store", func(r *wbRig) error {
+			complete = true
+			return r.cpu.pdStore(base, 4, memVal^1, 0)
+		}, 0, 1},
+		{"complete_index_outside_memory", func(r *wbRig) error {
+			complete = true
+			r.cpu.pdLoad(MemSize, 4, 0) // the Bus faults; only its reach counts
+			return nil
+		}, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rig()
@@ -416,5 +469,109 @@ func TestAccessPortTagless(t *testing.T) {
 				t.Errorf("%+v after %+v: want %d bus load(s), %d bus store(s) and no port count", got, before, tc.loads, tc.stores)
 			}
 		})
+	}
+}
+
+// TestAccessPortMonitorCertificates pins the reference monitor's half of
+// the port: with Certs set, every access the port would complete against
+// memory needs the monitor's certificate for its word too — a filter read
+// hit, a TEXT literal load and a complete index's unindexed read need
+// Tracked, a filter write hit needs WriteDom — and crosses the Bus without
+// it, counting nothing. A clean-slot false write
+// crosses the Bus whatever the certificates say; a dirty Write-back word
+// needs none.
+func TestAccessPortMonitorCertificates(t *testing.T) {
+	const (
+		base   = 0x8000
+		memVal = 0x11223344
+		wbVal  = 0xA5B6C7D8
+	)
+	const w = base >> 2
+	type rig struct {
+		*wbRig
+		certs    accfilter.Certs
+		complete bool
+	}
+	mk := func(tags, certified bool) *rig {
+		r := &rig{wbRig: newWBRig(), certs: accfilter.Certs{Tracked: accfilter.Empty, WriteDom: accfilter.Empty}, complete: true}
+		p := r.cpu.AccessPort()
+		p.Certs = &r.certs
+		if !tags {
+			p.Read, p.Write, p.Complete = nil, nil, &r.complete
+		}
+		r.cpu.SetAccessPort(p, r.mem)
+		r.mem.WriteWord(base, memVal)
+		r.rd[w&accfilter.Mask], r.wr[w&accfilter.Mask] = w, w
+		if certified {
+			r.certs.Tracked[w&accfilter.Mask], r.certs.WriteDom[w&accfilter.Mask] = w, w
+		} else {
+			// A colliding word holds the slot: a certificate for another
+			// word certifies nothing here.
+			r.certs.Tracked[w&accfilter.Mask] = w + accfilter.Entries
+			r.certs.WriteDom[w&accfilter.Mask] = w + accfilter.Entries
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		name   string
+		tags   bool
+		access func(r *rig) error
+		store  bool // the access is a store
+		served bool // served in the loop when certified
+	}{
+		{"filter_read_hit", true, func(r *rig) error { _, err := r.cpu.pdLoad(base, 4, 0); return err }, false, true},
+		{"filter_write_hit", true, func(r *rig) error { return r.cpu.pdStore(base, 2, 0x77, 0) }, true, true},
+		{"text_literal", true, func(r *rig) error { _, err := r.cpu.loadTextLit(base, 0); return err }, false, true},
+		{"tagless_text_literal", false, func(r *rig) error { _, err := r.cpu.loadTextLit(base, 0); return err }, false, true},
+		{"tagless_unindexed_read", false, func(r *rig) error { _, err := r.cpu.pdLoad(base, 1, 0); return err }, false, true},
+		{"clean_false_write", true, func(r *rig) error {
+			r.rd[w&accfilter.Mask], r.wr[w&accfilter.Mask] = accfilter.Empty[w&accfilter.Mask], accfilter.Empty[w&accfilter.Mask]
+			r.put(w, 1, memVal, false)
+			return r.cpu.pdStore(base, 4, memVal, 0)
+		}, true, false},
+	} {
+		for _, certified := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/certified=%v", tc.name, certified), func(t *testing.T) {
+				r := mk(tc.tags, certified)
+				before := r.snap()
+				want := before
+				switch {
+				case certified && tc.served:
+					want.accesses++
+					if tc.store {
+						want.hooks++
+					}
+				case tc.store:
+					want.stores++
+					want.hooks++
+				default:
+					want.loads++
+				}
+				if err := tc.access(r); err != nil {
+					t.Fatal(err)
+				}
+				if got := r.snap(); got != want {
+					t.Errorf("%+v, want %+v", got, want)
+				}
+			})
+		}
+	}
+
+	// Dirty Write-back words need no certificate: the monitor never sees
+	// them.
+	for _, tags := range []bool{false, true} {
+		r := mk(tags, false)
+		r.rd[w&accfilter.Mask], r.wr[w&accfilter.Mask] = accfilter.Empty[w&accfilter.Mask], accfilter.Empty[w&accfilter.Mask]
+		r.put(w, 2, wbVal, true)
+		before := r.snap()
+		if v, err := r.cpu.pdLoad(base, 4, 0); err != nil || v != wbVal {
+			t.Fatalf("tags=%v: dirty load = %#x, %v; want the slot's %#x", tags, v, err, wbVal)
+		}
+		if err := r.cpu.pdStore(base, 4, 5, 0); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r.snap(), (snap{before.accesses + 2, before.loads, before.stores, before.hooks}); got != want {
+			t.Errorf("tags=%v: dirty accesses %+v, want %+v (two accesses, no bus)", tags, got, want)
+		}
 	}
 }

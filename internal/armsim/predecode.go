@@ -274,7 +274,7 @@ func (c *CPU) EnablePredecode(mem *Memory) {
 // risks disagreeing at an unaligned TextEnd, where the detector rounds up
 // to cover the straddling word. The window takes effect for instructions
 // decoded after the call. A classified literal load still reaches the Bus
-// through Load (loadTextLit); only an installed access port serves it in
+// through Load (loadTextLit) unless an installed access port serves it in
 // the loop.
 func (c *CPU) SetTextWindow(lo, hi uint32) { c.textLoW, c.textHiW = lo, hi }
 
@@ -501,23 +501,26 @@ func predecode32(op, op2 uint16) DecodedInsn {
 //   - a store of a word in a clean Write-back slot whose merged word (mem's
 //     word with the stored lane replaced) equals the slot's Val — a false
 //     write — then writes mem exactly as the bus would;
-//   - a TEXT literal load (kindLDRLitText) reads the word.
+//   - a TEXT literal load (kindLDRLitText) reads the word;
+//   - on a port whose p.Complete is set and true, a load of a word p's
+//     index does not name reads mem.
 //
 // A port without tag arrays (p.Read and p.Write nil, as a privatizing
-// write buffer's) certifies only the dirty Write-back kind: its filter
-// probes, clean-slot false writes and TEXT literal loads take the Bus.
-// Every other access — filter and index misses, loads of clean slots,
-// clean-slot stores that change the word, addresses outside main memory,
-// stores straddling its top — still takes the Bus.
+// write buffer's) makes no filter probe and completes no clean-slot false
+// write. Under a reference monitor (p.Certs non-nil) each completed access
+// the monitor would see needs its certificate too: every load that reads
+// mem needs p.Certs.Tracked, a filter store hit needs p.Certs.WriteDom, and
+// clean-slot false writes take the Bus. Every other access
+// — filter and index misses, loads of clean slots, clean-slot stores that
+// change the word, addresses outside main memory, stores straddling its
+// top — still takes the Bus.
 //
 // Installing a port is the bus owner's promise that for those kinds the
 // Bus would do exactly that and nothing else: no veto, no Yield, no
-// monitor or failure hook, with mem its backing store. The intermittent
-// machine installs its scheme's port (scheme.Ported) only when no
-// FailAfterAccess hook observes accesses, and a port with tag arrays
-// (clank.Clank.Port) only when no reference monitor does either: the
-// monitor never sees a dirty Write-back access, but it must see the
-// rest.
+// failure hook, and no monitor report the monitor's certificates do not
+// make a no-op, with mem its backing store. The intermittent machine
+// installs its scheme's port (scheme.Ported) whenever no FailAfterAccess
+// hook observes accesses, with its monitor's certificates under Verify.
 func (c *CPU) SetAccessPort(p accfilter.Port, mem *Memory) { c.port, c.portMem = p, mem }
 
 // AccessPort returns the installed access port (zero when none).
@@ -525,23 +528,43 @@ func (c *CPU) AccessPort() accfilter.Port { return c.port }
 
 // pdLoad is the executor's data-load path. Every load takes the Bus except
 // those an installed access port certifies (SetAccessPort): a filter hit
-// reads memory, a dirty Write-back word its slot. An unaligned address
-// faults first, before any path reads memory or counts an access.
+// or an unindexed word of a complete index reads memory, a dirty
+// Write-back word its slot. An unaligned address faults first, before any
+// path reads memory or counts an access.
 func (c *CPU) pdLoad(addr uint32, size uint8, pc uint32) (uint32, error) {
 	if addr&(uint32(size)-1) != 0 {
 		return 0, unaligned("load", addr, size, pc)
 	}
-	if t := c.port.Read; t != nil && addr < MemSize && t.Hit(addr>>2) {
+	w := addr >> 2
+	if t := c.port.Read; t != nil && addr < MemSize && t.Hit(w) && c.monRead(w) {
 		*c.port.Accesses++
 		return WordLane(c.portMem.ReadWord(addr), addr, size), nil
 	}
 	if c.port.Index != nil && addr < MemSize {
-		if s := c.port.WriteBack(addr >> 2); s != nil && s.Dirty {
+		kind, slot, live := c.port.Index.Lookup(w, *c.port.Epoch)
+		switch {
+		case live && kind == accfilter.KindWBD:
 			*c.port.Accesses++
-			return WordLane(s.Val, addr, size), nil
+			return WordLane(c.port.Slots[slot].Val, addr, size), nil
+		case !live && c.port.Complete != nil && *c.port.Complete && c.monRead(w):
+			*c.port.Accesses++
+			return WordLane(c.portMem.ReadWord(addr), addr, size), nil
 		}
 	}
 	return c.Bus.Load(addr, size, pc)
+}
+
+// monRead reports whether the installed port's reference monitor, if it
+// has one, certifies a read of word: it already tracks the word, so the
+// Bus's report would change nothing.
+func (c *CPU) monRead(word uint32) bool {
+	return c.port.Certs == nil || c.port.Certs.Tracked.Hit(word)
+}
+
+// monWrite is monRead for a write: the monitor, if any, holds word as
+// write-dominated.
+func (c *CPU) monWrite(word uint32) bool {
+	return c.port.Certs == nil || c.port.Certs.WriteDom.Hit(word)
 }
 
 // pdStore is pdLoad's store counterpart. The access port's direct writes
@@ -554,7 +577,7 @@ func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
 	if addr&(uint32(size)-1) != 0 {
 		return unaligned("store", addr, size, pc)
 	}
-	if t := c.port.Write; t != nil && addr < MemSize-3 && t.Hit(addr>>2) {
+	if t := c.port.Write; t != nil && addr < MemSize-3 && t.Hit(addr>>2) && c.monWrite(addr>>2) {
 		*c.port.Accesses++
 		c.portMem.storeRAM(addr, size, v)
 		return nil
@@ -567,8 +590,9 @@ func (c *CPU) pdStore(addr uint32, size uint8, v uint32, pc uint32) error {
 
 // portStoreWB completes a store the access port's Write-back slots
 // certify (SetAccessPort): a dirty word's lane merges into its slot, and —
-// on a port with filter tag arrays — a false write to a clean word stores
-// to memory. It reports false, having done nothing, for every other store.
+// on a port with filter tag arrays and no monitor — a false write to a
+// clean word stores to memory. It reports false, having done nothing, for
+// every other store.
 func (c *CPU) portStoreWB(addr uint32, size uint8, v uint32) bool {
 	s := c.port.WriteBack(addr >> 2)
 	switch {
@@ -576,7 +600,8 @@ func (c *CPU) portStoreWB(addr uint32, size uint8, v uint32) bool {
 		return false
 	case s.Dirty:
 		s.Val = MergeLane(s.Val, addr, size, v)
-	case c.port.Write != nil && MergeLane(c.portMem.ReadWord(addr), addr, size, v) == s.Val:
+	case c.port.Write != nil && c.port.Certs == nil &&
+		MergeLane(c.portMem.ReadWord(addr), addr, size, v) == s.Val:
 		c.portMem.storeRAM(addr, size, v)
 	default:
 		return false
@@ -586,11 +611,11 @@ func (c *CPU) portStoreWB(addr uint32, size uint8, v uint32) bool {
 }
 
 // loadTextLit serves a literal-pool load the predecoder proved lies inside
-// the TEXT window: in the loop when an access port is installed (the
-// detector's verdict for a TEXT read is statically Outcome{}), through the
-// Bus otherwise.
+// the TEXT window: in the loop when an access port is installed (every
+// scheme's verdict for a TEXT read is statically Outcome{}) and its
+// monitor, if any, certifies the word; through the Bus otherwise.
 func (c *CPU) loadTextLit(addr, pc uint32) (uint32, error) {
-	if c.port.Read != nil {
+	if c.port.Index != nil && c.monRead(addr>>2) {
 		*c.port.Accesses++
 		return c.portMem.ReadWord(addr), nil
 	}

@@ -122,15 +122,18 @@ func (b *WriteBuf) Reset() {
 }
 
 // Port exposes the buffer to the CPU's fused executor: the index, the
-// epoch tag and the slot backing at full capacity, with accesses as the
-// owner's section access counter. It has no filter tag arrays, so it
-// certifies exactly the accfilter dirty Write-back kind — a load of an
-// indexed word is served its slot's value, a store merges into it — and
-// every other access stays with the owner. Like Clank.Port it aliases the
-// buffer's own state and stays valid across Reset.
+// epoch tag, the completeness flag and the slot backing at full capacity,
+// with accesses as the owner's section access counter. It has no filter
+// tag arrays, so it certifies the accfilter dirty Write-back kind — a load
+// of an indexed word is served its slot's value, a store merges into it —
+// and, while the index is complete, a load of an unindexed word, which
+// reads memory; every other access stays with the owner. The owner must
+// read every unbuffered word as "count it, proceed". Like Clank.Port it
+// aliases the buffer's own state and stays valid across Reset.
 func (b *WriteBuf) Port(accesses *int) accfilter.Port {
 	return accfilter.Port{
 		Accesses: accesses, Index: &b.idx, Epoch: &b.tag, Slots: b.slots[:cap(b.slots)],
+		Complete: &b.complete,
 	}
 }
 

@@ -64,48 +64,53 @@ func BenchmarkIntermittentRun(b *testing.B) {
 // allocations: a run with hundreds of reboots must allocate no more than a
 // continuous run of the same program (one CPU and one decode cache serve
 // the whole run; reboots only roll state back). A regression here means a
-// per-boot allocation crept into restart/restore.
+// per-boot allocation crept into restart/restore. The Verify leg holds the
+// reference monitor's per-section Reset, certificates included, to the
+// same bound.
 func TestRebootsDoNotAllocate(t *testing.T) {
 	img, err := ccc.Compile(testProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := clank.Config{ReadFirst: 8, WriteFirst: 4, WriteBack: 2, Opts: clank.OptAll}
-	run := func(supply func() power.Source) (allocs float64, boots int) {
-		allocs = testing.AllocsPerRun(3, func() {
-			m, err := NewMachine(img, Options{
-				Config:          cfg,
-				Supply:          supply(),
-				ProgressDefault: 10_000,
+	for _, verify := range []bool{false, true} {
+		run := func(supply func() power.Source) (allocs float64, boots int) {
+			allocs = testing.AllocsPerRun(3, func() {
+				m, err := NewMachine(img, Options{
+					Config:          cfg,
+					Supply:          supply(),
+					ProgressDefault: 10_000,
+					Verify:          verify,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := m.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !st.Completed {
+					t.Fatal("run did not complete")
+				}
+				boots = st.Restarts
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := m.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !st.Completed {
-				t.Fatal("run did not complete")
-			}
-			boots = st.Restarts
-		})
-		return allocs, boots
-	}
+			return allocs, boots
+		}
 
-	continuousAllocs, b0 := run(func() power.Source { return power.Always{} })
-	if b0 != 0 {
-		t.Fatalf("always-on run rebooted %d times", b0)
-	}
-	intermittentAllocs, boots := run(func() power.Source {
-		return power.NewSupply(power.Fixed{Cycles: 1500}, 5)
-	})
-	if boots < 20 {
-		t.Fatalf("expected dozens of reboots with 1500-cycle windows, got %d", boots)
-	}
-	delta := intermittentAllocs - continuousAllocs
-	if delta >= float64(boots)/4 {
-		t.Errorf("reboots allocate: %v extra allocs over %d boots (continuous %v, intermittent %v)",
-			delta, boots, continuousAllocs, intermittentAllocs)
+		continuousAllocs, b0 := run(func() power.Source { return power.Always{} })
+		if b0 != 0 {
+			t.Fatalf("always-on run rebooted %d times", b0)
+		}
+		intermittentAllocs, boots := run(func() power.Source {
+			return power.NewSupply(power.Fixed{Cycles: 1500}, 5)
+		})
+		if boots < 20 {
+			t.Fatalf("expected dozens of reboots with 1500-cycle windows, got %d", boots)
+		}
+		delta := intermittentAllocs - continuousAllocs
+		if delta >= float64(boots)/4 {
+			t.Errorf("verify=%v: reboots allocate: %v extra allocs over %d boots (continuous %v, intermittent %v)",
+				verify, delta, boots, continuousAllocs, intermittentAllocs)
+		}
 	}
 }

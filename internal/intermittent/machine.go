@@ -51,12 +51,13 @@ type Options struct {
 	MaxBarrenBoots int
 
 	// Verify enables the reference monitor (on by default via Run*
-	// helpers and always used in tests). Every access the monitor must
-	// see crosses the Bus, so Verify also keeps Clank's filter hits out
-	// of the CPU's fused core (only the privatizer's port, which serves
-	// buffered words the monitor never sees, stays installed): a
-	// monitored Clank run takes 1.22x-1.30x the host time of an
-	// unmonitored one (perfbench refmon.verify_ratio, 2-vCPU Intel Xeon
+	// helpers and always used in tests). The scheme's access port stays
+	// installed, carrying the monitor's certificates: the fused core
+	// completes an access the monitor would see only when the monitor's
+	// own table proves the report a no-op, and every other such access
+	// crosses the Bus. A monitored run takes 1.09x the host time of an
+	// unmonitored one, down from 1.18x with the port off (perfbench
+	// refmon.verify_ratio, one traced harsh run each, 2-vCPU Intel Xeon
 	// VM).
 	Verify bool
 
@@ -162,7 +163,7 @@ type Machine struct {
 	sch scheme.Scheme
 	k   *clank.Clank
 
-	mon  *refmon.Monitor
+	mon  *refmon.Certified
 	opts Options
 
 	nvFault func(write int) (bool, uint32) // torn-write injector (SetNVFault)
@@ -311,7 +312,7 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 	m.slotNV[0] = armsim.NewNVRegion(clank.SlotRecWords)
 	m.slotNV[1] = armsim.NewNVRegion(clank.SlotRecWords)
 	if opts.Verify {
-		m.mon = refmon.New()
+		m.mon = refmon.NewCertified()
 	}
 	m.cpu = armsim.NewCPU(busAdapter{m})
 	if prog != nil {
@@ -334,18 +335,20 @@ func newMachine(img *ccc.Image, opts Options, prog *armsim.SharedProgram) (*Mach
 	// The access port: the accesses a scheme's port certifies have fixed
 	// effects on this bus, so the CPU completes them in the loop. A word in
 	// a dirty Write-back slot is "count it and use the slot" (load's FromWB
-	// and store's Buffered branches), which no monitor sees, so a port that
-	// certifies only those — the privatizer's, behind Alpaca and DiCA —
-	// goes in with or without Verify. Clank's port also certifies filter
-	// hits and TEXT literal loads ("count it and touch memory") and
-	// clean-slot false writes ("count it and store"), which the reference
-	// monitor must see, so a port with tag arrays goes in only without one.
-	// A FailAfterAccess hook must see every access, and a boxed scheme
-	// hides its port; both keep the whole Bus path.
+	// and store's Buffered branches), which no monitor sees. Filter hits,
+	// TEXT literal loads and the privatizer's unbuffered reads are "count
+	// it and touch memory", and clean-slot false writes "count it and
+	// store"; under Verify the monitor must see those unless its report
+	// would change nothing, so the port carries the monitor's certificates
+	// and completes such an access only when they vouch for it too. A
+	// FailAfterAccess hook must see every access, and a boxed scheme hides
+	// its port; both keep the whole Bus path.
 	if ps, ok := m.sch.(scheme.Ported); ok && opts.FailAfterAccess == nil {
-		if p := ps.Port(); p.Read == nil || m.mon == nil {
-			m.cpu.SetAccessPort(p, m.mem)
+		p := ps.Port()
+		if m.mon != nil {
+			p.Certs = m.mon.Certificates()
 		}
+		m.cpu.SetAccessPort(p, m.mem)
 	}
 	// The first boot is a Reboot of fresh memory; on a shared-program
 	// machine it attaches the frozen cache once memory holds the image.
@@ -463,6 +466,19 @@ func (m *Machine) SetNVFault(f func(write int) (bool, uint32)) { m.nvFault = f }
 // Insns returns the CPU's monotonic retired-instruction counter, including
 // re-executed instructions (throughput benchmarks divide wall time by it).
 func (m *Machine) Insns() uint64 { return m.cpu.Insns }
+
+// SectionAccesses returns the scheme's count of tracked accesses since the
+// last commit or reboot, the count that steers output bracketing.
+func (m *Machine) SectionAccesses() int { return m.sch.SectionAccesses() }
+
+// MonitorTracked returns how many distinct words the reference monitor
+// tracks in the current section, or -1 without Verify.
+func (m *Machine) MonitorTracked() int {
+	if m.mon == nil {
+		return -1
+	}
+	return m.mon.Tracked()
+}
 
 // busAdapter routes CPU memory traffic through Clank.
 type busAdapter struct{ m *Machine }

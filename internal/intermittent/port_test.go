@@ -74,14 +74,15 @@ func (got portRun) diff(t *testing.T, leg string, want portRun) {
 // TestAccessPortMatchesBus pins the access port (armsim.CPU.SetAccessPort)
 // as invisible. For Clank, Alpaca and DiCA, a machine whose port completes
 // certified accesses inside the fused core — Clank's filter hits, dirty
-// Write-back words and TEXT literal loads; the privatizer's buffered words
-// — must match the same scheme boxed, whose every access crosses the Bus,
-// byte for byte: Stats (checkpoints, reasons, cycles, outputs), the
-// returned error, retired instructions, the reference monitor's tracked
-// words and final NV memory. It runs on private and shared-program
-// machines, under always-on power and two exponential supplies, and again
-// with Verify on: the privatizer keeps its port there, while Clank's
-// machine, which then has none, still matches its boxed twin.
+// Write-back words and TEXT literal loads; the privatizer's buffered
+// words, TEXT literal loads and unbuffered reads — must match the same
+// scheme boxed, whose every access crosses the Bus, byte for byte: Stats
+// (checkpoints, reasons, cycles, outputs), the returned error, retired
+// instructions, the reference monitor's tracked words and final NV
+// memory. It runs on private and shared-program machines, under always-on
+// power and two exponential supplies, and again with Verify on, where
+// every scheme keeps its port and the port carries the monitor's
+// certificates.
 func TestAccessPortMatchesBus(t *testing.T) {
 	supplies := []struct {
 		name string
@@ -136,13 +137,12 @@ func TestAccessPortMatchesBus(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							clankVerify := fac.Name() == "clank" && verify
 							for _, m := range []struct {
 								name string
 								m    *Machine
 							}{{"private", private}, {"shared", shared}} {
-								if p := m.m.cpu.AccessPort(); (p.Index != nil) == clankVerify {
-									t.Fatalf("%s: access port installed = %v", m.name, p.Index != nil)
+								if p := m.m.cpu.AccessPort(); p.Index == nil || (p.Certs != nil) != verify {
+									t.Fatalf("%s: access port installed = %v, with certificates = %v", m.name, p.Index != nil, p.Certs != nil)
 								}
 								runPortLeg(m.m).diff(t, m.name, want)
 							}
@@ -152,8 +152,8 @@ func TestAccessPortMatchesBus(t *testing.T) {
 							if sup.name != "always" && want.st.Restarts == 0 {
 								t.Error("the supply never failed; the run exercises no rollback")
 							}
-							if sup.name == "always" && !verify {
-								requirePortSectionCounts(t, img, fac, want.st.WallCycles)
+							if sup.name == "always" {
+								requirePortSectionCounts(t, img, fac, verify, want.st.WallCycles)
 							}
 						})
 					}
@@ -168,14 +168,14 @@ func TestAccessPortMatchesBus(t *testing.T) {
 // section access count there. Every completed run ends in a commit that
 // resets the count, yet the count steers output and TEXT-write bracketing,
 // so a port that drops or doubles one access must still fail here.
-func requirePortSectionCounts(t *testing.T, img *ccc.Image, fac scheme.Factory, total uint64) {
+func requirePortSectionCounts(t *testing.T, img *ccc.Image, fac scheme.Factory, verify bool, total uint64) {
 	t.Helper()
 	for i := uint64(1); i <= 8; i++ {
 		bound := total * i / 9
 		var counts [2]int
 		var regs [2][16]uint32
 		for leg, f := range []scheme.Factory{fac, scheme.Boxed(fac)} {
-			m, err := NewMachine(img, Options{Config: portCfg, Scheme: f, ProgressDefault: 25_000, MaxWallCycles: bound})
+			m, err := NewMachine(img, Options{Config: portCfg, Scheme: f, ProgressDefault: 25_000, MaxWallCycles: bound, Verify: verify})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,14 +192,12 @@ func requirePortSectionCounts(t *testing.T, img *ccc.Image, fac scheme.Factory, 
 }
 
 // TestAccessPortAbsentWhenObserved pins where no port may be installed:
-// wherever a FailAfterAccess hook observes accesses, for every scheme;
-// Clank's port, whose filter hits the reference monitor must see, under
-// Verify; and a boxed scheme, which hides its port.
+// wherever a FailAfterAccess hook observes accesses, for every scheme; and
+// a boxed scheme, which hides its port.
 func TestAccessPortAbsentWhenObserved(t *testing.T) {
 	img := compileTest(t, testProgram)
 	failHook := func(uint32, bool) bool { return false }
 	cases := map[string]Options{
-		"clank/verify":       {Config: portCfg, Verify: true},
 		"alpaca/boxed":       {Config: portCfg, Scheme: scheme.Boxed(scheme.AlpacaFactory{}), Verify: true},
 		"clank/fail-after":   {Config: portCfg, FailAfterAccess: failHook},
 		"alpaca/fail-after":  {Config: portCfg, Scheme: scheme.AlpacaFactory{}, FailAfterAccess: failHook},
@@ -213,6 +211,40 @@ func TestAccessPortAbsentWhenObserved(t *testing.T) {
 		}
 		if p := m.cpu.AccessPort(); p.Index != nil || p.Read != nil {
 			t.Errorf("%s: access port installed", name)
+		}
+	}
+}
+
+// TestAccessPortCarriesMonitorCertificates pins the port a verified
+// machine installs: for every scheme it is the scheme's own port (filter
+// tag arrays for Clank only, the index-completeness flag for the
+// privatizer only) carrying the reference monitor's two certificate
+// arrays, and without Verify the same port without certificates.
+func TestAccessPortCarriesMonitorCertificates(t *testing.T) {
+	img := compileTest(t, testProgram)
+	for _, fac := range portSchemes {
+		for _, verify := range []bool{false, true} {
+			m, err := NewMachine(img, Options{Config: portCfg, Scheme: fac, Verify: verify})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := m.cpu.AccessPort()
+			if p.Index == nil {
+				t.Fatalf("%s verify=%v: no access port", fac.Name(), verify)
+			}
+			clank := fac.Name() == "clank"
+			if (p.Read != nil) != clank || (p.Write != nil) != clank || (p.Complete != nil) == clank {
+				t.Errorf("%s verify=%v: filter tag arrays %v, completeness flag %v", fac.Name(), verify, p.Read != nil, p.Complete != nil)
+			}
+			if !verify {
+				if p.Certs != nil {
+					t.Errorf("%s: monitor certificates without a monitor", fac.Name())
+				}
+				continue
+			}
+			if c := m.mon.Certificates(); p.Certs != c {
+				t.Errorf("%s/verify: port certificates %p, the monitor's %p", fac.Name(), p.Certs, c)
+			}
 		}
 	}
 }

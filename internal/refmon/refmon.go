@@ -19,11 +19,19 @@
 // Both sets live in one open-addressed word table stamped with a section
 // epoch, so Reset (once per checkpoint) is O(1) however large an earlier
 // section grew the table, and each access costs a single probe.
+//
+// The same contract lets a caller skip the monitor altogether for two
+// kinds of report: a ReadNV of a word the table already holds, and a
+// WriteNV of a write-dominated word, change nothing. Certified is a
+// Monitor that publishes both facts as direct-mapped tag arrays an access
+// port (accfilter.Port) can probe.
 package refmon
 
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/accfilter"
 )
 
 // Violation describes a detected idempotency break: re-executing the
@@ -187,3 +195,90 @@ func (m *Monitor) WriteDominated(word uint32) bool {
 
 // Tracked returns how many distinct words the section has touched.
 func (m *Monitor) Tracked() int { return m.live }
+
+// Certified is a Monitor that also keeps two access certificates, each an
+// accfilter tag array derived from the monitor's own table alone:
+//
+//   - tracked certifies word w (tracked.Hit(w)) only while w has an entry
+//     this section, so a ReadNV of w is a no-op;
+//   - writeDom certifies w only while w's entry is write-dominated, so a
+//     WriteNV of w is a no-op.
+//
+// A certificate is set at insert and re-pointed on every later report of
+// its word, so a direct-mapped slot keeps the word the monitor saw last
+// and a hot word wins its slot back from a colliding one; a WriteNV that
+// returns a Violation certifies nothing. Reset empties only the slots of
+// the words inserted this section, which are the only words a slot can
+// hold: O(live), allocation-free once words has grown. The monitor is
+// word-granular, so a certificate covers all four bytes of its word.
+//
+// Its ReadNV, WriteNV and Reset replace the embedded Monitor's; calling
+// those directly would leave the certificates stale. A plain Monitor
+// keeps no certificates and pays nothing for them.
+type Certified struct {
+	Monitor
+	certs accfilter.Certs
+	words []uint32 // the words inserted this section
+}
+
+// NewCertified returns a certified monitor for a fresh section.
+func NewCertified() *Certified {
+	c := &Certified{Monitor: *New(), certs: accfilter.Certs{Tracked: accfilter.Empty, WriteDom: accfilter.Empty}}
+	c.words = make([]uint32, 0, accfilter.Entries)
+	return c
+}
+
+// Certificates returns the tracked and write-dominated certificate arrays.
+// They stay at the same address for the monitor's lifetime.
+func (c *Certified) Certificates() *accfilter.Certs { return &c.certs }
+
+// ReadNV is Monitor.ReadNV, then certifies word tracked.
+func (c *Certified) ReadNV(word, value uint32) {
+	e, ok := c.find(word)
+	if !ok {
+		c.insertLogged(e, word, value, kindRead)
+		return
+	}
+	c.certify(word, e.tag&1)
+}
+
+// WriteNV is Monitor.WriteNV; unless it returns a Violation, it then
+// certifies word tracked, and write-dominated if it is.
+func (c *Certified) WriteNV(word, value, pc uint32) *Violation {
+	e, ok := c.find(word)
+	if !ok {
+		c.insertLogged(e, word, value, kindWrite)
+		return nil
+	}
+	if e.tag&1 == kindRead && e.value != value {
+		return &Violation{Word: word, PC: pc, OldValue: e.value, NewValue: value}
+	}
+	c.certify(word, e.tag&1)
+	return nil
+}
+
+// insertLogged is insert, logging the word for Reset and certifying it.
+func (c *Certified) insertLogged(e *entry, word, value, kind uint32) {
+	c.insert(e, word, value, kind)
+	c.words = append(c.words, word)
+	c.certify(word, kind)
+}
+
+// certify points word's certificate slots at it: tracked always, and
+// writeDom when its entry's kind is write-dominated.
+func (c *Certified) certify(word, kind uint32) {
+	c.certs.Tracked[word&accfilter.Mask] = word
+	if kind == kindWrite {
+		c.certs.WriteDom[word&accfilter.Mask] = word
+	}
+}
+
+// Reset is Monitor.Reset, emptying every certificate.
+func (c *Certified) Reset() {
+	for _, w := range c.words {
+		c.certs.Tracked[w&accfilter.Mask] = accfilter.Empty[w&accfilter.Mask]
+		c.certs.WriteDom[w&accfilter.Mask] = accfilter.Empty[w&accfilter.Mask]
+	}
+	c.words = c.words[:0]
+	c.Monitor.Reset()
+}

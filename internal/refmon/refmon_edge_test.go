@@ -1,6 +1,10 @@
 package refmon
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/accfilter"
+)
 
 // TestUntrackedWordAccessors covers words the section never touched: both
 // dominance classifications must be negative and the tracked count zero.
@@ -65,16 +69,25 @@ func TestWriteDominatedReadUntracked(t *testing.T) {
 }
 
 // TestResetClearsBothSets: after a checkpoint the same write that would
-// have violated must be legal, and the classifications are gone.
+// have violated must be legal, and the classifications and their
+// certificates are gone.
 func TestResetClearsBothSets(t *testing.T) {
-	m := New()
+	m := NewCertified()
+	c := m.Certificates()
 	m.ReadNV(3, 5)
+	m.WriteNV(4, 1, 0)
+	if !c.Tracked.Hit(3) || !c.Tracked.Hit(4) || !c.WriteDom.Hit(4) || c.WriteDom.Hit(3) {
+		t.Fatal("certificates do not follow the classifications")
+	}
 	if v := m.WriteNV(3, 6, 0); v == nil {
 		t.Fatal("WAR not flagged before reset")
 	}
 	m.Reset()
 	if m.Tracked() != 0 || m.ReadDominated(3) {
 		t.Fatal("reset left state behind")
+	}
+	if c.Tracked != accfilter.Empty || c.WriteDom != accfilter.Empty {
+		t.Fatal("reset left a certificate behind")
 	}
 	if v := m.WriteNV(3, 6, 0); v != nil {
 		t.Fatalf("post-reset write flagged: %v", v)

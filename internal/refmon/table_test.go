@@ -4,10 +4,20 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/accfilter"
 )
 
+// monitor is the surface a plain and a certified monitor share.
+type monitor interface {
+	monitorLike
+	ReadDominated(word uint32) bool
+	WriteDominated(word uint32) bool
+	Tracked() int
+}
+
 // checkWord compares every query the two monitors answer about word.
-func checkWord(t *testing.T, step int, m *Monitor, ref *mapModel, word uint32) {
+func checkWord(t *testing.T, step int, m monitor, ref *mapModel, word uint32) {
 	t.Helper()
 	if g, w := m.ReadDominated(word), ref.ReadDominated(word); g != w {
 		t.Fatalf("step %d: ReadDominated(%#x) = %v, map model %v", step, word, g, w)
@@ -21,12 +31,58 @@ func checkWord(t *testing.T, step int, m *Monitor, ref *mapModel, word uint32) {
 }
 
 // checkWrite applies the same write to both monitors and compares the
-// returned violations field by field.
-func checkWrite(t *testing.T, step int, m *Monitor, ref *mapModel, word, value, pc uint32) {
+// returned violations field by field. On a certified monitor, a write
+// that raised no violation must leave word certified tracked, and
+// certified write-dominated exactly when the map model calls it so.
+func checkWrite(t *testing.T, step int, m monitor, ref *mapModel, word, value, pc uint32) {
 	t.Helper()
 	g, w := m.WriteNV(word, value, pc), ref.WriteNV(word, value, pc)
 	if (g == nil) != (w == nil) || (g != nil && *g != *w) {
 		t.Fatalf("step %d: WriteNV(%#x, %d, %#x) = %+v, map model %+v", step, word, value, pc, g, w)
+	}
+	if c, ok := m.(*Certified); ok && g == nil {
+		if !c.certs.Tracked.Hit(word) || c.certs.WriteDom.Hit(word) != ref.WriteDominated(word) {
+			t.Fatalf("step %d: WriteNV(%#x) left certificates tracked=%v writeDom=%v, write-dominated %v",
+				step, word, c.certs.Tracked.Hit(word), c.certs.WriteDom.Hit(word), ref.WriteDominated(word))
+		}
+	}
+}
+
+// checkRead applies the same read to both monitors. On a certified
+// monitor the read must leave word certified tracked.
+func checkRead(t *testing.T, step int, m monitor, ref *mapModel, word, value uint32) {
+	t.Helper()
+	m.ReadNV(word, value)
+	ref.ReadNV(word, value)
+	if c, ok := m.(*Certified); ok && !c.certs.Tracked.Hit(word) {
+		t.Fatalf("step %d: ReadNV(%#x) left it uncertified", step, word)
+	}
+}
+
+// checkCerts requires every set certificate to hold in the map model: a
+// tracked slot names a word the section touched, a writeDom slot a
+// write-dominated one. Every other slot holds its empty value.
+func checkCerts(t *testing.T, step int, m monitor, ref *mapModel) {
+	t.Helper()
+	c, ok := m.(*Certified)
+	if !ok {
+		return
+	}
+	for i := range c.certs.Tracked {
+		if w := c.certs.Tracked[i]; w != accfilter.Empty[i] && (w&accfilter.Mask != uint32(i) || !ref.ReadDominated(w) && !ref.WriteDominated(w)) {
+			t.Fatalf("step %d: tracked slot %d certifies %#x, which the section has not touched", step, i, w)
+		}
+		if w := c.certs.WriteDom[i]; w != accfilter.Empty[i] && (w&accfilter.Mask != uint32(i) || !ref.WriteDominated(w)) {
+			t.Fatalf("step %d: writeDom slot %d certifies %#x, which is not write-dominated", step, i, w)
+		}
+	}
+}
+
+// requireNoCerts requires both certificate arrays to be empty.
+func requireNoCerts(t *testing.T, step int, m monitor) {
+	t.Helper()
+	if c, ok := m.(*Certified); ok && (c.certs.Tracked != accfilter.Empty || c.certs.WriteDom != accfilter.Empty) {
+		t.Fatalf("step %d: a certificate survived the reset", step)
 	}
 }
 
@@ -43,10 +99,17 @@ func checkWrite(t *testing.T, step int, m *Monitor, ref *mapModel, word, value, 
 // writes and first-read pinning both happen). A burst touches 1..64
 // consecutive words from the op's word, reading or writing by the value
 // byte's bit 2, which drives the table through several growths inside one
-// section.
+// section. The stream runs on a plain and on a certified monitor; the
+// certified one's certificates must hold in the map model after every op.
 func runMonitorStream(t *testing.T, data []byte) {
 	t.Helper()
-	m, ref := New(), newMapModel()
+	runMonitorStreamOn(t, New(), data)
+	runMonitorStreamOn(t, NewCertified(), data)
+}
+
+func runMonitorStreamOn(t *testing.T, m monitor, data []byte) {
+	t.Helper()
+	ref := newMapModel()
 	touched := map[uint32]bool{}
 	for step := 0; len(data) >= 2; step++ {
 		c, vb := data[0], data[1]
@@ -63,13 +126,13 @@ func runMonitorStream(t *testing.T, data []byte) {
 		pc := uint32(step) << 2
 		switch c & 7 {
 		case 0, 1, 2:
-			m.ReadNV(word, value)
-			ref.ReadNV(word, value)
+			checkRead(t, step, m, ref, word, value)
 		case 3, 4, 5:
 			checkWrite(t, step, m, ref, word, value, pc)
 		case 6:
 			m.Reset()
 			ref.Reset()
+			requireNoCerts(t, step, m)
 			for w := range touched {
 				checkWord(t, step, m, ref, w)
 			}
@@ -81,14 +144,14 @@ func runMonitorStream(t *testing.T, data []byte) {
 				if vb&4 != 0 {
 					checkWrite(t, step, m, ref, w, value, pc)
 				} else {
-					m.ReadNV(w, value)
-					ref.ReadNV(w, value)
+					checkRead(t, step, m, ref, w, value)
 				}
 				touched[w] = true
 			}
 		}
 		touched[word] = true
 		checkWord(t, step, m, ref, word)
+		checkCerts(t, step, m, ref)
 	}
 	for w := range touched {
 		checkWord(t, -1, m, ref, w)
@@ -125,15 +188,17 @@ func TestQuickMonitorVsMap(t *testing.T) {
 
 // TestEpochWrapClearsTable sets the epoch just below the wrap and resets
 // across it. Slots stamped in epoch 1 long ago would alias the restarted
-// epoch 1 if the wrap did not clear the table for real.
+// epoch 1 if the wrap did not clear the table for real, and no certificate
+// may survive any of the resets.
 func TestEpochWrapClearsTable(t *testing.T) {
-	m, ref := New(), newMapModel()
+	m, ref := NewCertified(), newMapModel()
 	m.ReadNV(5, 1) // stamped epoch 1; must never resurface
 	m.WriteNV(6, 1, 0)
 	// Jump to the state after epochWrap-3 Resets.
+	m.Reset()
 	m.epoch = epochWrap - 2
-	m.live = 0
 	for step := 0; step < 4; step++ {
+		requireNoCerts(t, step, m)
 		for w := uint32(0); w < 12; w++ {
 			checkWord(t, step, m, ref, w)
 		}
@@ -144,12 +209,13 @@ func TestEpochWrapClearsTable(t *testing.T) {
 			checkWrite(t, step, m, ref, 6, 4, 0x14)
 		}
 		w := uint32(8 + step)
-		m.ReadNV(w, 9)
-		ref.ReadNV(w, 9)
+		checkRead(t, step, m, ref, w, 9)
 		checkWrite(t, step, m, ref, w, 10, 0x18)
+		checkCerts(t, step, m, ref)
 		m.Reset()
 		ref.Reset()
 	}
+	requireNoCerts(t, 4, m)
 	if m.epoch != 3 {
 		t.Fatalf("epoch after wrap = %d, want 3", m.epoch)
 	}
@@ -209,26 +275,28 @@ func TestGrowMidSectionAfterResets(t *testing.T) {
 // TestMonitorSteadyStateZeroAlloc pins the hot-path contract: once the
 // table has grown to the largest section, ReadNV, WriteNV and Reset
 // allocate nothing.
+// The same holds for a certified monitor.
 func TestMonitorSteadyStateZeroAlloc(t *testing.T) {
-	m := New()
-	for w := uint32(0); w < 4096; w++ {
-		m.ReadNV(w, w)
-	}
-	m.Reset()
-	allocs := testing.AllocsPerRun(100, func() {
-		for w := uint32(0); w < 4096; w += 3 {
+	for _, m := range []monitor{New(), NewCertified()} {
+		for w := uint32(0); w < 4096; w++ {
 			m.ReadNV(w, w)
-			if v := m.WriteNV(w, w, 0); v != nil { // false write
-				t.Fatal(v)
-			}
-			if v := m.WriteNV(w+1, 7, 0); v != nil {
-				t.Fatal(v)
-			}
 		}
 		m.Reset()
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state monitor allocates %.1f times per section, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			for w := uint32(0); w < 4096; w += 3 {
+				m.ReadNV(w, w)
+				if v := m.WriteNV(w, w, 0); v != nil { // false write
+					t.Fatal(v)
+				}
+				if v := m.WriteNV(w+1, 7, 0); v != nil {
+					t.Fatal(v)
+				}
+			}
+			m.Reset()
+		})
+		if allocs != 0 {
+			t.Errorf("%T: steady-state monitor allocates %.1f times per section, want 0", m, allocs)
+		}
 	}
 }
 
@@ -263,10 +331,12 @@ func benchSections(b *testing.B, m monitorLike, prev uint32) {
 
 // BenchmarkMonitor times tiny sections after one large one — the pattern
 // that made the two-map monitor's Reset cost O(largest section) through
-// map clear(). The map sub-benchmarks time that model for comparison.
+// map clear(). The map sub-benchmarks time that model for comparison, the
+// certified ones a Certified monitor's certificate upkeep.
 func BenchmarkMonitor(b *testing.B) {
 	for _, prev := range []uint32{8, 4096} {
 		b.Run("table/prev="+strconv.Itoa(int(prev)), func(b *testing.B) { benchSections(b, New(), prev) })
+		b.Run("certified/prev="+strconv.Itoa(int(prev)), func(b *testing.B) { benchSections(b, NewCertified(), prev) })
 		b.Run("map/prev="+strconv.Itoa(int(prev)), func(b *testing.B) { benchSections(b, newMapModel(), prev) })
 	}
 }

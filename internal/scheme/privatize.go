@@ -231,5 +231,7 @@ func (p *privatizer) Committed(progress uint64) {
 func (p *privatizer) Footprint() uint64 { return p.buf.Footprint() }
 
 // Port implements Ported: the buffer's port (clank.WriteBuf.Port), which
-// certifies buffered words only and counts into the section access count.
+// certifies buffered words, TEXT literal loads and, while its index is
+// complete, reads of unbuffered words ("count it, proceed", as Read does),
+// and counts into the section access count.
 func (p *privatizer) Port() accfilter.Port { return p.buf.Port(&p.accesses) }
